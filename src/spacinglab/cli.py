@@ -110,7 +110,7 @@ def _read_spacings_csv(path) -> np.ndarray:
             col = head.index("raw_spacing")
     values = []
     for lineno, line in enumerate(lines[start:], start=start + 1):
-        fields = line.split(",")
+        fields = line.split(",", col + 1)
         try:
             values.append(float(fields[col]))
         except (ValueError, IndexError):

@@ -10,6 +10,7 @@ is the sensible default for long spectra.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,7 +92,7 @@ def parse_levels(stream: Union[str, TextIO], source_label: str = "") -> Spectrum
             raise SpectrumParseError(
                 f"line {lineno}: cannot parse {item!r} as a real number"
             ) from None
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise SpectrumParseError(f"line {lineno}: level must be finite, got {item!r}")
         values.append(v)
     if not values:

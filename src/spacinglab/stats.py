@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import kolmogorov as _kolmogorov
 
 from . import curves
 
@@ -80,33 +81,10 @@ class KsResult:
 def kolmogorov_sf(lam: float) -> float:
     """Survival function of the asymptotic Kolmogorov distribution.
 
-    P(sqrt(n) D > lam) for n -> inf.  Alternating series
-    2 sum (-1)^(k-1) exp(-2 k^2 lam^2) for large lam; Jacobi-theta dual form
-    for small lam.  Truncation error below 1e-12.
+    P(sqrt(n) D > lam) for n -> inf, from ``scipy.special.kolmogorov``;
+    1 for lam <= 0.
     """
-    lam = float(lam)
-    if lam <= 0.0:
-        return 1.0
-    if lam < 1.0:
-        # P(sqrt(n) D <= lam) = sqrt(2 pi)/lam * sum_{k odd} exp(-k^2 pi^2/(8 lam^2))
-        total = 0.0
-        k = 1
-        while True:
-            term = math.exp(-((k * math.pi) ** 2) / (8.0 * lam * lam))
-            total += term
-            if term < 1e-14 * max(total, 1e-300) or k > 2001:
-                break
-            k += 2
-        return 1.0 - math.sqrt(2.0 * math.pi) / lam * total
-    total = 0.0
-    sign = 1.0
-    for k in range(1, 200):
-        term = math.exp(-2.0 * k * k * lam * lam)
-        total += sign * term
-        if term < 1e-14:
-            break
-        sign = -sign
-    return max(0.0, min(1.0, 2.0 * total))
+    return float(_kolmogorov(float(lam)))
 
 
 def ks_test(sample: SpacingSample, kind: str) -> KsResult:

@@ -1,10 +1,17 @@
-"""Analytic curves: constants, frozen pdf oracle values, cdf/moment quadrature."""
+"""Analytic curves: constants, frozen pdf oracle values, closed-form cdf
+against direct quadrature, and moments."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spacinglab
 from spacinglab import curves, specfun
 from spacinglab.curves import cdf, constants, moment, pdf, small_x_approx
 
@@ -89,6 +96,11 @@ class TestPdf:
         with pytest.raises(ValueError):
             pdf("GPUE", np.array([0.5, -1.0]))
 
+    def test_nan_rejected(self):
+        for kind in curves.CURVE_ORDER:
+            with pytest.raises(ValueError):
+                pdf(kind, math.nan)
+
     def test_gpoe_tiny_arguments_finite(self):
         vals = pdf("GPOE", np.array([0.0, 1e-300, 1e-12, 1e-6]))
         assert np.all(np.isfinite(vals)) and vals[0] == 0.0 and np.all(vals[1:] > 0.0)
@@ -132,7 +144,7 @@ class TestCdf:
             assert cdf(kind, 0.0) == 0.0
 
     def test_goe_median(self):
-        assert abs(cdf("GOE", GOE_MEDIAN_X) - 0.5) < 1e-7
+        assert abs(cdf("GOE", GOE_MEDIAN_X) - 0.5) < 1e-10
 
     def test_total_mass(self):
         for kind in curves.CURVE_ORDER:
@@ -151,17 +163,47 @@ class TestCdf:
         spec = specfun.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=200)
         for x in xs:
             direct = specfun.integrate(lambda t: pdf(kind, t), 0.0, float(x), spec).value
-            assert abs(cdf(kind, float(x)) - direct) <= 1e-7
+            assert abs(cdf(kind, float(x)) - direct) <= 1e-10
 
     def test_goe_closed_form_oracle(self):
         # independent closed form 1 - exp(-pi x^2/4)
         xs = np.linspace(0.05, 6.0, 40)
         closed = 1.0 - np.exp(-math.pi * xs * xs / 4.0)
-        assert np.max(np.abs(cdf("GOE", xs) - closed)) < 1e-7
+        assert np.max(np.abs(cdf("GOE", xs) - closed)) < 1e-10
+
+    @pytest.mark.parametrize("grid", [(0.0, 4.0, 100_001), (0.0, 1e-3, 4001)])
+    def test_monotone_on_printed_grid(self, grid):
+        # the grid as the `curve` CSV prints it: 12 significant digits
+        xs = np.array([float(format(v, ".12g")) for v in np.linspace(*grid)])
+        for kind in curves.CURVE_ORDER:
+            assert np.all(np.diff(cdf(kind, xs)) >= 0.0), kind
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             cdf("GUE", -0.5)
+
+    def test_nan_rejected(self):
+        for kind in curves.CURVE_ORDER:
+            with pytest.raises(ValueError):
+                cdf(kind, math.nan)
+            with pytest.raises(ValueError):
+                cdf(kind, np.array([0.5, math.nan]))
+
+    def test_huge_and_infinite_saturate(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for kind in curves.CURVE_ORDER:
+                vals = cdf(kind, np.array([1e200, math.inf]))
+                assert np.all(np.isfinite(vals)), kind
+                assert np.all(np.abs(vals - 1.0) <= 1e-14), kind
+
+
+def test_import_skips_scipy_interpolate():
+    src = str(Path(spacinglab.__file__).resolve().parents[1])
+    code = "import sys, spacinglab; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestMoment:
