@@ -16,6 +16,7 @@ timestamp field.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import warnings
@@ -28,10 +29,29 @@ from . import curves, ensembles, ingest, stats, verify
 
 _ENSEMBLE_CHOICES = ("goe", "gue", "gse", "gpoe", "gpue", "qh3", "qh4")
 _CURVE_CHOICES = ("goe", "gue", "gse", "gpoe", "gpue")
+# Rows per formatted CSV block.  At 1024 rows every per-block temporary
+# stays below glibc's 128 KiB mmap threshold; larger blocks (or stacking the
+# whole table at once) raised the peak RSS of later commands in the same
+# process by 2-3 MiB.
+_CSV_BLOCK_ROWS = 1024
 
 
 def _fmt(v: float) -> str:
     return format(float(v), ".12g")
+
+
+def _write_csv(path, header: str, *columns) -> None:
+    """Write float columns under a header line, one ``.12g`` row per line.
+
+    Rows are formatted a block at a time with one ``%`` on a repeated row
+    template; ``"%.12g" % x`` prints the same text as ``_fmt(x)``.
+    """
+    row = ",".join(["%.12g"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[lo : lo + _CSV_BLOCK_ROWS] for c in columns])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _resolve_ensemble(parser: argparse.ArgumentParser, name: str, kappa) -> ensembles.EnsembleKind:
@@ -40,9 +60,11 @@ def _resolve_ensemble(parser: argparse.ArgumentParser, name: str, kappa) -> ense
         if kappa is None:
             print(f"note: --kappa not given for {name}; defaulting to kappa=0", file=sys.stderr)
             kappa = 0.0
-        if kappa < 0:
-            parser.error("--kappa must be nonnegative")
-        return ensembles.EnsembleKind(tag, float(kappa))
+        try:
+            return ensembles.EnsembleKind(tag, kappa)
+        except ValueError as exc:
+            print(f"error: --kappa: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
     if kappa is not None:
         parser.error(f"--kappa is only valid with qh3/qh4, not {name}")
     return ensembles.EnsembleKind(tag)
@@ -60,10 +82,7 @@ def _cmd_sample(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         parser.error("--seed must fit in an unsigned 64-bit integer")
     config = ensembles.SamplerConfig(sigma=args.sigma, seed=args.seed, workers=args.workers)
     sample, rate = ensembles.sample_spacings(kind, args.n, config)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("raw_spacing,normalized_spacing\n")
-        for r, x in zip(sample.raw, sample.normalized):
-            fh.write(f"{_fmt(r)},{_fmt(x)}\n")
+    _write_csv(args.out, "raw_spacing,normalized_spacing", sample.raw, sample.normalized)
     print(f"acceptance-rate {_fmt(rate)}")
     return 0
 
@@ -77,10 +96,7 @@ def _cmd_curve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     xs = np.linspace(0.0, args.xmax, args.points)
     ps = np.atleast_1d(curves.pdf(kind, xs))
     cs = np.atleast_1d(curves.cdf(kind, xs))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("x,pdf,cdf\n")
-        for x, p, c in zip(xs, ps, cs):
-            fh.write(f"{_fmt(x)},{_fmt(p)},{_fmt(c)}\n")
+    _write_csv(args.out, "x,pdf,cdf", xs, ps, cs)
     return 0
 
 
@@ -108,15 +124,23 @@ def _read_spacings_csv(path) -> np.ndarray:
         start = 1
         if "raw_spacing" in head:
             col = head.index("raw_spacing")
+    if len(lines) == start:
+        raise ValueError(f"{path}: no spacing rows")
+    try:
+        return np.loadtxt(lines[start:], delimiter=",", usecols=col, comments=None, ndmin=1)
+    except ValueError:
+        pass
+    # loadtxt refuses some fields that float() reads (e.g. "1_0"); parse
+    # line by line instead, and name a bad row by its line number in the file
     values = []
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+    for i, line in enumerate(lines[start:], start=start):
         fields = line.split(",", col + 1)
         try:
             values.append(float(fields[col]))
         except (ValueError, IndexError):
+            numbered = (n for n, ln in enumerate(text.splitlines(), start=1) if ln.strip())
+            lineno = next(itertools.islice(numbered, i, None))
             raise ValueError(f"{path}: line {lineno}: cannot read a spacing") from None
-    if not values:
-        raise ValueError(f"{path}: no spacing rows")
     return np.asarray(values)
 
 

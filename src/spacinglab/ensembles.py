@@ -95,8 +95,15 @@ class EnsembleKind:
         if self.tag in _QUASI:
             if self.kappa is None:
                 raise ValueError(f"{self.tag} requires kappa >= 0")
-            if not (float(self.kappa) >= 0.0):
-                raise ValueError("kappa must be nonnegative")
+            kappa = float(self.kappa)
+            if not (kappa >= 0.0):
+                raise ValueError(f"kappa must be nonnegative, not {kappa:g}")
+            try:
+                shrink_finite = math.isfinite(math.cosh(2.0 * kappa))
+            except OverflowError:
+                shrink_finite = False
+            if not shrink_finite:
+                raise ValueError(f"kappa {kappa:g} is too large: cosh(2 kappa) overflows")
         elif self.kappa is not None:
             raise ValueError(f"kappa is only meaningful for QH3/QH4, not {self.tag}")
 

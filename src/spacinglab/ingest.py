@@ -125,10 +125,15 @@ def parse_unfold_method(text: str) -> UnfoldMethod:
     token = text.strip().lower()
     if token == "global":
         return GlobalMean()
-    if token.startswith("local:"):
-        return LocalWindow(int(token.split(":", 1)[1]))
-    if token.startswith("poly:"):
-        return PolynomialStaircase(int(token.split(":", 1)[1]))
+    name, _, size = token.partition(":")
+    method = {"local": LocalWindow, "poly": PolynomialStaircase}.get(name)
+    if method is not None:
+        try:
+            size = int(size)
+        except ValueError:
+            pass
+        else:
+            return method(size)
     raise ValueError(f"unknown unfolding method {text!r}; use global, local:w or poly:p")
 
 

@@ -1,16 +1,52 @@
 """Command-line interface: flags, CSV/JSON formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spacinglab import cli, curves
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def write_rows_reference(path, header, *columns):
+    """The per-row CSV loop that ``cli._write_csv`` replaced."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(cli._fmt(v) for v in row) + "\n")
+
+
+def read_spacings_reference(path):
+    """The per-line loop ``cli._read_spacings_csv`` used before loadtxt.
+
+    Returns the values, or None where the loop raised.
+    """
+    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+    col = start = 0
+    head = [tok.strip().lower() for tok in lines[0].split(",")]
+    try:
+        float(head[0])
+    except ValueError:
+        start = 1
+        if "raw_spacing" in head:
+            col = head.index("raw_spacing")
+    values = []
+    for line in lines[start:]:
+        try:
+            values.append(float(line.split(",", col + 1)[col]))
+        except (ValueError, IndexError):
+            return None
+    return np.asarray(values)
 
 
 class TestSample:
@@ -68,6 +104,23 @@ class TestSample:
             run(["sample", "--ensemble", "goe", "--n", "0", "--seed", "1",
                  "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("kappa", ["400", "1e308", "inf", "nan"])
+    def test_overflowing_kappa_is_usage_error(self, tmp_path, capsys, kappa):
+        with pytest.raises(SystemExit) as exc:
+            run(["sample", "--ensemble", "qh4", "--kappa", kappa, "--n", "10",
+                 "--seed", "1", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --kappa: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_largest_finite_shrink_kappa_samples(self, tmp_path):
+        out = tmp_path / "q.csv"
+        assert run(["sample", "--ensemble", "qh3", "--kappa", "355", "--n", "100",
+                    "--seed", "1", "--out", str(out)]) == 0
+        values = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(values)) and np.all(values >= 0)
 
     def test_headerless_scientific_notation_column(self, tmp_path, capsys):
         # a bare column in scientific notation must not be mistaken for a header
@@ -170,6 +223,143 @@ class TestCompare:
     def test_missing_file_is_runtime_error(self, capsys):
         assert run(["compare", "--spacings", "/nonexistent.csv"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_parse_error_names_physical_line(self, tmp_path, capsys, newline):
+        path = tmp_path / "gaps.csv"
+        path.write_bytes(newline.join(["raw_spacing", "1.0", "", "  ", "2.0", "abc", ""]).encode())
+        assert run(["compare", "--spacings", str(path)]) == 1
+        assert "line 6: cannot read a spacing" in capsys.readouterr().err
+
+    def test_blank_lines_and_crlf_read(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"\r\nraw_spacing,normalized_spacing\r\n1.5,1\r\n\r\n 2.5 ,2\r\n")
+        assert cli._read_spacings_csv(path).tolist() == [1.5, 2.5]
+
+    def test_header_only_file_has_no_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("raw_spacing,normalized_spacing\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no spacing rows"):
+                cli._read_spacings_csv(path)
+
+    def test_underscore_tokens_read_as_float_does(self, tmp_path):
+        path = tmp_path / "under.csv"
+        path.write_text("1_0\n2.5\n")
+        assert cli._read_spacings_csv(path).tolist() == [10.0, 2.5]
+
+
+_WRITER_SPECIALS = [0.0, -0.0, 5e-324, 1e-5, 9.99999999999e-5, 1e16, 123456789012.5]
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097])
+    @pytest.mark.parametrize("n_columns", [2, 3])
+    def test_bytes_match_per_row_loop(self, tmp_path, n, n_columns):
+        rng = np.random.default_rng(n * 10 + n_columns)
+        columns = []
+        for j in range(n_columns):
+            col = rng.standard_normal(n) * 10.0 ** rng.uniform(-320, 300, n)
+            k = min(n, len(_WRITER_SPECIALS))
+            col[:k] = np.roll(_WRITER_SPECIALS, j)[:k]
+            columns.append(col)
+        header = ",".join(f"c{j}" for j in range(n_columns))
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        cli._write_csv(fast, header, *columns)
+        write_rows_reference(slow, header, *columns)
+        assert fast.read_bytes() == slow.read_bytes()
+        assert len(fast.read_text().splitlines()) == n + 1
+
+    def test_special_values_text(self, tmp_path):
+        path = tmp_path / "s.csv"
+        values = np.array(_WRITER_SPECIALS)
+        cli._write_csv(path, "a,b", values, -values)
+        assert path.read_text().splitlines()[1:] == [
+            "0,-0", "-0,0", "4.94065645841e-324,-4.94065645841e-324", "1e-05,-1e-05",
+            "9.99999999999e-05,-9.99999999999e-05", "1e+16,-1e+16",
+            "123456789012,-123456789012",
+        ]
+
+
+# SHA-256 of `sample --n 40000 --seed 42` (three streams), taken with the
+# per-row writer; qh3/qh4 at kappa 0.25.  Any --workers gives these bytes.
+GOLDEN_SAMPLE_SHA256 = {
+    "goe": "b1f5f67470b211548df6845670d2ee132cc37d736a31993278513db992945044",
+    "gue": "ff97741fd1b3090336b093ec9ec5d38ba9f6bb955af0a674f9e89100abeb0260",
+    "gse": "c1ce85c32fe766d9316824373b9218a192fbaf939f5189f6d00390d252c5ecb9",
+    "gpoe": "6bead1aa6e2b2ca57e0a78814866dd270aeba8baf7cbf13655cf1bad75d403bf",
+    "gpue": "5c59fb04eacb1572f6d793fe5d3de205f674d79fbcebe9655e8e28e29b494cfa",
+    "qh3": "50a3c02e354149ed0c2a03229091843f0828064e91dd4b4828efc8af52cb6b20",
+    "qh4": "7047e7694d7914baf62bec7ca5f4c67b6c2229b5dec12f5e7d886efa257b8b8c",
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("ensemble", sorted(GOLDEN_SAMPLE_SHA256))
+def test_sample_csv_golden_hash(tmp_path, ensemble, workers):
+    out = tmp_path / "s.csv"
+    kappa = ["--kappa", "0.25"] if ensemble.startswith("qh") else []
+    assert run(["sample", "--ensemble", ensemble, *kappa, "--n", "40000", "--seed", "42",
+                "--workers", workers, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SAMPLE_SHA256[ensemble]
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_TOKENS = st.one_of(
+    _FLOATS.map(repr),
+    _FLOATS.map(cli._fmt),
+    st.integers(0, 10**6).map(lambda i: "_".join(str(i))),  # 1_0 style
+    st.tuples(st.sampled_from(["", " ", "\t"]), _FLOATS.map(repr),
+              st.sampled_from(["", " ", "\t"])).map("".join),
+)
+_HEADERS = st.sampled_from([None, "raw_spacing,normalized_spacing",
+                            "normalized_spacing,raw_spacing", "x,y"])
+
+
+@st.composite
+def _spacing_files(draw):
+    header = draw(_HEADERS)
+    col = 1 if header and header.startswith("normalized") else 0
+    rows = draw(st.lists(st.tuples(_TOKENS, _TOKENS), min_size=1, max_size=30))
+    lines = [header] if header else []
+    for row in rows:
+        lines.append(",".join(row))
+        lines.extend(draw(st.lists(st.sampled_from([" ", "\t", " \t "]), max_size=2)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return header, col, lines, newline
+
+
+class TestCsvReaderProperties:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_spacing_files())
+    def test_matches_per_line_loop(self, tmp_path_factory, spec):
+        _, _, lines, newline = spec
+        path = tmp_path_factory.mktemp("prop") / "s.csv"
+        path.write_bytes((newline.join(lines) + newline).encode())
+        expected = read_spacings_reference(path)
+        assert expected is not None
+        got = cli._read_spacings_csv(path)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(_spacing_files(), st.data())
+    def test_junk_token_names_physical_line(self, tmp_path_factory, spec, data):
+        header, col, lines, newline = spec
+        first = 1 if header else 0
+        data_rows = [i for i in range(first, len(lines)) if lines[i].strip()]
+        bad = data.draw(st.sampled_from(data_rows))
+        fields = lines[bad].split(",")
+        fields[col] = data.draw(st.sampled_from(["abc", "1.0.0", "", "--1", "0x1p3"]))
+        lines[bad] = ",".join(fields)
+        if bad == 0:
+            lines.insert(0, "raw_spacing,normalized_spacing")
+            bad += 1
+        path = tmp_path_factory.mktemp("prop") / "bad.csv"
+        path.write_bytes((newline.join(lines) + newline).encode())
+        with pytest.raises(ValueError, match=rf": line {bad + 1}: cannot read a spacing"):
+            cli._read_spacings_csv(path)
 
 
 class TestAnalyze:

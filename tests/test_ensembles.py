@@ -51,6 +51,15 @@ class TestKinds:
         with pytest.raises(ValueError):
             EnsembleKind("XYZ")
 
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan, 400.0, 1e308])
+    def test_kappa_must_keep_cosh_finite(self, kappa):
+        for tag in ("QH3", "QH4"):
+            with pytest.raises(ValueError, match="kappa"):
+                EnsembleKind(tag, kappa)
+
+    def test_largest_kappa_with_finite_cosh_accepted(self):
+        assert qh4(355.0).kappa == 355.0
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(sigma=0.0)

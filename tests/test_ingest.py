@@ -74,6 +74,11 @@ class TestMethodParsing:
         with pytest.raises(ValueError):
             parse_unfold_method("poly:10")
 
+    @pytest.mark.parametrize("token", ["local:abc", "poly:x", "local:", "poly:1.5", "local"])
+    def test_non_integer_size_gets_usage_message(self, token):
+        with pytest.raises(ValueError, match="use global, local:w or poly:p"):
+            parse_unfold_method(token)
+
 
 class TestUnfold:
     def test_picket_fence_global(self):
