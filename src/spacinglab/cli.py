@@ -7,10 +7,10 @@ Subcommands
     analyze   parse + unfold a raw spectrum, then compare against all curves
     verify    run the built-in verification suite
 
-Exit codes: 0 success, 1 runtime or check failure, 2 usage error.
-CSV outputs are byte-deterministic for fixed flags (12 significant digit
-formatting, LF newlines); JSON reports are deterministic except for their
-timestamp field.
+Exit codes: 0 success, 1 runtime or check failure, 2 usage error; every usage
+error prints one ``error:`` line that names the flag.  CSV outputs are
+byte-deterministic for fixed flags (12 significant digits, LF newlines); JSON
+reports are deterministic except for their timestamp field.
 """
 
 from __future__ import annotations
@@ -54,33 +54,32 @@ def _write_csv(path, header: str, *columns) -> None:
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def _resolve_ensemble(parser: argparse.ArgumentParser, name: str, kappa) -> ensembles.EnsembleKind:
-    tag = name.upper()
-    if tag in ("QH3", "QH4"):
-        if kappa is None:
-            print(f"note: --kappa not given for {name}; defaulting to kappa=0", file=sys.stderr)
-            kappa = 0.0
-        try:
-            return ensembles.EnsembleKind(tag, kappa)
-        except ValueError as exc:
-            print(f"error: --kappa: {exc}", file=sys.stderr)
-            raise SystemExit(2) from None
-    if kappa is not None:
-        parser.error(f"--kappa is only valid with qh3/qh4, not {name}")
-    return ensembles.EnsembleKind(tag)
+class _Parser(argparse.ArgumentParser):
+    """Print every usage error as one ``error: <message>`` line, exit 2."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+
+def _checked(parser: argparse.ArgumentParser, flag: str | None, make, *args):
+    """Call ``make(*args)``; its ValueError becomes the usage error ``<flag>: <message>``,
+    the flag defaulting to the message's first word (a ``SamplerConfig`` field)."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        parser.error(f"{flag or '--' + str(exc).split()[0]}: {exc}")
 
 
 def _cmd_sample(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    kind = _resolve_ensemble(parser, args.ensemble, args.kappa)
+    if args.ensemble in ("qh3", "qh4") and args.kappa is None:
+        print(f"note: --kappa not given for {args.ensemble}; defaulting to kappa=0",
+              file=sys.stderr)
+        args.kappa = 0.0
+    kind = _checked(parser, "--kappa", ensembles.EnsembleKind, args.ensemble.upper(), args.kappa)
+    config = _checked(parser, None, ensembles.SamplerConfig, args.sigma, args.seed, args.workers)
     if args.n < 1:
-        parser.error("--n must be at least 1")
-    if args.sigma <= 0:
-        parser.error("--sigma must be positive")
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
-    if not 0 <= args.seed < 2**64:
-        parser.error("--seed must fit in an unsigned 64-bit integer")
-    config = ensembles.SamplerConfig(sigma=args.sigma, seed=args.seed, workers=args.workers)
+        parser.error("--n: must be at least 1")
     sample, rate = ensembles.sample_spacings(kind, args.n, config)
     _write_csv(args.out, "raw_spacing,normalized_spacing", sample.raw, sample.normalized)
     print(f"acceptance-rate {_fmt(rate)}")
@@ -88,14 +87,13 @@ def _cmd_sample(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def _cmd_curve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    kind = curves.canonical_kind(args.curve)
-    if args.xmax <= 0:
-        parser.error("--xmax must be positive")
+    if not 0 < args.xmax < np.inf:
+        parser.error(f"--xmax: must be positive and finite, not {args.xmax:g}")
     if args.points < 2:
-        parser.error("--points must be at least 2")
+        parser.error("--points: must be at least 2")
     xs = np.linspace(0.0, args.xmax, args.points)
-    ps = np.atleast_1d(curves.pdf(kind, xs))
-    cs = np.atleast_1d(curves.cdf(kind, xs))
+    ps = np.atleast_1d(curves.pdf(args.curve, xs))
+    cs = np.atleast_1d(curves.cdf(args.curve, xs))
     _write_csv(args.out, "x,pdf,cdf", xs, ps, cs)
     return 0
 
@@ -193,7 +191,7 @@ def _cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 
 def _cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    method = ingest.parse_unfold_method(args.unfold)
+    method = _checked(parser, "--unfold", ingest.parse_unfold_method, args.unfold)
     spectrum = ingest.load_spectrum(args.spectrum)
     sample = ingest.unfold(spectrum, method)
     ks_results = _compare_sample(sample, list(curves.CURVE_ORDER))
@@ -210,7 +208,7 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spacinglab",
         description="Level-spacing statistics of Gaussian random-matrix ensembles",
     )

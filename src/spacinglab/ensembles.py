@@ -154,8 +154,9 @@ class SamplerConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 0):
-            raise ValueError("sigma must be positive")
+        # in this range squared draws neither overflow nor turn subnormal
+        if not (1e-100 <= self.sigma <= 1e100):
+            raise ValueError(f"sigma must be in [1e-100, 1e100], not {float(self.sigma):g}")
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if int(self.workers) < 1:

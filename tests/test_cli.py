@@ -115,6 +115,20 @@ class TestSample:
         assert err.startswith("error: --kappa: ") and err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("sigma", ["inf", "nan", "1e300", "1e-300"])
+    def test_sigma_out_of_range_is_usage_error(self, tmp_path, capsys, sigma):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SystemExit) as exc:
+                run(["sample", "--ensemble", "goe", "--sigma", sigma, "--n", "100",
+                     "--seed", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --sigma: ") and "RuntimeWarning" not in err
+        assert caught == []
+        assert not out.exists()
+
     def test_largest_finite_shrink_kappa_samples(self, tmp_path):
         out = tmp_path / "q.csv"
         assert run(["sample", "--ensemble", "qh3", "--kappa", "355", "--n", "100",
@@ -163,9 +177,10 @@ class TestCurve:
         last = out.read_text().splitlines()[-1].split(",")
         assert float(last[2]) >= 0.9999999
 
-    def test_bad_xmax_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("xmax", ["0", "-1", "inf", "nan"])
+    def test_bad_xmax_is_usage_error(self, tmp_path, xmax):
         with pytest.raises(SystemExit) as exc:
-            run(["curve", "--curve", "goe", "--xmax", "-1", "--points", "5",
+            run(["curve", "--curve", "goe", "--xmax", xmax, "--points", "5",
                  "--out", str(tmp_path / "c.csv")])
         assert exc.value.code == 2
 
@@ -407,6 +422,50 @@ class TestAnalyze:
         spec.write_text("1\nnope\n3\n")
         assert run(["analyze", "--spectrum", str(spec)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+
+# A repeated flag overrides the earlier value, so each case appends the bad
+# value to a valid command line.  OUT and SPECTRUM stand for files in tmp_path.
+_SAMPLE = ("sample", "--ensemble", "goe", "--n", "10", "--seed", "1", "--out", "OUT")
+_CURVE = ("curve", "--curve", "goe", "--xmax", "4", "--points", "5", "--out", "OUT")
+_USAGE_ERRORS = {
+    "n-zero": (*_SAMPLE, "--n", "0"),
+    "n-not-int": (*_SAMPLE, "--n", "abc"),
+    "missing-out": _SAMPLE[:-2],
+    "unknown-flag": (*_SAMPLE, "--wat", "1"),
+    "seed-negative": (*_SAMPLE, "--seed", "-1"),
+    "seed-2**64": (*_SAMPLE, "--seed", str(2**64)),
+    "workers-zero": (*_SAMPLE, "--workers", "0"),
+    "sigma-nan": (*_SAMPLE, "--sigma", "nan"),
+    "kappa-with-goe": (*_SAMPLE, "--kappa", "0.5"),
+    "kappa-negative": (*_SAMPLE, "--ensemble", "qh3", "--kappa", "-1"),
+    "points-one": (*_CURVE, "--points", "1"),
+    "xmax-inf": (*_CURVE, "--xmax", "inf"),
+    "unfold-even-window": ("analyze", "--spectrum", "SPECTRUM", "--unfold", "local:4"),
+    "unfold-not-int": ("analyze", "--spectrum", "SPECTRUM", "--unfold", "local:abc"),
+    "unfold-degree-12": ("analyze", "--spectrum", "SPECTRUM", "--unfold", "poly:12"),
+}
+
+
+class TestUsageErrors:
+    """Every usage error exits 2 with one ``error:`` line and writes nothing."""
+
+    @pytest.mark.parametrize("argv", _USAGE_ERRORS.values(), ids=_USAGE_ERRORS.keys())
+    def test_one_error_line_and_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        spectrum = tmp_path / "levels.txt"
+        spectrum.write_text("\n".join(str(i) for i in range(1, 60)) + "\n")
+        argv = [{"OUT": str(out), "SPECTRUM": str(spectrum)}.get(a, a) for a in argv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "usage:" not in err
+        assert caught == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["levels.txt"]
 
 
 class TestVerifyCommand:

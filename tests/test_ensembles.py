@@ -67,6 +67,9 @@ class TestKinds:
             SamplerConfig(workers=0)
         with pytest.raises(ValueError):
             SamplerConfig(seed=-1)
+        for sigma in (math.inf, math.nan, 1e300, 1e-300):
+            with pytest.raises(ValueError, match="sigma"):
+                SamplerConfig(sigma=sigma)
 
 
 class TestEigenvalues:
@@ -226,6 +229,10 @@ class TestSampleSpacings:
         a, _ = sample_spacings(GUE, 100_000, SamplerConfig(sigma=1.0, seed=9))
         b, _ = sample_spacings(GUE, 100_000, SamplerConfig(sigma=3.0, seed=9))
         assert np.max(np.abs(a.normalized - b.normalized)) < 1e-12
+        # the ends of the accepted sigma range neither overflow nor underflow
+        for sigma in (1e-100, 1e100):
+            c, _ = sample_spacings(GUE, 100_000, SamplerConfig(sigma=sigma, seed=9))
+            np.testing.assert_allclose(c.normalized, a.normalized, rtol=1e-12)
 
     def test_n_validation(self):
         with pytest.raises(ValueError):
