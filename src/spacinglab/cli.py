@@ -103,7 +103,7 @@ def _parse_against(text: str) -> list[str]:
         return list(curves.CURVE_ORDER)
     requested = [curves.canonical_kind(tok) for tok in text.split(",") if tok.strip()]
     if not requested:
-        raise ValueError("--against selected no curves")
+        raise ValueError("selected no curves")
     # keep the canonical order, drop duplicates
     return [k for k in curves.CURVE_ORDER if k in requested]
 
@@ -181,7 +181,7 @@ def _compare_sample(sample: stats.SpacingSample, against: list[str]) -> dict[str
 
 
 def _cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    against = _parse_against(args.against)
+    against = _checked(parser, "--against", _parse_against, args.against)
     raw = _read_spacings_csv(args.spacings)
     sample = stats.normalize(raw)
     ks_results = _compare_sample(sample, against)

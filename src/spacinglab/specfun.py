@@ -1,10 +1,10 @@
-"""Special functions and adaptive quadrature for the spacing-distribution curves.
+"""K0 for the GPOE density, and the quadrature the tests use as a reference.
 
 Contract-enforcing wrappers over scipy.special (Cephes) and scipy.integrate
-(QUADPACK): signed-log gamma convention, strict domain checks, and explicit
-failure reporting when quadrature does not converge.  Everything here is a
-pure function; there is no shared mutable state, so concurrent use from any
-number of threads is safe.
+(QUADPACK): strict domain checks, and explicit failure reporting when
+quadrature does not converge.  The curves are closed forms, so no package
+code calls :func:`integrate`; it imports scipy.integrate on first use.
+Everything here is a pure function and safe to call from any thread.
 """
 
 from __future__ import annotations
@@ -14,16 +14,13 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate as _sci_integrate
 from scipy import special as _sci_special
 
 __all__ = [
     "QuadratureSpec",
     "QuadResult",
     "QuadratureError",
-    "ln_gamma",
     "bessel_k0",
-    "erfc",
     "integrate",
 ]
 
@@ -63,23 +60,6 @@ class QuadratureError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-def ln_gamma(x: float) -> tuple[float, int]:
-    """Natural log of |Gamma(x)| together with the sign of Gamma(x).
-
-    Signed-log convention: returns ``(log_abs, sign)`` with ``sign`` in
-    {+1, -1}, so that ``Gamma(x) = sign * exp(log_abs)``.  Negative
-    non-integer arguments are supported (the sign alternates between
-    consecutive negative integers); nonpositive integers are poles and
-    raise ValueError.  Relative accuracy is ~1e-14 for |x| <= 50.
-    """
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"ln_gamma pole at nonpositive integer x={x}")
-    log_abs = float(_sci_special.gammaln(x))
-    sign = int(_sci_special.gammasgn(x))
-    return log_abs, sign
-
-
 def bessel_k0(x):
     """Modified Bessel function of the second kind, order zero.
 
@@ -92,13 +72,6 @@ def bessel_k0(x):
     if np.any(arr <= 0.0) or np.any(~np.isfinite(arr)):
         raise ValueError("bessel_k0 requires x > 0")
     out = _sci_special.k0(arr)
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def erfc(x):
-    """Complementary error function, valid for all real x."""
-    arr = np.asarray(x, dtype=float)
-    out = _sci_special.erfc(arr)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -127,6 +100,8 @@ def integrate(
         raise ValueError("domain must be a finite interval or a semi-infinite ray")
     if math.isnan(lo) or math.isnan(hi):
         raise ValueError("integration bounds must not be NaN")
+
+    from scipy import integrate as _sci_integrate
 
     out = _sci_integrate.quad(
         f,

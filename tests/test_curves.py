@@ -198,9 +198,10 @@ class TestCdf:
                 assert np.all(np.abs(vals - 1.0) <= 1e-14), kind
 
 
-def test_import_skips_scipy_interpolate():
+@pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.integrate"])
+def test_import_skips_scipy_submodule(module):
     src = str(Path(spacinglab.__file__).resolve().parents[1])
-    code = "import sys, spacinglab; print('scipy.interpolate' in sys.modules)"
+    code = f"import sys, spacinglab; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
     assert out.stdout.strip() == "False"
@@ -211,6 +212,13 @@ class TestMoment:
     def test_normalization_and_mean(self, kind):
         assert abs(moment(kind, 0) - 1.0) <= 1e-8
         assert abs(moment(kind, 1) - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("kind", curves.CURVE_ORDER)
+    def test_matches_quadrature(self, kind, k):
+        spec = specfun.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=400)
+        direct = specfun.integrate(lambda t: t**k * pdf(kind, t), 0.0, math.inf, spec).value
+        assert abs(moment(kind, k) - direct) <= 1e-12 * direct
 
     def test_goe_second_moment_closed_form(self):
         assert abs(moment("GOE", 2) - 4.0 / math.pi) < 1e-9

@@ -51,14 +51,22 @@ class TestKinds:
         with pytest.raises(ValueError):
             EnsembleKind("XYZ")
 
-    @pytest.mark.parametrize("kappa", [math.inf, math.nan, 400.0, 1e308])
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan, 100.5, 355.0, 400.0, 1e308])
     def test_kappa_must_keep_cosh_finite(self, kappa):
         for tag in ("QH3", "QH4"):
             with pytest.raises(ValueError, match="kappa"):
                 EnsembleKind(tag, kappa)
 
     def test_largest_kappa_with_finite_cosh_accepted(self):
-        assert qh4(355.0).kappa == 355.0
+        # at kappa 100 the shrunk draws' squares stay normal down to sigma 1e-100
+        tiny = SamplerConfig(sigma=1e-100, seed=5)
+        a, _ = sample_spacings(qh3(100.0), 2000, tiny)
+        b, _ = sample_spacings(qh3(0.0), 2000, tiny)
+        np.testing.assert_allclose(a.normalized, b.normalized, rtol=1e-12)
+        # QH4's law depends on kappa, so compare across sigma instead
+        c, _ = sample_spacings(qh4(100.0), 2000, tiny)
+        d, _ = sample_spacings(qh4(100.0), 2000, SamplerConfig(sigma=1.0, seed=5))
+        np.testing.assert_allclose(c.normalized, d.normalized, rtol=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -117,6 +117,18 @@ class TestKsTest:
         assert ks_test(sample, "GSE").d < 0.02
         assert ks_test(sample, "GOE").d > 0.1
 
+    @pytest.mark.parametrize("n", [50, 200])
+    @pytest.mark.parametrize("kind", [ensembles.GOE, ensembles.GPUE], ids=str)
+    def test_asymptotic_p_is_conservative_after_normalization(self, kind, n):
+        # samples of the curve's own law, scaled to unit sample mean: a calibrated
+        # p would fall below 0.05 in about 20 of 400 draws; this one almost never does
+        rejected = sum(
+            ks_test(ensembles.sample_spacings(kind, n, ensembles.SamplerConfig(seed=s))[0],
+                    kind.reference_curve).p_value < 0.05
+            for s in range(400)
+        )
+        assert rejected <= 4
+
 
 class TestHistogram:
     def test_two_bins(self):
