@@ -27,8 +27,8 @@ import numpy as np
 
 from . import curves, ensembles, ingest, stats, verify
 
-_ENSEMBLE_CHOICES = ("goe", "gue", "gse", "gpoe", "gpue", "qh3", "qh4")
-_CURVE_CHOICES = ("goe", "gue", "gse", "gpoe", "gpue")
+_ENSEMBLE_CHOICES = tuple(tag.lower() for tag in ensembles.ENSEMBLE_ORDER)
+_CURVE_CHOICES = tuple(tag.lower() for tag in curves.CURVE_ORDER)
 # Rows per formatted CSV block.  At 1024 rows every per-block temporary
 # stays below glibc's 128 KiB mmap threshold; larger blocks (or stacking the
 # whole table at once) raised the peak RSS of later commands in the same

@@ -228,7 +228,7 @@ def small_x_approx(kind: str, x):
     if kind not in ("GPOE", "GPUE"):
         raise ValueError("small-x approximants exist for GPOE and GPUE only")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 0.5):
+    if not np.all((arr > 0.0) & (arr < 0.5)):
         raise ValueError("small_x_approx domain is 0 < x < 0.5")
     if kind == "GPOE":
         out = (0.5 - 1.2 * np.log(arr)) * arr

@@ -28,24 +28,34 @@ only place kappa enters QH4's spacing law; QH3 stays isotropic in (b, c)
 at every kappa and therefore reproduces the linear-repulsion statistics
 identically.
 
+``_FAMILIES`` is where a family is described: the signs in D, the first
+parameter kappa shrinks, the exact probability of real eigenvalues (1/2 for
+GPOE, 1 - 1/sqrt2 for GPUE's cone) and the reference curve; everything else
+about a family is derived from its row.
+
 Reproducibility: spacing generation is split into fixed-size logical
 blocks (streams).  Block ``i`` owns a private generator seeded by
 ``SeedSequence(seed, spawn_key=(i,))``; the ``workers`` setting only
-schedules blocks onto threads.  Output is therefore identical for any
-worker count, and bit-identical for fixed (kind, n, seed).
+schedules blocks onto threads, and the rejection batch size never shows
+in the output (``Generator.normal`` fills in sequence, and draws count up to
+the quota-th acceptance).  Output is therefore identical for any worker
+count, and bit-identical for fixed (kind, n, seed).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import stats
 
 __all__ = [
+    "ENSEMBLE_ORDER",
     "EnsembleKind",
     "SamplerConfig",
     "RealPair",
@@ -72,14 +82,38 @@ __all__ = [
     "hermiticity_residual",
 ]
 
-_N_PARAMS = {"GOE": 3, "GUE": 4, "GSE": 6, "GPOE": 3, "GPUE": 4, "QH3": 3, "QH4": 4}
-_REJECTING = frozenset({"GPOE", "GPUE"})
-_QUASI = frozenset({"QH3", "QH4"})
+
+class _Family(NamedTuple):
+    signs: tuple[int, ...]  # signs of b^2, c^2, ... in D
+    shrink: int | None  # first parameter kappa shrinks, or None
+    acceptance: float  # exact probability that a draw has real eigenvalues
+    curve: str  # analytic reference curve
+
+
+_FAMILIES = {
+    "GOE": _Family((1, 1), None, 1.0, "GOE"),
+    "GUE": _Family((1, 1, 1), None, 1.0, "GUE"),
+    "GSE": _Family((1, 1, 1, 1, 1), None, 1.0, "GSE"),
+    "GPOE": _Family((1, -1), None, 0.5, "GPOE"),
+    "GPUE": _Family((1, -1, -1), None, 1.0 - 1.0 / math.sqrt(2.0), "GPUE"),
+    "QH3": _Family((1, 1), 1, 1.0, "GOE"),
+    "QH4": _Family((1, 1, 1), 2, 1.0, "GUE"),
+}
+ENSEMBLE_ORDER = tuple(_FAMILIES)
 
 # accepted spacings per logical stream; workers only schedule streams
 BLOCK_QUOTA = 16384
-# conservative lower bounds on acceptance used to size rejection batches
-_ACCEPT_LOWER = {"GPOE": 0.45, "GPUE": 0.26}
+
+
+def _count(value, name: str, lowest: int) -> int:
+    """``value`` as an int >= ``lowest``; a float or other non-integral type is a ValueError."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if value < lowest:
+        raise ValueError(f"{name} must be >= {lowest}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -90,9 +124,9 @@ class EnsembleKind:
     kappa: float | None = None
 
     def __post_init__(self) -> None:
-        if self.tag not in _N_PARAMS:
+        if self.tag not in _FAMILIES:
             raise ValueError(f"unknown ensemble tag {self.tag!r}")
-        if self.tag in _QUASI:
+        if _FAMILIES[self.tag].shrink is not None:
             if self.kappa is None:
                 raise ValueError(f"{self.tag} requires kappa >= 0")
             kappa = float(self.kappa)
@@ -105,23 +139,24 @@ class EnsembleKind:
 
     @property
     def n_params(self) -> int:
-        return _N_PARAMS[self.tag]
+        return 1 + len(_FAMILIES[self.tag].signs)
+
+    @property
+    def acceptance(self) -> float:
+        """Exact probability that one draw has real eigenvalues."""
+        return _FAMILIES[self.tag].acceptance
 
     @property
     def has_rejection(self) -> bool:
-        return self.tag in _REJECTING
+        return self.acceptance < 1.0
 
     @property
     def reference_curve(self) -> str:
         """Analytic curve this family's spacings follow (QH4: approximately)."""
-        if self.tag == "QH3":
-            return "GOE"
-        if self.tag == "QH4":
-            return "GUE"
-        return self.tag
+        return _FAMILIES[self.tag].curve
 
     def __str__(self) -> str:
-        if self.tag in _QUASI:
+        if self.kappa is not None:
             return f"{self.tag}(kappa={self.kappa:g})"
         return self.tag
 
@@ -153,10 +188,9 @@ class SamplerConfig:
         # in this range squared draws neither overflow nor turn subnormal
         if not (1e-100 <= self.sigma <= 1e100):
             raise ValueError(f"sigma must be in [1e-100, 1e100], not {float(self.sigma):g}")
-        if not (0 <= int(self.seed) < 2**64):
+        if _count(self.seed, "seed", 0) >= 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if int(self.workers) < 1:
-            raise ValueError("workers must be >= 1")
+        _count(self.workers, "workers", 1)
 
 
 @dataclass(frozen=True)
@@ -207,14 +241,10 @@ class SpectralParams:
 
 def _param_stds(kind: EnsembleKind, sigma: float) -> np.ndarray:
     """Per-parameter standard deviations induced by the trace weight."""
-    base = sigma / math.sqrt(2.0)
-    stds = np.full(kind.n_params, base)
-    if kind.tag in _QUASI:
-        shrink = base / math.sqrt(math.cosh(2.0 * kind.kappa))
-        if kind.tag == "QH3":
-            stds[1:] = shrink  # b, c
-        else:
-            stds[2:] = shrink  # c, d
+    stds = np.full(kind.n_params, sigma / math.sqrt(2.0))
+    shrink = _FAMILIES[kind.tag].shrink
+    if shrink is not None:
+        stds[shrink:] /= math.sqrt(math.cosh(2.0 * kind.kappa))
     return stds
 
 
@@ -258,19 +288,12 @@ def _active(kind: EnsembleKind, p: np.ndarray) -> np.ndarray:
 
 
 def _discriminants(kind: EnsembleKind, params: np.ndarray) -> np.ndarray:
-    """Vectorized discriminant D with eigenvalues a +- sqrt(D) (rows = draws)."""
+    """Vectorized D = +-b^2 +- c^2 ... (added left to right); eigenvalues a +- sqrt(D)."""
     sq = params * params
-    if kind.tag in ("GOE", "QH3"):
-        return sq[:, 1] + sq[:, 2]
-    if kind.tag in ("GUE", "QH4"):
-        return sq[:, 1] + sq[:, 2] + sq[:, 3]
-    if kind.tag == "GSE":
-        return sq[:, 1:].sum(axis=1)
-    if kind.tag == "GPOE":
-        return sq[:, 1] - sq[:, 2]
-    if kind.tag == "GPUE":
-        return sq[:, 1] - sq[:, 2] - sq[:, 3]
-    raise AssertionError(kind.tag)
+    disc = 0.0
+    for sign, col in zip(_FAMILIES[kind.tag].signs, sq.T[1:]):
+        disc = disc + col if sign > 0 else disc - col
+    return disc
 
 
 def eigenvalues(kind: EnsembleKind, p) -> RealPair | ComplexRejected:
@@ -309,30 +332,21 @@ def _sample_block(
 
     Raw draws are consumed in stream order up to and including the draw that
     yields the quota-th acceptance, which makes the reported acceptance rate
-    reproducible.
+    reproducible.  A batch exceeds need/p by four standard deviations of the
+    accepted count, so one batch nearly always suffices; at p = 1 it is need.
     """
     rng = _stream_rng(seed, stream_index)
-    if not kind.has_rejection:
-        params = _draw_block(kind, sigma, rng, quota)
-        return 2.0 * np.sqrt(_discriminants(kind, params)), quota
-
-    p_lower = _ACCEPT_LOWER[kind.tag]
+    p = kind.acceptance
     pieces: list[np.ndarray] = []
     raws = 0
     need = quota
     while need > 0:
-        batch = max(int(need / p_lower) + 16, 64)
-        params = _draw_block(kind, sigma, rng, batch)
-        disc = _discriminants(kind, params)
-        ok = np.nonzero(disc >= 0.0)[0]
-        if ok.size >= need:
-            pieces.append(2.0 * np.sqrt(disc[ok[:need]]))
-            raws += int(ok[need - 1]) + 1
-            need = 0
-        else:
-            pieces.append(2.0 * np.sqrt(disc[ok]))
-            raws += batch
-            need -= ok.size
+        batch = math.ceil((need + 4.0 * math.sqrt(need * (1.0 - p))) / p)
+        disc = _discriminants(kind, _draw_block(kind, sigma, rng, batch))
+        ok = np.flatnonzero(disc >= 0.0)[:need]
+        pieces.append(2.0 * np.sqrt(disc[ok]))
+        raws += int(ok[-1]) + 1 if ok.size == need else batch
+        need -= ok.size
     return np.concatenate(pieces), raws
 
 
@@ -356,9 +370,8 @@ def sample_spacings(
     stream order together with their unit-mean normalization, and ``rate``
     is accepted/consumed raw draws (exactly 1.0 for the always-real kinds).
     """
-    if int(n_accepted) < 1:
-        raise ValueError("n_accepted must be >= 1")
-    plan = _stream_plan(int(n_accepted))
+    n_accepted = _count(n_accepted, "n_accepted", 1)
+    plan = _stream_plan(n_accepted)
 
     def job(entry: tuple[int, int]) -> tuple[np.ndarray, int]:
         idx, quota = entry
@@ -382,16 +395,13 @@ def acceptance_rate(kind: EnsembleKind, n_raw: int, config: SamplerConfig) -> fl
     BLOCK_QUOTA raw draws), so the result is deterministic and
     worker-independent.  Always 1.0 for the non-rejecting kinds.
     """
-    if int(n_raw) < 1:
-        raise ValueError("n_raw must be >= 1")
-    if not kind.has_rejection:
-        return 1.0
+    n_raw = _count(n_raw, "n_raw", 1)
     accepted = 0
-    for idx, quota in _stream_plan(int(n_raw)):
+    for idx, quota in _stream_plan(n_raw):
         rng = _stream_rng(config.seed, idx)
         params = _draw_block(kind, config.sigma, rng, quota)
         accepted += int(np.count_nonzero(_discriminants(kind, params) >= 0.0))
-    return accepted / int(n_raw)
+    return accepted / n_raw
 
 
 def spectral_to_params(kind: EnsembleKind, sp: SpectralParams) -> np.ndarray:
@@ -402,7 +412,7 @@ def spectral_to_params(kind: EnsembleKind, sp: SpectralParams) -> np.ndarray:
     c = -(s/2) sinh 2theta cos phi, d = (s/2) sinh 2theta sin phi.
     Round trip: eigenvalues(kind, result) == ((t+s)/2, (t-s)/2).
     """
-    if kind.tag not in _REJECTING:
+    if not kind.has_rejection:
         raise ValueError("spectral coordinates are defined for GPOE/GPUE only")
     a = sp.t / 2.0
     half_s = sp.s / 2.0
@@ -463,9 +473,9 @@ def realize_matrix(kind: EnsembleKind, p) -> np.ndarray:
 
 def metric(kind: EnsembleKind) -> np.ndarray:
     """Metric eta with eta H eta^-1 = H^dagger for the pseudo-Hermitian kinds."""
-    if kind.tag in _REJECTING:
+    if kind.has_rejection:
         return np.diag([1.0, -1.0]).astype(complex)
-    if kind.tag in _QUASI:
+    if kind.kappa is not None:
         eps = math.exp(-kind.kappa)
         return np.diag([eps, 1.0 / eps]).astype(complex)
     raise ValueError(
@@ -492,7 +502,7 @@ def pseudo_hermiticity_residual(kind: EnsembleKind, p) -> float:
 
 def hermiticity_residual(kind: EnsembleKind, p) -> float:
     """Max-abs-entry norm of H - H^dagger for the plainly Hermitian kinds."""
-    if kind.tag not in ("GOE", "GUE", "GSE"):
+    if kind.has_rejection or kind.kappa is not None:
         raise ValueError(f"{kind.tag} is not a plainly Hermitian kind")
     H = realize_matrix(kind, p)
     return float(np.max(np.abs(H - H.conj().T)))

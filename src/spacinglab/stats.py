@@ -134,8 +134,8 @@ def histogram(sample: SpacingSample, bins: int, value_range: tuple[float, float]
     lo, hi = float(value_range[0]), float(value_range[1])
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    if not lo < hi:
-        raise ValueError("histogram range must satisfy lo < hi")
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError("histogram range must be finite with lo < hi")
     x = sample.normalized
     edges = np.linspace(lo, hi, bins + 1)
     idx = np.searchsorted(edges, x, side="right") - 1

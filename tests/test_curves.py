@@ -241,9 +241,10 @@ class TestSmallXApprox:
         assert abs(small_x_approx("GPUE", 0.4) - 0.62) < 1e-15
 
     def test_domain(self):
-        for bad in (0.0, 0.5, 0.7, -0.1):
-            with pytest.raises(ValueError):
-                small_x_approx("GPOE", bad)
+        for bad in (0.0, 0.5, 0.7, -0.1, math.nan, [0.1, math.nan]):
+            for kind in ("GPOE", "GPUE"):
+                with pytest.raises(ValueError):
+                    small_x_approx(kind, bad)
 
     def test_only_pseudo_kinds(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spacinglab import ensembles, verify
 from spacinglab.ensembles import (
@@ -68,6 +70,28 @@ class TestKinds:
         d, _ = sample_spacings(qh4(100.0), 2000, SamplerConfig(sigma=1.0, seed=5))
         np.testing.assert_allclose(c.normalized, d.normalized, rtol=1e-12)
 
+    def test_family_facts(self):
+        # independent oracle values: GPOE's b^2 >= c^2 half-space, GPUE's cone
+        assert GPOE.acceptance == 0.5 and GPOE.has_rejection
+        assert GPUE.acceptance == 1.0 - 1.0 / math.sqrt(2.0) and GPUE.has_rejection
+        for kind in (GOE, GUE, GSE, qh3(0.2), qh4(0.2)):
+            assert kind.acceptance == 1.0 and not kind.has_rejection
+        curves = [k.reference_curve for k in ALL_KINDS]
+        assert curves == ["GOE", "GUE", "GSE", "GPOE", "GPUE", "GOE", "GUE"]
+        assert [str(k) for k in ALL_KINDS] == [
+            "GOE", "GUE", "GSE", "GPOE", "GPUE", "QH3(kappa=0.35)", "QH4(kappa=1.2)"
+        ]
+        assert ensembles.ENSEMBLE_ORDER == ("GOE", "GUE", "GSE", "GPOE", "GPUE", "QH3", "QH4")
+
+    def test_qh_shrink_columns(self):
+        # kappa shrinks b, c for QH3 and c, d for QH4
+        base = 1.0 / math.sqrt(2.0)
+        shrunk = base / math.sqrt(math.cosh(1.0))
+        np.testing.assert_array_equal(ensembles._param_stds(qh3(0.5), 1.0), [base, shrunk, shrunk])
+        np.testing.assert_array_equal(
+            ensembles._param_stds(qh4(0.5), 1.0), [base, base, shrunk, shrunk]
+        )
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(sigma=0.0)
@@ -78,6 +102,19 @@ class TestKinds:
         for sigma in (math.inf, math.nan, 1e300, 1e-300):
             with pytest.raises(ValueError, match="sigma"):
                 SamplerConfig(sigma=sigma)
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", 1.5), ("seed", 1.0), ("seed", "3"), ("seed", np.float64(2.0)),
+        ("workers", 2.5), ("workers", 1.0),
+    ])
+    def test_config_rejects_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SamplerConfig(**{field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        a, ra = sample_spacings(GPUE, 20_000, SamplerConfig(seed=np.uint64(5), workers=np.int32(2)))
+        b, rb = sample_spacings(GPUE, 20_000, SamplerConfig(seed=5, workers=2))
+        assert np.array_equal(a.raw, b.raw) and ra == rb
 
 
 class TestEigenvalues:
@@ -114,6 +151,21 @@ class TestEigenvalues:
             assert rejected == (b * b < c * c)
             rejected = eigenvalues(GPUE, [a, b, c, d]) is COMPLEX_REJECTED
             assert rejected == (b * b < c * c + d * d)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+    def test_discriminant_matches_explicit_sums(self, kind):
+        # the per-family sums written out, GSE's as numpy's row sum; equal bits
+        reference = {
+            "GOE": lambda q: q[:, 1] + q[:, 2],
+            "QH3": lambda q: q[:, 1] + q[:, 2],
+            "GUE": lambda q: q[:, 1] + q[:, 2] + q[:, 3],
+            "QH4": lambda q: q[:, 1] + q[:, 2] + q[:, 3],
+            "GSE": lambda q: q[:, 1:].sum(axis=1),
+            "GPOE": lambda q: q[:, 1] - q[:, 2],
+            "GPUE": lambda q: q[:, 1] - q[:, 2] - q[:, 3],
+        }[kind.tag]
+        params = ensembles._draw_block(kind, 1.0, ensembles._stream_rng(17, 0), 20_000)
+        assert np.array_equal(ensembles._discriminants(kind, params), reference(params * params))
 
     def test_qh3_kappa_cancels(self):
         for kappa in (0.0, 0.7, 2.5):
@@ -246,6 +298,43 @@ class TestSampleSpacings:
         with pytest.raises(ValueError):
             sample_spacings(GOE, 0, SamplerConfig(seed=1))
 
+    @pytest.mark.parametrize("kind", [GOE, GPOE], ids=str)
+    @pytest.mark.parametrize("n", [100.7, 100.0, np.float64(100.0), "100"])
+    def test_non_integral_n_rejected(self, kind, n):
+        with pytest.raises(ValueError, match="n_accepted must be an integer"):
+            sample_spacings(kind, n, SamplerConfig(seed=1))
+
+    def test_numpy_integer_n_accepted(self):
+        a, ra = sample_spacings(GPOE, np.int64(1000), SamplerConfig(seed=1))
+        b, rb = sample_spacings(GPOE, 1000, SamplerConfig(seed=1))
+        assert len(a) == 1000 and np.array_equal(a.raw, b.raw) and ra == rb
+
+    # recorded before the rejection batches were sized from the exact
+    # acceptance probability; the batch size must not show in the rate
+    @pytest.mark.parametrize("kind,n,rate", [
+        (GPOE, 1, 1.0),
+        (GPOE, 7, 0.5),
+        (GPOE, 40_000, 0.4965181663584116),
+        (GPUE, 1, 0.16666666666666666),
+        (GPUE, 7, 0.25925925925925924),
+        (GPUE, 40_000, 0.29444673458571347),
+    ], ids=str)
+    def test_pinned_rates_at_seed_42(self, kind, n, rate):
+        sample, got = sample_spacings(kind, n, SamplerConfig(seed=42))
+        assert len(sample) == n and got == rate
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(ALL_KINDS), n=st.integers(1, 40_000), seed=st.integers(0, 2**64 - 1)
+    )
+    @example(kind=GPUE, n=40_000, seed=42)  # three streams, the last one partial
+    @example(kind=GSE, n=2 * ensembles.BLOCK_QUOTA, seed=0)  # two full streams
+    def test_workers_do_not_change_output(self, kind, n, seed):
+        runs = [sample_spacings(kind, n, SamplerConfig(seed=seed, workers=w)) for w in (1, 2, 3)]
+        for sample, rate in runs[1:]:
+            assert np.array_equal(sample.raw, runs[0][0].raw)
+            assert rate == runs[0][1]
+
 
 class TestAcceptanceRate:
     def test_always_real_kinds(self):
@@ -258,6 +347,15 @@ class TestAcceptanceRate:
     def test_gpue_geometry(self):
         rate = acceptance_rate(GPUE, 100_000, SamplerConfig(seed=42))
         assert abs(rate - (1.0 - 1.0 / math.sqrt(2.0))) < 0.005
+
+    @pytest.mark.parametrize("n_raw", [1000.5, 1000.0, "1000"])
+    def test_non_integral_n_raw_rejected(self, n_raw):
+        with pytest.raises(ValueError, match="n_raw must be an integer"):
+            acceptance_rate(GPOE, n_raw, SamplerConfig(seed=42))
+
+    def test_numpy_integer_n_raw_accepted(self):
+        cfg = SamplerConfig(seed=42)
+        assert acceptance_rate(GPOE, np.int64(1000), cfg) == acceptance_rate(GPOE, 1000, cfg)
 
 
 class TestSpectralMap:

@@ -169,6 +169,9 @@ class TestHistogram:
             histogram(s, bins=0, value_range=(0.0, 1.0))
         with pytest.raises(ValueError):
             histogram(s, bins=5, value_range=(1.0, 1.0))
+        for bad in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                histogram(s, bins=10, value_range=bad)
 
 
 class TestChiSquare:
