@@ -52,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sp
 
-from . import specfun
+from . import _checks, specfun
 
 __all__ = [
     "CURVE_ORDER",
@@ -204,7 +204,7 @@ def moment(kind: str, k: int) -> float:
     normalization and unit mean are built into the closed forms).
     """
     kind = canonical_kind(kind)
-    k = int(k)
+    k = _checks.count(k, "moment order")
     if not (0 <= k <= 4):
         raise ValueError("moment order must be between 0 and 4")
     c = constants(kind)

@@ -28,10 +28,19 @@ only place kappa enters QH4's spacing law; QH3 stays isotropic in (b, c)
 at every kappa and therefore reproduces the linear-repulsion statistics
 identically.
 
-``_FAMILIES`` is where a family is described: the signs in D, the first
+Every matrix is H = a 1 + sum_j p_j G_j over its parameters (a, b, c, ...),
+with traceless generators G_j (Pauli matrices; Kronecker products of them
+for GSE) that anticommute pairwise and square to +1 if Hermitian, -1 if
+anti-Hermitian, so (H - a)^2 = D 1 with D = sum_j +-p_j^2.  GPOE and GPUE
+are GOE and GUE with sigma_x (and sigma_y) swapped for i sigma_x (and
+i sigma_y), which anticommute with the metric eta = sigma_z: H is then
+pseudo-Hermitian, eta H eta^-1 = H^dagger, and those terms enter D with a
+minus sign.  QH3/QH4 dress the off-diagonal: H[0,1] / eps, H[1,0] * eps.
+
+``_FAMILIES`` is where a family is described: its generators, the first
 parameter kappa shrinks, the exact probability of real eigenvalues (1/2 for
 GPOE, 1 - 1/sqrt2 for GPUE's cone) and the reference curve; everything else
-about a family is derived from its row.
+about a family, the signs in D included, is derived from its row.
 
 Reproducibility: spacing generation is split into fixed-size logical
 blocks (streams).  Block ``i`` owns a private generator seeded by
@@ -45,14 +54,13 @@ count, and bit-identical for fixed (kind, n, seed).
 from __future__ import annotations
 
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import stats
+from . import _checks, stats
 
 __all__ = [
     "ENSEMBLE_ORDER",
@@ -83,37 +91,46 @@ __all__ = [
 ]
 
 
+# 2x2 generators, written out; i sigma_x and i sigma_y anticommute with sigma_z
+_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+_SX = np.array([[0, 1], [1, 0]], dtype=complex)
+_SY = np.array([[0, -1j], [1j, 0]])
+_I2 = np.eye(2, dtype=complex)
+_MINUS_SY = np.array([[0, 1j], [-1j, 0]])
+_I_SX = np.array([[0, 1j], [1j, 0]])
+_I_SY = np.array([[0, 1], [-1, 0]], dtype=complex)
+
+
 class _Family(NamedTuple):
-    signs: tuple[int, ...]  # signs of b^2, c^2, ... in D
+    generators: tuple[np.ndarray, ...]  # G_b, G_c, ... in H = a 1 + b G_b + c G_c + ...
     shrink: int | None  # first parameter kappa shrinks, or None
     acceptance: float  # exact probability that a draw has real eigenvalues
     curve: str  # analytic reference curve
 
 
 _FAMILIES = {
-    "GOE": _Family((1, 1), None, 1.0, "GOE"),
-    "GUE": _Family((1, 1, 1), None, 1.0, "GUE"),
-    "GSE": _Family((1, 1, 1, 1, 1), None, 1.0, "GSE"),
-    "GPOE": _Family((1, -1), None, 0.5, "GPOE"),
-    "GPUE": _Family((1, -1, -1), None, 1.0 - 1.0 / math.sqrt(2.0), "GPUE"),
-    "QH3": _Family((1, 1), 1, 1.0, "GOE"),
-    "QH4": _Family((1, 1, 1), 2, 1.0, "GUE"),
+    "GOE": _Family((_SZ, _SX), None, 1.0, "GOE"),
+    "GUE": _Family((_SZ, _SX, _MINUS_SY), None, 1.0, "GUE"),
+    "GSE": _Family(
+        (np.kron(_SZ, _I2), np.kron(_SX, _I2), np.kron(_SY, _SZ), np.kron(_SY, _SY),
+         np.kron(_SY, _SX)),
+        None, 1.0, "GSE",
+    ),
+    "GPOE": _Family((_SZ, _I_SX), None, 0.5, "GPOE"),
+    "GPUE": _Family((_SZ, _I_SX, _I_SY), None, 1.0 - 1.0 / math.sqrt(2.0), "GPUE"),
+    "QH3": _Family((_SX, _MINUS_SY), 1, 1.0, "GOE"),
+    "QH4": _Family((_SZ, _SX, _MINUS_SY), 2, 1.0, "GUE"),
 }
 ENSEMBLE_ORDER = tuple(_FAMILIES)
 
+# signs of b^2, c^2, ... in D: G^2 = +1 for a Hermitian generator, -1 for an anti-Hermitian one
+_SIGNS = {
+    tag: tuple(1 if np.array_equal(g, g.conj().T) else -1 for g in family.generators)
+    for tag, family in _FAMILIES.items()
+}
+
 # accepted spacings per logical stream; workers only schedule streams
 BLOCK_QUOTA = 16384
-
-
-def _count(value, name: str, lowest: int) -> int:
-    """``value`` as an int >= ``lowest``; a float or other non-integral type is a ValueError."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, not {value!r}") from None
-    if value < lowest:
-        raise ValueError(f"{name} must be >= {lowest}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -139,7 +156,7 @@ class EnsembleKind:
 
     @property
     def n_params(self) -> int:
-        return 1 + len(_FAMILIES[self.tag].signs)
+        return 1 + len(_FAMILIES[self.tag].generators)
 
     @property
     def acceptance(self) -> float:
@@ -188,9 +205,9 @@ class SamplerConfig:
         # in this range squared draws neither overflow nor turn subnormal
         if not (1e-100 <= self.sigma <= 1e100):
             raise ValueError(f"sigma must be in [1e-100, 1e100], not {float(self.sigma):g}")
-        if _count(self.seed, "seed", 0) >= 2**64:
+        if _checks.count(self.seed, "seed", 0) >= 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        _count(self.workers, "workers", 1)
+        _checks.count(self.workers, "workers", 1)
 
 
 @dataclass(frozen=True)
@@ -291,7 +308,7 @@ def _discriminants(kind: EnsembleKind, params: np.ndarray) -> np.ndarray:
     """Vectorized D = +-b^2 +- c^2 ... (added left to right); eigenvalues a +- sqrt(D)."""
     sq = params * params
     disc = 0.0
-    for sign, col in zip(_FAMILIES[kind.tag].signs, sq.T[1:]):
+    for sign, col in zip(_SIGNS[kind.tag], sq.T[1:]):
         disc = disc + col if sign > 0 else disc - col
     return disc
 
@@ -370,7 +387,7 @@ def sample_spacings(
     stream order together with their unit-mean normalization, and ``rate``
     is accepted/consumed raw draws (exactly 1.0 for the always-real kinds).
     """
-    n_accepted = _count(n_accepted, "n_accepted", 1)
+    n_accepted = _checks.count(n_accepted, "n_accepted", 1)
     plan = _stream_plan(n_accepted)
 
     def job(entry: tuple[int, int]) -> tuple[np.ndarray, int]:
@@ -395,7 +412,7 @@ def acceptance_rate(kind: EnsembleKind, n_raw: int, config: SamplerConfig) -> fl
     BLOCK_QUOTA raw draws), so the result is deterministic and
     worker-independent.  Always 1.0 for the non-rejecting kinds.
     """
-    n_raw = _count(n_raw, "n_raw", 1)
+    n_raw = _checks.count(n_raw, "n_raw", 1)
     accepted = 0
     for idx, quota in _stream_plan(n_raw):
         rng = _stream_rng(config.seed, idx)
@@ -414,61 +431,25 @@ def spectral_to_params(kind: EnsembleKind, sp: SpectralParams) -> np.ndarray:
     """
     if not kind.has_rejection:
         raise ValueError("spectral coordinates are defined for GPOE/GPUE only")
-    a = sp.t / 2.0
     half_s = sp.s / 2.0
     ch, sh = math.cosh(2.0 * sp.theta), math.sinh(2.0 * sp.theta)
-    if kind.tag == "GPOE":
-        row = np.array([a, half_s * ch, -half_s * sh])
-    else:
-        row = np.array(
-            [
-                a,
-                half_s * ch,
-                -half_s * sh * math.cos(sp.phi),
-                half_s * sh * math.sin(sp.phi),
-            ]
-        )
-    return _pad_params(kind, row)
+    phi = sp.phi if kind.n_params > 3 else 0.0  # GPOE has no (c, d) plane to split
+    row = [sp.t / 2.0, half_s * ch, -half_s * sh * math.cos(phi), half_s * sh * math.sin(phi)]
+    return _pad_params(kind, row[: kind.n_params])
 
 
 def realize_matrix(kind: EnsembleKind, p) -> np.ndarray:
-    """Explicit complex matrix (2x2; 4x4 for GSE) for the given parameters."""
+    """Explicit complex matrix a 1 + sum_j p_j G_j (2x2; 4x4 for GSE), QH-dressed."""
     row = _active(kind, p)
-    a = row[0]
-    if kind.tag == "GOE":
-        b, c = row[1], row[2]
-        return np.array([[a + b, c], [c, a - b]], dtype=complex)
-    if kind.tag == "GUE":
-        b, g = row[1], row[2] + 1j * row[3]
-        return np.array([[a + b, g], [np.conj(g), a - b]], dtype=complex)
-    if kind.tag == "GSE":
-        b = row[1]
-        al, be = a + b, a - b
-        g = row[2] + 1j * row[3]
-        d = row[4] + 1j * row[5]
-        return np.array(
-            [
-                [al, 0.0, np.conj(g), -d],
-                [0.0, al, np.conj(d), g],
-                [g, d, be, 0.0],
-                [-np.conj(d), np.conj(g), 0.0, be],
-            ],
-            dtype=complex,
-        )
-    if kind.tag == "GPOE":
-        b, c = row[1], row[2]
-        return np.array([[a + b, 1j * c], [1j * c, a - b]], dtype=complex)
-    if kind.tag == "GPUE":
-        b, c, d = row[1], row[2], row[3]
-        return np.array([[a + b, d + 1j * c], [-d + 1j * c, a - b]], dtype=complex)
-    eps = math.exp(-kind.kappa)
-    if kind.tag == "QH3":
-        g = row[1] + 1j * row[2]
-        return np.array([[a, g / eps], [np.conj(g) * eps, a]], dtype=complex)
-    # QH4
-    b = row[1]
-    g = row[2] + 1j * row[3]
-    return np.array([[a + b, g / eps], [np.conj(g) * eps, a - b]], dtype=complex)
+    generators = _FAMILIES[kind.tag].generators
+    H = row[0] * np.eye(len(generators[0]), dtype=complex)
+    for coeff, g in zip(row[1:], generators):
+        H = H + coeff * g
+    if kind.kappa is not None:
+        eps = math.exp(-kind.kappa)
+        H[0, 1] /= eps
+        H[1, 0] *= eps
+    return H
 
 
 def metric(kind: EnsembleKind) -> np.ndarray:

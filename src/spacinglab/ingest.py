@@ -18,7 +18,7 @@ from typing import TextIO, Union
 
 import numpy as np
 
-from . import stats
+from . import _checks, stats
 
 __all__ = [
     "SpectrumFile",
@@ -57,7 +57,7 @@ class LocalWindow:
     window: int
 
     def __post_init__(self) -> None:
-        if self.window < 1 or self.window % 2 == 0:
+        if _checks.count(self.window, "LocalWindow width") < 1 or self.window % 2 == 0:
             raise ValueError("LocalWindow width must be a positive odd integer")
 
 
@@ -66,7 +66,7 @@ class PolynomialStaircase:
     degree: int
 
     def __post_init__(self) -> None:
-        if not (1 <= self.degree <= 9):
+        if not (1 <= _checks.count(self.degree, "PolynomialStaircase degree") <= 9):
             raise ValueError("PolynomialStaircase degree must be in [1, 9]")
 
 

@@ -16,6 +16,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import special as _sci_special
 
+from . import _checks
+
 __all__ = [
     "QuadratureSpec",
     "QuadResult",
@@ -40,8 +42,7 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("quadrature tolerances must be strictly positive")
-        if int(self.max_subdivisions) < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        _checks.count(self.max_subdivisions, "max_subdivisions", 1)
 
 
 class QuadResult(NamedTuple):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import kolmogorov as _kolmogorov
 
-from . import curves
+from . import _checks, curves
 
 __all__ = [
     "SpacingSample",
@@ -130,10 +130,8 @@ class Histogram:
 
 def histogram(sample: SpacingSample, bins: int, value_range: tuple[float, float]) -> Histogram:
     """Histogram of the normalized spacings on [lo, hi) with equal-width bins."""
-    bins = int(bins)
+    bins = _checks.count(bins, "bins", 1)
     lo, hi = float(value_range[0]), float(value_range[1])
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
     if not -np.inf < lo < hi < np.inf:
         raise ValueError("histogram range must be finite with lo < hi")
     x = sample.normalized
@@ -167,8 +165,10 @@ def chi_square(hist: Histogram, kind: str, min_expected: float = 5.0) -> ChiSqua
     whose expectation falls below ``min_expected`` are merged rightward
     (a trailing underfull group is folded into its left neighbour); the
     statistic is sum (obs - exp)^2 / exp over the merged groups and
-    dof = merged groups - 1.
+    dof = merged groups - 1.  ``min_expected`` must be finite and > 0.
     """
+    if not 0.0 < min_expected < math.inf:
+        raise ValueError(f"min_expected must be finite and > 0, not {min_expected!r}")
     if hist.n_total <= 0 or hist.counts.sum() <= 0:
         raise ValueError("chi_square requires a histogram with counts")
     mass = np.diff(np.atleast_1d(curves.cdf(kind, hist.edges)))

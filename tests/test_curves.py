@@ -228,6 +228,9 @@ class TestMoment:
             moment("GOE", 5)
         with pytest.raises(ValueError):
             moment("GOE", -1)
+        with pytest.raises(ValueError, match="moment order must be an integer"):
+            moment("GOE", 1.5)
+        assert moment("GOE", np.int64(2)) == moment("GOE", 2)
 
 
 class TestSmallXApprox:

@@ -83,6 +83,24 @@ class TestKinds:
         ]
         assert ensembles.ENSEMBLE_ORDER == ("GOE", "GUE", "GSE", "GPOE", "GPUE", "QH3", "QH4")
 
+    def test_generator_algebra(self):
+        # G^2 = sign * 1 with the signs of D written out; pairwise anticommuting
+        oracle = {
+            "GOE": (1, 1), "GUE": (1, 1, 1), "GSE": (1,) * 5, "GPOE": (1, -1),
+            "GPUE": (1, -1, -1), "QH3": (1, 1), "QH4": (1, 1, 1),
+        }
+        eta = np.diag([1.0, -1.0])
+        for tag, signs in oracle.items():
+            gens = ensembles._FAMILIES[tag].generators
+            assert ensembles._SIGNS[tag] == signs and len(gens) == len(signs)
+            one = np.eye(len(gens[0]))
+            for i, g in enumerate(gens):
+                assert np.array_equal(g @ g, signs[i] * one)
+                for h in gens[i + 1:]:
+                    assert np.array_equal(g @ h + h @ g, np.zeros_like(one))
+                if tag in ("GPOE", "GPUE"):  # pseudo-Hermitian under eta = sigma_z
+                    assert np.array_equal(eta @ g @ eta, g.conj().T)
+
     def test_qh_shrink_columns(self):
         # kappa shrinks b, c for QH3 and c, d for QH4
         base = 1.0 / math.sqrt(2.0)
@@ -416,6 +434,33 @@ class TestRealizeMatrix:
             H, np.array([[a + b, c + 1j * d], [c - 1j * d, a - b]])
         )
 
+    # one fixed vector per family; the expected entries are the written-out
+    # per-family matrices, independent of the generator table
+    P = [0.5, -1.25, 2.0, 0.75, -0.375, 1.5]
+
+    def test_goe_entries(self):
+        assert np.array_equal(realize_matrix(GOE, self.P), [[-0.75, 2.0], [2.0, 1.75]])
+
+    def test_gse_entries(self):
+        expected = [
+            [-0.75, 0.0, 2 - 0.75j, 0.375 - 1.5j],
+            [0.0, -0.75, -0.375 - 1.5j, 2 + 0.75j],
+            [2 + 0.75j, -0.375 + 1.5j, 1.75, 0.0],
+            [0.375 + 1.5j, 2 - 0.75j, 0.0, 1.75],
+        ]
+        assert np.array_equal(realize_matrix(GSE, self.P), expected)
+
+    def test_gpue_entries(self):
+        expected = [[-0.75, 0.75 + 2j], [-0.75 + 2j, 1.75]]
+        assert np.array_equal(realize_matrix(GPUE, self.P), expected)
+
+    def test_qh3_entries_at_kappa_half(self):
+        expected = [
+            [0.5, -2.0609015883751605 + 3.2974425414002564j],
+            [-0.7581633246407917 - 1.2130613194252668j, 0.5],
+        ]
+        assert np.array_equal(realize_matrix(qh3(0.5), self.P), expected)
+
     def test_qh4_entries_at_kappa_ln2(self):
         H = realize_matrix(qh4(math.log(2.0)), [0.0, 0.0, 3.0, 4.0])
         expected = np.array([[0.0, (3 + 4j) * 2.0], [(3 - 4j) / 2.0, 0.0]])
@@ -430,6 +475,40 @@ class TestRealizeMatrix:
             evs = np.sort(np.linalg.eigvals(realize_matrix(qh3(k), p)).real)
             pair = eigenvalues(qh3(k), p)
             assert np.max(np.abs(evs - [pair.e2, pair.e1])) < 1e-10
+
+
+@pytest.mark.parametrize("tag", ensembles.ENSEMBLE_ORDER)
+@settings(max_examples=30, database=None)
+@given(
+    kappa=st.floats(0.0, 5.0),
+    ints=st.lists(st.integers(-10**6, 10**6), min_size=6, max_size=6),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_square_of_traceless_part_is_discriminant(tag, kappa, ints, scale):
+    # (H - a)^2 = D 1 for every family; away from the exceptional points D = 0
+    # the closed-form eigenvalues agree with a numeric eigensolve
+    kind = EnsembleKind(tag, kappa if tag in ("QH3", "QH4") else None)
+    p = np.array(ints[: kind.n_params]) * (1e-6 * scale)
+    H = realize_matrix(kind, p)
+    one = np.eye(len(H))
+    D = float(ensembles._discriminants(kind, p[None, :])[0])
+    norm = float(np.sum(p * p))
+    T = H - p[0] * one
+    assert np.max(np.abs(T @ T - D * one)) <= 1e-12 * norm
+    if abs(D) < 1e-3 * norm:
+        return
+    root = math.sqrt(abs(D))
+    out = eigenvalues(kind, p)
+    if D >= 0:
+        assert out == RealPair(p[0] + root, p[0] - root)
+        real, imag = [p[0] - root, p[0] + root], [0.0, 0.0]
+    else:
+        assert out is COMPLEX_REJECTED
+        real, imag = [p[0], p[0]], [-root, root]
+    numeric = np.linalg.eigvals(H)
+    for got, want in ((numeric.real, real), (numeric.imag, imag)):
+        want = np.repeat(want, len(H) // 2)
+        assert np.max(np.abs(np.sort(got) - want)) <= 1e-10 * math.sqrt(norm)
 
 
 class TestResiduals:

@@ -146,8 +146,21 @@ class TestUnfold:
         sp = parse_levels("1\n2\n3\n")
         with pytest.raises(ValueError):
             unfold(sp, LocalWindow(5))  # only 2 spacings
+        # sizes follow the package's integer rule: refused at construction, not truncated
+        with pytest.raises(ValueError, match="LocalWindow width must be an integer"):
+            LocalWindow(21.7)
+        for bad in (0, 4, -3):
+            with pytest.raises(ValueError, match="positive odd integer"):
+                LocalWindow(bad)
+        assert len(unfold(sp, LocalWindow(np.int64(1)))) == 2
 
     def test_poly_degree_validation(self):
         sp = parse_levels("1\n2\n3\n")
         with pytest.raises(ValueError):
             unfold(sp, PolynomialStaircase(4))
+        with pytest.raises(ValueError, match="PolynomialStaircase degree must be an integer"):
+            PolynomialStaircase(3.5)
+        for bad in (0, 10):
+            with pytest.raises(ValueError, match=r"must be in \[1, 9\]"):
+                PolynomialStaircase(bad)
+        assert len(unfold(sp, PolynomialStaircase(np.int64(1)))) == 2

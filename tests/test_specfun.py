@@ -186,7 +186,8 @@ class TestIntegrate:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(abs_tol=0.0), dict(rel_tol=-1.0), dict(max_subdivisions=0)],
+        [dict(abs_tol=0.0), dict(rel_tol=-1.0), dict(max_subdivisions=0),
+         dict(max_subdivisions=2.5)],
     )
     def test_spec_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -165,8 +165,12 @@ class TestHistogram:
 
     def test_validation(self):
         s = normalize([1.0, 2.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bins must be >= 1"):
             histogram(s, bins=0, value_range=(0.0, 1.0))
+        for bad in (2.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="bins must be an integer"):
+                histogram(s, bins=bad, value_range=(0.0, 3.0))
+        assert histogram(s, bins=np.int64(2), value_range=(0.0, 3.0)).counts.size == 2
         with pytest.raises(ValueError):
             histogram(s, bins=5, value_range=(1.0, 1.0))
         for bad in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
@@ -206,6 +210,14 @@ class TestChiSquare:
         res = chi_square(h, "GOE", min_expected=5.0)
         assert res.merged_bins < 60
         assert res.dof == res.merged_bins - 1
+
+    @pytest.mark.parametrize("min_expected", [0.0, -1.0, math.nan, math.inf])
+    def test_min_expected_must_be_finite_and_positive(self, min_expected):
+        # 2000 GOE-law spacings on (0, 40): far bins carry zero curve mass
+        rng = np.random.default_rng(15)
+        h = histogram(normalize(goe_quantile(rng.uniform(size=2000))), 40, (0.0, 40.0))
+        with pytest.raises(ValueError, match="min_expected must be finite and > 0"):
+            chi_square(h, "GOE", min_expected=min_expected)
 
     def test_too_few_bins_after_merge(self):
         h = histogram(normalize([1.0, 1.1, 0.9]), bins=2, value_range=(0.0, 4.0))
