@@ -16,12 +16,10 @@ reports are deterministic except for their timestamp field.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import warnings
 from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
@@ -108,56 +106,17 @@ def _parse_against(text: str) -> list[str]:
     return [k for k in curves.CURVE_ORDER if k in requested]
 
 
-def _read_spacings_csv(path) -> np.ndarray:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty spacing file")
-    col = 0
-    start = 0
-    head = [tok.strip().lower() for tok in lines[0].split(",")]
-    try:
-        float(head[0])
-    except ValueError:
-        start = 1
-        if "raw_spacing" in head:
-            col = head.index("raw_spacing")
-    if len(lines) == start:
-        raise ValueError(f"{path}: no spacing rows")
-    try:
-        return np.loadtxt(lines[start:], delimiter=",", usecols=col, comments=None, ndmin=1)
-    except ValueError:
-        pass
-    # loadtxt refuses some fields that float() reads (e.g. "1_0"); parse
-    # line by line instead, and name a bad row by its line number in the file
-    values = []
-    for i, line in enumerate(lines[start:], start=start):
-        fields = line.split(",", col + 1)
-        try:
-            values.append(float(fields[col]))
-        except (ValueError, IndexError):
-            numbered = (n for n, ln in enumerate(text.splitlines(), start=1) if ln.strip())
-            lineno = next(itertools.islice(numbered, i, None))
-            raise ValueError(f"{path}: line {lineno}: cannot read a spacing") from None
-    return np.asarray(values)
-
-
-def build_report(source: str, n: int, seed, rate, ks_results: dict[str, stats.KsResult]) -> dict:
+def build_report(source: str, n: int, ks_results: dict[str, stats.KsResult]) -> dict:
     """Assemble a RunReport dict; key order is part of the stable schema."""
     best = min(ks_results, key=lambda k: (ks_results[k].d, curves.CURVE_ORDER.index(k)))
-    report: dict = {
+    return {
         "ensemble-or-source": source,
         "n": int(n),
-        "seed": seed,
+        "seed": None,
+        "ks-results": {k: {"d": r.d, "p": r.p_value} for k, r in ks_results.items()},
+        "best-fit": best,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    if rate is not None:
-        report["acceptance-rate"] = rate
-    report["ks-results"] = {
-        k: {"d": ks_results[k].d, "p": ks_results[k].p_value} for k in ks_results
-    }
-    report["best-fit"] = best
-    report["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return report
 
 
 def _emit_report(report: dict, mode: str) -> None:
@@ -166,8 +125,6 @@ def _emit_report(report: dict, mode: str) -> None:
         return
     print(f"source:   {report['ensemble-or-source']}")
     print(f"n:        {report['n']}")
-    if report.get("acceptance-rate") is not None:
-        print(f"rate:     {report['acceptance-rate']:.6g}")
     print("curve     d           p")
     for name, entry in report["ks-results"].items():
         print(f"{name:<8}  {entry['d']:<10.6f}  {entry['p']:.6g}")
@@ -182,10 +139,10 @@ def _compare_sample(sample: stats.SpacingSample, against: list[str]) -> dict[str
 
 def _cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     against = _checked(parser, "--against", _parse_against, args.against)
-    raw = _read_spacings_csv(args.spacings)
+    raw = ingest.load_spacings(args.spacings)
     sample = stats.normalize(raw)
     ks_results = _compare_sample(sample, against)
-    report = build_report(str(args.spacings), len(sample), None, None, ks_results)
+    report = build_report(str(args.spacings), len(sample), ks_results)
     _emit_report(report, args.report)
     return 0
 
@@ -196,7 +153,7 @@ def _cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     sample = ingest.unfold(spectrum, method)
     ks_results = _compare_sample(sample, list(curves.CURVE_ORDER))
     source = f"{spectrum.source_label or args.spectrum} (unfold={args.unfold})"
-    report = build_report(source, len(sample), None, None, ks_results)
+    report = build_report(source, len(sample), ks_results)
     _emit_report(report, args.report)
     return 0
 

@@ -1,11 +1,17 @@
-"""Parsing and unfolding of externally supplied level sequences.
+"""Reading of spectrum files and spacing CSVs, and unfolding of spectra.
 
-Input format (normative): UTF-8 text, one decimal real per line, lines
-starting with '#' are comments, blank lines are ignored.  Unfolding rescales
-a spectrum to unit local mean spacing so its fluctuations can be compared
-against the universality curves; since different communities fix the local
-mean differently, three standard conventions are provided.  LocalWindow(51)
-is the sensible default for long spectra.
+Input format (normative) of both files: UTF-8 text; a '#' starts a comment
+that runs to the end of its line, and lines holding nothing else are skipped.
+A value is what float() reads ("1_0" is 10) and must be finite; a bad one is
+refused with its line number.  A spectrum line holds one value, so the decimal
+comma "14,134725" is refused.  A spacing CSV's rows are comma separated; a
+first row that does not start with a number is a header, and the column it
+names raw_spacing (else the first column) is read.
+
+Unfolding rescales a spectrum to unit local mean spacing so its fluctuations
+can be compared against the universality curves; since different
+communities fix the local mean differently, three standard conventions are
+provided.  LocalWindow(51) is the sensible default for long spectra.
 """
 
 from __future__ import annotations
@@ -30,13 +36,14 @@ __all__ = [
     "parse_levels",
     "serialize_levels",
     "load_spectrum",
+    "load_spacings",
     "parse_unfold_method",
     "unfold",
 ]
 
 
 class SpectrumParseError(ValueError):
-    pass
+    """A spectrum file or spacing CSV breaks the input format."""
 
 
 @dataclass(frozen=True)
@@ -73,35 +80,64 @@ class PolynomialStaircase:
 UnfoldMethod = Union[GlobalMean, LocalWindow, PolynomialStaircase]
 
 
+def _read_column(text: str, source: str, csv: bool) -> np.ndarray:
+    """The values of a spacing CSV (``csv``) or spectrum, in file order.
+
+    ``np.loadtxt`` reads them; where it refuses a row or reads a non-finite
+    value, ``float()`` reads them a line at a time and names the bad line.
+    """
+    noun = "spacing" if csv else "level"
+    prefix = f"{source}: " if source else ""
+    col = 0
+    lines = text.splitlines()
+    data_lines = (i for i, line in enumerate(lines) if line.partition("#")[0].strip())
+    start = next(data_lines, None)
+    if csv and start is not None:
+        head = [tok.strip().lower() for tok in lines[start].partition("#")[0].split(",")]
+        try:
+            float(head[0])
+        except ValueError:
+            col = head.index("raw_spacing") if "raw_spacing" in head else 0
+            start = next(data_lines, None)
+    if start is None:
+        raise SpectrumParseError(f"{prefix}no {noun} rows")
+    try:
+        # a spectrum reads every field, so a row "14,134725" has two and is refused below
+        values = np.loadtxt(lines[start:], delimiter=",", usecols=col if csv else None,
+                            comments="#", ndmin=2)
+        if values.shape[1] == 1 and np.isfinite(values).all():
+            return values[:, 0]
+    except ValueError:
+        pass
+    values = []
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        data = line.partition("#")[0].strip()
+        if not data:
+            continue
+        fields = data.split(",", col + 1) if csv else [data]
+        try:
+            v = float(fields[col])
+        except (ValueError, IndexError):
+            v = math.nan  # refused below, as a non-finite value is
+        if not math.isfinite(v):
+            raise SpectrumParseError(
+                f"{prefix}line {lineno}: cannot read a {noun} from {data!r}: not a finite number")
+        values.append(v)
+    return np.asarray(values)
+
+
 def parse_levels(stream: Union[str, TextIO], source_label: str = "") -> SpectrumFile:
-    """Parse one level per line; '#' comments and blank lines are skipped.
+    """Read one level per line (module docstring format); errors name ``source_label``.
 
     Non-monotone input is sorted with a warning and exact duplicates are
-    dropped with a warning; fewer than 3 usable levels or any non-numeric
-    token is an error (reported with its line number).
+    dropped with a warning; fewer than 3 usable levels is an error.
     """
     text = stream if isinstance(stream, str) else stream.read()
-    values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        item = line.strip()
-        if not item or item.startswith("#"):
-            continue
-        try:
-            v = float(item)
-        except ValueError:
-            raise SpectrumParseError(
-                f"line {lineno}: cannot parse {item!r} as a real number"
-            ) from None
-        if not math.isfinite(v):
-            raise SpectrumParseError(f"line {lineno}: level must be finite, got {item!r}")
-        values.append(v)
-    if not values:
-        raise SpectrumParseError("no usable levels in input")
-    levels = np.asarray(values, dtype=float)
-    if np.any(np.diff(levels) < 0):
+    levels = _read_column(text, source_label, csv=False)
+    if np.any(levels[1:] < levels[:-1]):  # compared, not subtracted: no overflow
         warnings.warn("levels were not monotone increasing; sorting", stacklevel=2)
         levels = np.sort(levels)
-    if np.any(np.diff(levels) == 0):
+    if np.any(levels[1:] == levels[:-1]):
         warnings.warn("duplicate levels removed", stacklevel=2)
         levels = np.unique(levels)
     if levels.size < 3:
@@ -118,6 +154,11 @@ def serialize_levels(spectrum: SpectrumFile) -> str:
 def load_spectrum(path) -> SpectrumFile:
     p = Path(path)
     return parse_levels(p.read_text(encoding="utf-8"), source_label=p.name)
+
+
+def load_spacings(path) -> np.ndarray:
+    """The raw spacings of a spacing CSV (module docstring format); errors name ``path``."""
+    return _read_column(Path(path).read_text(encoding="utf-8"), str(path), csv=True)
 
 
 def parse_unfold_method(text: str) -> UnfoldMethod:
@@ -148,6 +189,8 @@ def unfold(spectrum: SpectrumFile, method: UnfoldMethod) -> stats.SpacingSample:
     fitted values.  The output is renormalized to exact unit mean as a
     final step.
     """
+    if not math.isfinite(float(spectrum.levels[-1]) - float(spectrum.levels[0])):
+        raise ValueError("the spectrum's span overflows a float; rescale the levels")
     spacings = np.diff(spectrum.levels)
     m = spacings.size
     if isinstance(method, GlobalMean):
@@ -162,6 +205,9 @@ def unfold(spectrum: SpectrumFile, method: UnfoldMethod) -> stats.SpacingSample:
         lo = np.clip(np.arange(m) - half, 0, None)
         hi = np.clip(np.arange(m) + half + 1, None, m)
         local_mean = (csum[hi] - csum[lo]) / (hi - lo)
+        if not np.all(local_mean > 0):
+            raise ValueError("a local mean spacing rounds to zero; the spacings span "
+                             "too many scales for local unfolding")
         out = spacings / local_mean
     elif isinstance(method, PolynomialStaircase):
         n = spectrum.levels.size
@@ -169,9 +215,13 @@ def unfold(spectrum: SpectrumFile, method: UnfoldMethod) -> stats.SpacingSample:
             raise ValueError("polynomial degree must be below the number of levels")
         staircase = np.arange(1, n + 1, dtype=float)
         try:
-            fit = np.polynomial.Polynomial.fit(spectrum.levels, staircase, method.degree)
+            fit, (_, rank, _, _) = np.polynomial.Polynomial.fit(
+                spectrum.levels, staircase, method.degree, full=True)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"degenerate staircase fit: {exc}") from exc
+        if rank <= method.degree:
+            raise ValueError("degenerate staircase fit: the levels fix fewer "
+                             f"than {method.degree + 1} coefficients; lower the degree")
         unfolded = fit(spectrum.levels)
         out = np.diff(unfolded)
         if np.any(out < 0):

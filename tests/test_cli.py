@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spacinglab import cli, curves
+from spacinglab import cli, curves, ingest
 
 
 def run(argv):
@@ -27,7 +27,7 @@ def write_rows_reference(path, header, *columns):
 
 
 def read_spacings_reference(path):
-    """The per-line loop ``cli._read_spacings_csv`` used before loadtxt.
+    """The per-line loop the spacing-CSV reader used before loadtxt.
 
     Returns the values, or None where the loop raised.
     """
@@ -247,7 +247,7 @@ class TestCompare:
     def test_blank_lines_and_crlf_read(self, tmp_path):
         path = tmp_path / "crlf.csv"
         path.write_bytes(b"\r\nraw_spacing,normalized_spacing\r\n1.5,1\r\n\r\n 2.5 ,2\r\n")
-        assert cli._read_spacings_csv(path).tolist() == [1.5, 2.5]
+        assert ingest.load_spacings(path).tolist() == [1.5, 2.5]
 
     def test_header_only_file_has_no_rows(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -255,12 +255,26 @@ class TestCompare:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="no spacing rows"):
-                cli._read_spacings_csv(path)
+                ingest.load_spacings(path)
 
     def test_underscore_tokens_read_as_float_does(self, tmp_path):
         path = tmp_path / "under.csv"
         path.write_text("1_0\n2.5\n")
-        assert cli._read_spacings_csv(path).tolist() == [10.0, 2.5]
+        assert ingest.load_spacings(path).tolist() == [10.0, 2.5]
+
+    def test_comment_lines_skipped(self, tmp_path):
+        path = tmp_path / "notes.csv"
+        path.write_text("# drawn by hand\nraw_spacing\n  # indented\n1.5\n2.5 # trailing\n")
+        assert ingest.load_spacings(path).tolist() == [1.5, 2.5]
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e999"])
+    def test_nonfinite_row_names_file_and_line(self, tmp_path, capsys, token):
+        path = tmp_path / "wild.csv"
+        path.write_text(f"raw_spacing,normalized_spacing\n1.0,1\n{token},2\n3.0,3\n")
+        assert run(["compare", "--spacings", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {path}: line 3: cannot read a spacing")
 
 
 _WRITER_SPECIALS = [0.0, -0.0, 5e-324, 1e-5, 9.99999999999e-5, 1e16, 123456789012.5]
@@ -352,7 +366,7 @@ class TestCsvReaderProperties:
         path.write_bytes((newline.join(lines) + newline).encode())
         expected = read_spacings_reference(path)
         assert expected is not None
-        got = cli._read_spacings_csv(path)
+        got = ingest.load_spacings(path)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
@@ -372,7 +386,7 @@ class TestCsvReaderProperties:
         path = tmp_path_factory.mktemp("prop") / "bad.csv"
         path.write_bytes((newline.join(lines) + newline).encode())
         with pytest.raises(ValueError, match=rf": line {bad + 1}: cannot read a spacing"):
-            cli._read_spacings_csv(path)
+            ingest.load_spacings(path)
 
 
 class TestAnalyze:
@@ -420,6 +434,15 @@ class TestAnalyze:
         spec.write_text("1\nnope\n3\n")
         assert run(["analyze", "--spectrum", str(spec)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", ["1\n2\n14,134725\n", "1\n2\ninf\n"])
+    def test_parse_error_names_file(self, tmp_path, capsys, body):
+        spec = tmp_path / "zeros.txt"
+        spec.write_text(body)
+        assert run(["analyze", "--spectrum", str(spec)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: zeros.txt: line 3: cannot read a level")
 
 
 # A repeated flag overrides the earlier value, so each case appends the bad

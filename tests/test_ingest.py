@@ -1,12 +1,18 @@
 """Spectrum file parsing and unfolding."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spacinglab.ingest import (
     GlobalMean,
     LocalWindow,
     PolynomialStaircase,
+    SpectrumFile,
     SpectrumParseError,
     parse_levels,
     parse_unfold_method,
@@ -15,6 +21,106 @@ from spacinglab.ingest import (
 )
 
 ZETA_HEAD = "14.13\n21.02\n30.42\n37.58\n"
+
+
+def parse_levels_reference(text):
+    """The per-line loop ``parse_levels`` used before the shared loadtxt reader.
+
+    Returns the levels, or None where the loop raised.
+    """
+    values = []
+    for line in text.splitlines():
+        item = line.strip()
+        if not item or item.startswith("#"):
+            continue
+        try:
+            v = float(item)
+        except ValueError:
+            return None
+        if not math.isfinite(v):
+            return None
+        values.append(v)
+    # sorting, then dropping duplicates, as parse_levels does when it must
+    levels = np.unique(np.asarray(values, dtype=float))
+    return levels if levels.size >= 3 else None
+
+
+def quiet_parse(text):
+    """``parse_levels`` with its sorting and duplicate warnings silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return parse_levels(text)
+
+
+_PADS = st.sampled_from(["", " ", "\t", " \t "])
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_LEVEL_TOKENS = st.one_of(
+    _FLOATS.map(repr),
+    _FLOATS.map(lambda v: format(v, ".12g")),
+    st.integers(0, 10**6).map(lambda i: "_".join(str(i))),  # 1_0 style
+    st.tuples(_PADS, _FLOATS.map(repr), _PADS).map("".join),
+)
+_FILLER = st.sampled_from(["", " ", "\t", " \t ", "# comment", "  # indented, comment", "#"])
+
+
+@st.composite
+def _level_files(draw):
+    """(lines, indices of the data lines, newline) of a valid spectrum file."""
+    lines, data = [], []
+    for token in draw(st.lists(_LEVEL_TOKENS, min_size=3, max_size=30)):
+        lines.extend(draw(st.lists(_FILLER, max_size=2)))
+        data.append(len(lines))
+        lines.append(token)
+    lines.extend(draw(st.lists(_FILLER, max_size=2)))
+    return lines, data, draw(st.sampled_from(["\n", "\r\n"]))
+
+
+def _join(lines, newline):
+    return newline.join(lines) + newline
+
+
+class TestParseProperties:
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(_level_files())
+    def test_matches_per_line_loop(self, spec):
+        lines, _, newline = spec
+        text = _join(lines, newline)
+        expected = parse_levels_reference(text)
+        assume(expected is not None)  # fewer than 3 distinct levels
+        got = quiet_parse(text).levels
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_level_files(), st.data())
+    def test_bad_token_names_its_line(self, spec, data):
+        lines, rows, newline = spec
+        bad = data.draw(st.sampled_from(rows))
+        lines[bad] = data.draw(st.sampled_from(
+            ["abc", "1.0.0", "--1", "0x1p3", "1 2", "inf", "-inf", "nan", "1e999", "1.5d0"]))
+        with pytest.raises(SpectrumParseError, match=rf"^line {bad + 1}: cannot read a level"):
+            quiet_parse(_join(lines, newline))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_level_files(), st.data())
+    def test_decimal_comma_refused(self, spec, data):
+        lines, rows, newline = spec
+        every = data.draw(st.booleans())  # then loadtxt sees a clean two-column table
+        chosen = rows if every else [data.draw(st.sampled_from(rows))]
+        for i in chosen:
+            whole, frac = data.draw(st.integers(0, 10**4)), data.draw(st.integers(0, 10**6))
+            lines[i] = f"{whole},{frac}"
+        with pytest.raises(SpectrumParseError, match=rf"^line {min(chosen) + 1}: "):
+            quiet_parse(_join(lines, newline))
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(st.lists(_FLOATS, min_size=3, max_size=40, unique=True))
+    def test_serialize_round_trips_exactly(self, values):
+        levels = np.sort(np.asarray(values))
+        levels.flags.writeable = False
+        spectrum = SpectrumFile(levels=levels)
+        again = parse_levels(serialize_levels(spectrum))
+        assert again.levels.tobytes() == levels.tobytes()
 
 
 class TestParse:
@@ -164,3 +270,24 @@ class TestUnfold:
             with pytest.raises(ValueError, match=r"must be in \[1, 9\]"):
                 PolynomialStaircase(bad)
         assert len(unfold(sp, PolynomialStaircase(np.int64(1)))) == 2
+
+
+_UNFOLD_METHODS = st.one_of(
+    st.just(GlobalMean()),
+    st.integers(0, 20).map(lambda h: LocalWindow(2 * h + 1)),
+    st.integers(1, 9).map(PolynomialStaircase),
+)
+
+
+class TestUnfoldProperties:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.lists(_FLOATS, min_size=3, max_size=60, unique=True), _UNFOLD_METHODS)
+    def test_finite_nonnegative_unit_mean(self, values, method):
+        spectrum = SpectrumFile(levels=np.sort(np.asarray(values)))
+        try:
+            out = unfold(spectrum, method).normalized
+        except ValueError:
+            return
+        assert np.all(np.isfinite(out))
+        assert np.all(out >= 0.0)
+        assert abs(out.mean() - 1.0) <= 1e-12
