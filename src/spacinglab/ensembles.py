@@ -87,7 +87,6 @@ __all__ = [
     "metric",
     "matrix_metric_residual",
     "pseudo_hermiticity_residual",
-    "hermiticity_residual",
 ]
 
 
@@ -453,15 +452,17 @@ def realize_matrix(kind: EnsembleKind, p) -> np.ndarray:
 
 
 def metric(kind: EnsembleKind) -> np.ndarray:
-    """Metric eta with eta H eta^-1 = H^dagger for the pseudo-Hermitian kinds."""
+    """Metric eta with eta H eta^-1 = H^dagger for every draw H of ``kind``.
+
+    diag(1, -1) for GPOE/GPUE, diag(eps, 1/eps) for QH3/QH4, and the
+    identity (4x4 for GSE) for the Hermitian kinds, which are the eta = 1 case.
+    """
     if kind.has_rejection:
         return np.diag([1.0, -1.0]).astype(complex)
     if kind.kappa is not None:
         eps = math.exp(-kind.kappa)
         return np.diag([eps, 1.0 / eps]).astype(complex)
-    raise ValueError(
-        f"{kind.tag} is plainly Hermitian; use hermiticity_residual instead"
-    )
+    return np.eye(len(_FAMILIES[kind.tag].generators[0]), dtype=complex)
 
 
 def matrix_metric_residual(H: np.ndarray, eta: np.ndarray) -> float:
@@ -473,17 +474,9 @@ def matrix_metric_residual(H: np.ndarray, eta: np.ndarray) -> float:
 
 
 def pseudo_hermiticity_residual(kind: EnsembleKind, p) -> float:
-    """Residual of the pseudo-Hermiticity relation for GPOE/GPUE/QH3/QH4.
+    """Residual of eta H eta^-1 = H^dagger with eta = :func:`metric` (kind).
 
-    Exact by construction (up to rounding, <= 1e-12 for any sampled matrix).
-    Raises ValueError for the Hermitian kinds.
+    Exactly 0 for GOE, GUE and GSE; for the other four kinds zero by
+    construction up to rounding (<= 1e-12 for any sampled matrix).
     """
     return matrix_metric_residual(realize_matrix(kind, p), metric(kind))
-
-
-def hermiticity_residual(kind: EnsembleKind, p) -> float:
-    """Max-abs-entry norm of H - H^dagger for the plainly Hermitian kinds."""
-    if kind.has_rejection or kind.kappa is not None:
-        raise ValueError(f"{kind.tag} is not a plainly Hermitian kind")
-    H = realize_matrix(kind, p)
-    return float(np.max(np.abs(H - H.conj().T)))

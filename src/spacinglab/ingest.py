@@ -20,7 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO, Union
+from typing import Union
 
 import numpy as np
 
@@ -126,13 +126,12 @@ def _read_column(text: str, source: str, csv: bool) -> np.ndarray:
     return np.asarray(values)
 
 
-def parse_levels(stream: Union[str, TextIO], source_label: str = "") -> SpectrumFile:
+def parse_levels(text: str, source_label: str = "") -> SpectrumFile:
     """Read one level per line (module docstring format); errors name ``source_label``.
 
     Non-monotone input is sorted with a warning and exact duplicates are
     dropped with a warning; fewer than 3 usable levels is an error.
     """
-    text = stream if isinstance(stream, str) else stream.read()
     levels = _read_column(text, source_label, csv=False)
     if np.any(levels[1:] < levels[:-1]):  # compared, not subtracted: no overflow
         warnings.warn("levels were not monotone increasing; sorting", stacklevel=2)
@@ -141,7 +140,8 @@ def parse_levels(stream: Union[str, TextIO], source_label: str = "") -> Spectrum
         warnings.warn("duplicate levels removed", stacklevel=2)
         levels = np.unique(levels)
     if levels.size < 3:
-        raise SpectrumParseError(f"need at least 3 distinct levels, got {levels.size}")
+        prefix = f"{source_label}: " if source_label else ""
+        raise SpectrumParseError(f"{prefix}need at least 3 distinct levels, got {levels.size}")
     levels.flags.writeable = False
     return SpectrumFile(levels=levels, source_label=source_label)
 
@@ -151,14 +151,23 @@ def serialize_levels(spectrum: SpectrumFile) -> str:
     return "\n".join(repr(float(v)) for v in spectrum.levels) + "\n"
 
 
+def _read_text(path: Path, source: str) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = exc.object[:exc.start].count(b"\n") + 1
+        raise SpectrumParseError(
+            f"{source}: line {lineno}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_spectrum(path) -> SpectrumFile:
     p = Path(path)
-    return parse_levels(p.read_text(encoding="utf-8"), source_label=p.name)
+    return parse_levels(_read_text(p, p.name), source_label=p.name)
 
 
 def load_spacings(path) -> np.ndarray:
     """The raw spacings of a spacing CSV (module docstring format); errors name ``path``."""
-    return _read_column(Path(path).read_text(encoding="utf-8"), str(path), csv=True)
+    return _read_column(_read_text(Path(path), str(path)), str(path), csv=True)
 
 
 def parse_unfold_method(text: str) -> UnfoldMethod:

@@ -96,9 +96,9 @@ def ks_test(sample: SpacingSample, kind: str) -> KsResult:
     a curve fixed in advance, but the spacings are first scaled to unit
     sample mean, which pulls them towards the curve (Lilliefors, 1967), so
     p is conservative at every n: on samples drawn from the curve itself it
-    falls below 0.05 far less often than 5 % of the time.  d is exactly
-    invariant under positive rescaling of the raw spacings, since
-    normalization absorbs the scale.
+    falls below 0.05 far less often than 5 % of the time.  d is invariant,
+    to a few ulps, under positive rescaling of the raw spacings, since
+    normalization absorbs the scale up to the rounding of raw / mean.
     """
     if len(sample) == 0:
         raise ValueError("ks_test requires a nonempty sample")
@@ -151,6 +151,10 @@ def histogram(sample: SpacingSample, bins: int, value_range: tuple[float, float]
     )
 
 
+# smallest expected count of a chi-square group; a group expecting fewer takes in the next bin
+MIN_EXPECTED = 5.0
+
+
 @dataclass(frozen=True)
 class ChiSquareResult:
     statistic: float
@@ -158,17 +162,15 @@ class ChiSquareResult:
     merged_bins: int
 
 
-def chi_square(hist: Histogram, kind: str, min_expected: float = 5.0) -> ChiSquareResult:
+def chi_square(hist: Histogram, kind: str) -> ChiSquareResult:
     """Chi-square statistic of binned counts against an analytic curve.
 
     Expected counts are n_total times the curve mass in each bin.  Bins
-    whose expectation falls below ``min_expected`` are merged rightward
+    whose expectation falls below ``MIN_EXPECTED`` are merged rightward
     (a trailing underfull group is folded into its left neighbour); the
     statistic is sum (obs - exp)^2 / exp over the merged groups and
-    dof = merged groups - 1.  ``min_expected`` must be finite and > 0.
+    dof = merged groups - 1.
     """
-    if not 0.0 < min_expected < math.inf:
-        raise ValueError(f"min_expected must be finite and > 0, not {min_expected!r}")
     if hist.n_total <= 0 or hist.counts.sum() <= 0:
         raise ValueError("chi_square requires a histogram with counts")
     mass = np.diff(np.atleast_1d(curves.cdf(kind, hist.edges)))
@@ -180,7 +182,7 @@ def chi_square(hist: Histogram, kind: str, min_expected: float = 5.0) -> ChiSqua
     for o, e in zip(hist.counts, expected):
         obs_acc += float(o)
         exp_acc += float(e)
-        if exp_acc >= min_expected:
+        if exp_acc >= MIN_EXPECTED:
             groups.append((obs_acc, exp_acc))
             obs_acc = 0.0
             exp_acc = 0.0

@@ -276,6 +276,14 @@ class TestCompare:
         assert len(err) == 1
         assert err[0].startswith(f"error: {path}: line 3: cannot read a spacing")
 
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"raw_spacing\n1.0\n2\xff5\n3.0\n")
+        assert run(["compare", "--spacings", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {path}: line 3: not UTF-8 text")
+
 
 _WRITER_SPECIALS = [0.0, -0.0, 5e-324, 1e-5, 9.99999999999e-5, 1e16, 123456789012.5]
 
@@ -389,6 +397,15 @@ class TestCsvReaderProperties:
             ingest.load_spacings(path)
 
 
+# spectrum file body -> the error it ends with, after the file name
+_SPECTRUM_ERRORS = {
+    "1\n2\n14,134725\n": "line 3: cannot read a level",
+    "1\n2\ninf\n": "line 3: cannot read a level",
+    "1\n2\n": "need at least 3 distinct levels, got 2",
+    "1\n2\n\xff3\n4\n": "line 3: not UTF-8 text",
+}
+
+
 class TestAnalyze:
     def test_picket_fence(self, tmp_path, capsys):
         spec = tmp_path / "fence.txt"
@@ -435,14 +452,14 @@ class TestAnalyze:
         assert run(["analyze", "--spectrum", str(spec)]) == 1
         assert "line 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("body", ["1\n2\n14,134725\n", "1\n2\ninf\n"])
+    @pytest.mark.parametrize("body", _SPECTRUM_ERRORS)
     def test_parse_error_names_file(self, tmp_path, capsys, body):
         spec = tmp_path / "zeros.txt"
-        spec.write_text(body)
+        spec.write_text(body, encoding="latin-1")  # "\xff" becomes the byte 0xff
         assert run(["analyze", "--spectrum", str(spec)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("error: zeros.txt: line 3: cannot read a level")
+        assert err[0].startswith(f"error: zeros.txt: {_SPECTRUM_ERRORS[body]}")
 
 
 # A repeated flag overrides the earlier value, so each case appends the bad

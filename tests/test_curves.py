@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spacinglab
 from spacinglab import curves, specfun
@@ -35,6 +37,11 @@ PDF_POINTS = {
     "GSE": [(0.25, 0.0393262657172901), (1.0, 1.20592739350741),
             (3.5, 1.57897469365698e-09)],
 }
+
+# GPUE cdf by mpmath quadrature of its density (40 digits, exact constants)
+GPUE_CDF_POINTS = [(1e-8, 1.2716593214297709e-16), (1e-5, 1.2716495127369401e-10),
+                   (1e-3, 1.2706778115742221e-6), (0.1, 0.011767252219322895),
+                   (0.45, 0.18026269665095203)]
 
 
 class TestConstants:
@@ -160,10 +167,14 @@ class TestCdf:
     def test_matches_direct_quadrature(self, kind):
         rng = np.random.default_rng(abs(hash(kind)) % 2**32)
         xs = np.concatenate([rng.uniform(0.0, 8.0, 47), [1e-4, 1e-3, 0.01]])
-        spec = specfun.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=200)
         for x in xs:
-            direct = specfun.integrate(lambda t: pdf(kind, t), 0.0, float(x), spec).value
+            direct = specfun.integrate(lambda t: pdf(kind, t), 0.0, float(x))
             assert abs(cdf(kind, float(x)) - direct) <= 1e-10
+
+    def test_gpue_small_x_relative_accuracy(self):
+        # where the survival form 1 - S cancels: all of its digits by x = 1e-8
+        for x, expected in GPUE_CDF_POINTS:
+            assert abs(cdf("GPUE", x) - expected) <= 1e-15 * expected
 
     def test_goe_closed_form_oracle(self):
         # independent closed form 1 - exp(-pi x^2/4)
@@ -198,6 +209,32 @@ class TestCdf:
                 assert np.all(np.abs(vals - 1.0) <= 1e-14), kind
 
 
+@pytest.mark.parametrize("kind", curves.CURVE_ORDER)
+@settings(max_examples=60)
+@given(xs=st.lists(st.floats(min_value=0.0), min_size=1, max_size=40))
+@example(xs=[0.0, 5e-324, 2.2250738585072014e-308, 2.35e-162, 1e-8, 1e300, math.inf])
+@example(xs=[1.2e-9, 1.23e-9])  # GPUE's survival form alone gives 1.3e-15, then 0
+def test_cdf_nondecreasing_within_unit_interval(kind, xs):
+    vals = cdf(kind, np.sort(xs))
+    assert np.all(np.diff(vals) >= 0.0)
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+@pytest.mark.parametrize("kind", curves.CURVE_ORDER)
+@settings(max_examples=30)
+@given(
+    xs=st.lists(st.floats(min_value=0.0), max_size=10),
+    bad=st.one_of(st.just(math.nan), st.floats(max_value=-5e-324)),
+    where=st.integers(0, 10),
+)
+def test_cdf_refuses_nan_and_negative(kind, xs, bad, where):
+    xs.insert(where, bad)
+    with pytest.raises(ValueError):
+        cdf(kind, np.array(xs))
+    with pytest.raises(ValueError):
+        cdf(kind, bad)
+
+
 @pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.integrate"])
 def test_import_skips_scipy_submodule(module):
     src = str(Path(spacinglab.__file__).resolve().parents[1])
@@ -216,8 +253,7 @@ class TestMoment:
     @pytest.mark.parametrize("k", range(5))
     @pytest.mark.parametrize("kind", curves.CURVE_ORDER)
     def test_matches_quadrature(self, kind, k):
-        spec = specfun.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=400)
-        direct = specfun.integrate(lambda t: t**k * pdf(kind, t), 0.0, math.inf, spec).value
+        direct = specfun.integrate(lambda t: t**k * pdf(kind, t), 0.0, math.inf)
         assert abs(moment(kind, k) - direct) <= 1e-12 * direct
 
     def test_goe_second_moment_closed_form(self):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc, gammaln, gammasgn
 
-from spacinglab.specfun import QuadratureError, QuadratureSpec, bessel_k0, integrate
+from spacinglab.specfun import QUAD_TOL, bessel_k0, integrate
 
 # mpmath oracle values
 LN_SQRT_PI = 0.5723649429247001
@@ -140,23 +140,20 @@ class TestErfc:
 
 class TestIntegrate:
     def test_unit_interval(self):
-        res = integrate(lambda t: 1.0, 0.0, 1.0)
-        assert abs(res.value - 1.0) < 1e-14
+        assert abs(integrate(lambda t: 1.0, 0.0, 1.0) - 1.0) < 1e-14
 
     def test_k0_total_mass(self):
         # standard identity used as a self-test of the semi-infinite transform
-        res = integrate(lambda t: bessel_k0(t), 0.0, math.inf)
-        assert abs(res.value - math.pi / 2.0) / (math.pi / 2.0) < 1e-9
+        value = integrate(lambda t: bessel_k0(t), 0.0, math.inf)
+        assert abs(value - math.pi / 2.0) / (math.pi / 2.0) < 1e-9
 
     def test_unit_mean_linear_repulsion_curve(self):
         f = lambda x: x * (math.pi / 2.0) * x * math.exp(-math.pi * x * x / 4.0)
-        res = integrate(f, 0.0, math.inf)
-        assert abs(res.value - 1.0) < 1e-10
+        assert abs(integrate(f, 0.0, math.inf) - 1.0) < 1e-10
 
     def test_log_singularity(self):
-        spec = QuadratureSpec()
-        res = integrate(lambda t: bessel_k0(t), 0.0, 1.0, spec)
-        assert abs(res.value - INT_K0_0_1) <= max(spec.abs_tol, spec.rel_tol * INT_K0_0_1)
+        value = integrate(lambda t: bessel_k0(t), 0.0, 1.0)
+        assert abs(value - INT_K0_0_1) <= QUAD_TOL * max(1.0, INT_K0_0_1)
 
     @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
     def test_k0_integral_representation(self, x):
@@ -165,30 +162,21 @@ class TestIntegrate:
             z = x * math.cosh(t) if t < 700.0 else math.inf
             return math.exp(-z) if z < 745.0 else 0.0
 
-        res = integrate(integrand, 0.0, math.inf)
-        assert abs(res.value - bessel_k0(x)) / bessel_k0(x) <= 1e-9
+        value = integrate(integrand, 0.0, math.inf)
+        assert abs(value - bessel_k0(x)) / bessel_k0(x) <= 1e-9
 
-    def test_error_estimate_returned(self):
-        value, error = integrate(lambda t: t * t, 0.0, 2.0)
+    def test_returns_a_float(self):
+        value = integrate(lambda t: t * t, 0.0, 2.0)
+        assert type(value) is float
         assert abs(value - 8.0 / 3.0) < 1e-12
-        assert error >= 0.0
 
     def test_nonconvergence_reports_best_estimate(self):
-        spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=1)
-        with pytest.raises(QuadratureError) as excinfo:
-            integrate(lambda t: math.sin(50.0 * t), 0.0, 10.0, spec)
-        assert math.isfinite(excinfo.value.estimate)
-        assert excinfo.value.error_estimate >= 0.0
+        # this oscillation needs more than QUAD_SUBDIVISIONS (400) subintervals
+        with pytest.raises(RuntimeError, match="best estimate") as excinfo:
+            integrate(lambda t: math.sin(1e4 * t), 0.0, 100.0)
+        estimate = str(excinfo.value).partition("best estimate ")[2].partition(",")[0]
+        assert math.isfinite(float(estimate))
 
     def test_doubly_infinite_rejected(self):
         with pytest.raises(ValueError):
             integrate(lambda t: math.exp(-t * t), -math.inf, math.inf)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(abs_tol=0.0), dict(rel_tol=-1.0), dict(max_subdivisions=0),
-         dict(max_subdivisions=2.5)],
-    )
-    def test_spec_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            QuadratureSpec(**kwargs)
