@@ -21,7 +21,7 @@ from spacinglab import (
 )
 
 N = 50_000
-cfg = SamplerConfig(sigma=1.0, seed=2024, workers=2)
+cfg = SamplerConfig(seed=2024, workers=2)
 
 print("=" * 72)
 print(f"Sampling n={N} spacings per ensemble (seed {cfg.seed})")

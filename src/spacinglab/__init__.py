@@ -9,15 +9,12 @@ externally supplied spectra against the same curves.
 
 from .curves import CURVE_ORDER, CurveConstants, cdf, constants, moment, pdf, small_x_approx
 from .ensembles import (
-    COMPLEX_REJECTED,
     GOE,
     GPOE,
     GPUE,
     GSE,
     GUE,
-    ComplexRejected,
     EnsembleKind,
-    RealPair,
     SamplerConfig,
     SpectralParams,
     acceptance_rate,
@@ -27,7 +24,6 @@ from .ensembles import (
     qh4,
     realize_matrix,
     sample_spacings,
-    spacing,
     spectral_to_params,
 )
 from .ingest import (
@@ -63,9 +59,6 @@ __all__ = [
     "small_x_approx",
     "EnsembleKind",
     "SamplerConfig",
-    "RealPair",
-    "ComplexRejected",
-    "COMPLEX_REJECTED",
     "SpectralParams",
     "GOE",
     "GUE",
@@ -76,7 +69,6 @@ __all__ = [
     "qh4",
     "draw_params",
     "eigenvalues",
-    "spacing",
     "sample_spacings",
     "acceptance_rate",
     "spectral_to_params",

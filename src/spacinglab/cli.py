@@ -75,7 +75,7 @@ def _cmd_sample(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
               file=sys.stderr)
         args.kappa = 0.0
     kind = _checked(parser, "--kappa", ensembles.EnsembleKind, args.ensemble.upper(), args.kappa)
-    config = _checked(parser, None, ensembles.SamplerConfig, args.sigma, args.seed, args.workers)
+    config = _checked(parser, None, ensembles.SamplerConfig, args.seed, args.workers)
     if args.n < 1:
         parser.error("--n: must be at least 1")
     sample, rate = ensembles.sample_spacings(kind, args.n, config)
@@ -152,7 +152,7 @@ def _cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     spectrum = ingest.load_spectrum(args.spectrum)
     sample = ingest.unfold(spectrum, method)
     ks_results = _compare_sample(sample, list(curves.CURVE_ORDER))
-    source = f"{spectrum.source_label or args.spectrum} (unfold={args.unfold})"
+    source = f"{spectrum.source_label} (unfold={args.unfold})"
     report = build_report(source, len(sample), ks_results)
     _emit_report(report, args.report)
     return 0
@@ -176,7 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, default=None, help="qh3/qh4 non-Hermiticity parameter")
     p.add_argument("--n", required=True, type=int, help="number of accepted spacings")
     p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)

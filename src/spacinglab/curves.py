@@ -54,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sp
 
-from . import _checks, specfun
+from . import _checks
 
 __all__ = [
     "CURVE_ORDER",
@@ -178,7 +178,7 @@ def _gpoe_pdf(arr: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     out = np.zeros(arr.shape)
     arg = beta * arr * arr
     body = arg > 0.0  # x small enough to underflow beta x^2 contributes ~0
-    out[body] = alpha * arr[body] * np.asarray(specfun.bessel_k0(arg[body]))
+    out[body] = alpha * arr[body] * _sp.k0(arg[body])
     tiny = (~body) & (arr > 0.0)
     if np.any(tiny):
         # K0(z) ~ -ln(z/2) - euler_gamma for z -> 0+

@@ -17,16 +17,17 @@ QH3    a,b,c   quasi-Hermitian 2x2,        a +- sqrt(b^2+c^2), always real
 QH4    a..d    metric diag(eps, 1/eps)     a +- sqrt(b^2+c^2+d^2), always real
 =====  ======  ==========================  ==========================
 
-Sampling weight: exp(-Tr(H H^dagger) / (2 sigma^2)).  For the 2x2 families
-this makes every active parameter an independent N(0, sigma^2/2); the GSE
-trace weight differs only by a global scale, which is irrelevant after
-unit-mean normalization of spacings, so the same N(0, sigma^2/2) convention
-is used.  For the quasi-Hermitian families with eps = exp(-kappa), the
-trace picks up cosh(2 kappa) on the dressed parameters: QH3 draws b, c
-(and QH4 draws c, d) from N(0, sigma^2 / (2 cosh 2 kappa)).  This is the
-only place kappa enters QH4's spacing law; QH3 stays isotropic in (b, c)
-at every kappa and therefore reproduces the linear-repulsion statistics
-identically.
+Sampling weight: exp(-Tr(H H^dagger) / 2).  For the 2x2 families this makes
+every active parameter an independent N(0, 1/2); the GSE trace weight
+differs only by a global scale, which is irrelevant after unit-mean
+normalization of spacings, so the same N(0, 1/2) convention is used.  Any
+other width would only rescale the raw spacings, so no statistic of the
+normalized ones depends on it.  For the quasi-Hermitian families with
+eps = exp(-kappa), the trace picks up cosh(2 kappa) on the dressed
+parameters: QH3 draws b, c (and QH4 draws c, d) from
+N(0, 1 / (2 cosh 2 kappa)).  This is the only place kappa enters QH4's
+spacing law; QH3 stays isotropic in (b, c) at every kappa and therefore
+reproduces the linear-repulsion statistics identically.
 
 Every matrix is H = a 1 + sum_j p_j G_j over its parameters (a, b, c, ...),
 with traceless generators G_j (Pauli matrices; Kronecker products of them
@@ -66,9 +67,6 @@ __all__ = [
     "ENSEMBLE_ORDER",
     "EnsembleKind",
     "SamplerConfig",
-    "RealPair",
-    "ComplexRejected",
-    "COMPLEX_REJECTED",
     "SpectralParams",
     "GOE",
     "GUE",
@@ -79,7 +77,6 @@ __all__ = [
     "qh4",
     "draw_params",
     "eigenvalues",
-    "spacing",
     "sample_spacings",
     "acceptance_rate",
     "spectral_to_params",
@@ -146,8 +143,8 @@ class EnsembleKind:
             if self.kappa is None:
                 raise ValueError(f"{self.tag} requires kappa >= 0")
             kappa = float(self.kappa)
-            # with sigma >= 1e-100 the shrunk draws' squares stay normal (1e-287 and up);
-            # beyond 100, kappa changes normalized spacings by < 1e-15 anyway
+            # at 100 the shrunk variance, 1/(2 cosh 200) = 1.4e-87, is still far from
+            # subnormal; beyond 100, kappa changes normalized spacings by < 1e-15 anyway
             if not (0.0 <= kappa <= 100.0):
                 raise ValueError(f"kappa must be in [0, 100], not {kappa:g}")
         elif self.kappa is not None:
@@ -194,48 +191,15 @@ def qh4(kappa: float) -> EnsembleKind:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Gaussian scale, master seed, and worker count for sampling."""
+    """Master seed and worker count for sampling."""
 
-    sigma: float = 1.0
     seed: int = 0
     workers: int = 1
 
     def __post_init__(self) -> None:
-        # in this range squared draws neither overflow nor turn subnormal
-        if not (1e-100 <= self.sigma <= 1e100):
-            raise ValueError(f"sigma must be in [1e-100, 1e100], not {float(self.sigma):g}")
         if _checks.count(self.seed, "seed", 0) >= 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         _checks.count(self.workers, "workers", 1)
-
-
-@dataclass(frozen=True)
-class RealPair:
-    """Ordered pair of real eigenvalues, e1 >= e2."""
-
-    e1: float
-    e2: float
-
-    def __post_init__(self) -> None:
-        if not (self.e1 >= self.e2):
-            raise ValueError("RealPair requires e1 >= e2")
-
-
-class ComplexRejected:
-    """Marker: the draw fell in the complex-conjugate-eigenvalue sector."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "ComplexRejected"
-
-
-COMPLEX_REJECTED = ComplexRejected()
 
 
 @dataclass(frozen=True)
@@ -255,9 +219,10 @@ class SpectralParams:
             raise ValueError("SpectralParams requires s >= 0")
 
 
-def _param_stds(kind: EnsembleKind, sigma: float) -> np.ndarray:
+def _param_stds(kind: EnsembleKind) -> np.ndarray:
     """Per-parameter standard deviations induced by the trace weight."""
-    stds = np.full(kind.n_params, sigma / math.sqrt(2.0))
+    # not math.sqrt(0.5): that differs in the last bit, and so would the sample bytes
+    stds = np.full(kind.n_params, 1.0 / math.sqrt(2.0))
     shrink = _FAMILIES[kind.tag].shrink
     if shrink is not None:
         stds[shrink:] /= math.sqrt(math.cosh(2.0 * kind.kappa))
@@ -269,11 +234,9 @@ def _stream_rng(seed: int, stream_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _draw_block(
-    kind: EnsembleKind, sigma: float, rng: np.random.Generator, count: int
-) -> np.ndarray:
+def _draw_block(kind: EnsembleKind, rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw ``count`` parameter rows (count, n_params) from one stream."""
-    return rng.normal(size=(count, kind.n_params)) * _param_stds(kind, sigma)
+    return rng.normal(size=(count, kind.n_params)) * _param_stds(kind)
 
 
 def _pad_params(kind: EnsembleKind, row: np.ndarray) -> np.ndarray:
@@ -285,13 +248,13 @@ def _pad_params(kind: EnsembleKind, row: np.ndarray) -> np.ndarray:
 def draw_params(kind: EnsembleKind, config: SamplerConfig, stream_index: int) -> np.ndarray:
     """First parameter vector of the given stream, padded to length 6.
 
-    Unused trailing entries are exactly zero.  Deterministic: the result is
-    a pure function of (kind, config.sigma, config.seed, stream_index), and
-    coincides with the first row consumed by :func:`sample_spacings` for the
-    same stream.
+    Unused trailing entries are exactly zero; the active ones are N(0, 1/2),
+    shrunk by kappa as in the module docstring.  Deterministic: the result is
+    a pure function of (kind, config.seed, stream_index), and coincides with
+    the first row consumed by :func:`sample_spacings` for the same stream.
     """
     rng = _stream_rng(config.seed, stream_index)
-    return _pad_params(kind, _draw_block(kind, config.sigma, rng, 1)[0])
+    return _pad_params(kind, _draw_block(kind, rng, 1)[0])
 
 
 def _active(kind: EnsembleKind, p: np.ndarray) -> np.ndarray:
@@ -300,7 +263,10 @@ def _active(kind: EnsembleKind, p: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"{kind.tag} needs {kind.n_params} parameters, got {arr.size}"
         )
-    return arr[: kind.n_params]
+    arr = arr[: kind.n_params]
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{kind.tag} parameters must be finite, got {arr.tolist()}")
+    return arr
 
 
 def _discriminants(kind: EnsembleKind, params: np.ndarray) -> np.ndarray:
@@ -312,37 +278,27 @@ def _discriminants(kind: EnsembleKind, params: np.ndarray) -> np.ndarray:
     return disc
 
 
-def eigenvalues(kind: EnsembleKind, p) -> RealPair | ComplexRejected:
-    """Closed-form eigenvalue pair, or COMPLEX_REJECTED outside the real sector.
+def eigenvalues(kind: EnsembleKind, p) -> tuple[float, float] | None:
+    """Closed-form eigenvalues (e1, e2) with e1 >= e2, or None outside the real sector.
 
     The reality predicate for GPOE/GPUE is exact (b^2 >= c^2 [+ d^2], no
     tolerance).  GSE's doubly degenerate 4x4 spectrum is reported as its
-    two distinct values.
+    two distinct values.  Only real eigenvalues define a spacing, e1 - e2.
     """
     row = _active(kind, p)
-    disc = float(_discriminants(kind, row[None, :])[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = float(_discriminants(kind, row[None, :])[0])
+    if not math.isfinite(disc):
+        raise ValueError(f"{kind.tag} discriminant overflows for parameters {row.tolist()}")
     if disc < 0.0:
-        if not kind.has_rejection:
-            raise AssertionError("negative discriminant for an always-real kind")
-        return COMPLEX_REJECTED
+        return None
     a = float(row[0])
     r = math.sqrt(disc)
-    return RealPair(a + r, a - r)
-
-
-def spacing(outcome: RealPair | ComplexRejected) -> float | None:
-    """E1 - E2 for a real pair (>= 0 by ordering); None for a rejected draw.
-
-    Spacings are defined on real eigenvalues only, never as the modulus of
-    the difference of a complex-conjugate pair.
-    """
-    if outcome is COMPLEX_REJECTED or isinstance(outcome, ComplexRejected):
-        return None
-    return outcome.e1 - outcome.e2
+    return a + r, a - r
 
 
 def _sample_block(
-    kind: EnsembleKind, sigma: float, seed: int, stream_index: int, quota: int
+    kind: EnsembleKind, seed: int, stream_index: int, quota: int
 ) -> tuple[np.ndarray, int]:
     """Accepted spacings and raw draws consumed for one logical stream.
 
@@ -358,7 +314,7 @@ def _sample_block(
     need = quota
     while need > 0:
         batch = math.ceil((need + 4.0 * math.sqrt(need * (1.0 - p))) / p)
-        disc = _discriminants(kind, _draw_block(kind, sigma, rng, batch))
+        disc = _discriminants(kind, _draw_block(kind, rng, batch))
         ok = np.flatnonzero(disc >= 0.0)[:need]
         pieces.append(2.0 * np.sqrt(disc[ok]))
         raws += int(ok[-1]) + 1 if ok.size == need else batch
@@ -391,7 +347,7 @@ def sample_spacings(
 
     def job(entry: tuple[int, int]) -> tuple[np.ndarray, int]:
         idx, quota = entry
-        return _sample_block(kind, config.sigma, config.seed, idx, quota)
+        return _sample_block(kind, config.seed, idx, quota)
 
     if config.workers > 1 and len(plan) > 1:
         with ThreadPoolExecutor(max_workers=int(config.workers)) as pool:
@@ -415,7 +371,7 @@ def acceptance_rate(kind: EnsembleKind, n_raw: int, config: SamplerConfig) -> fl
     accepted = 0
     for idx, quota in _stream_plan(n_raw):
         rng = _stream_rng(config.seed, idx)
-        params = _draw_block(kind, config.sigma, rng, quota)
+        params = _draw_block(kind, rng, quota)
         accepted += int(np.count_nonzero(_discriminants(kind, params) >= 0.0))
     return accepted / n_raw
 

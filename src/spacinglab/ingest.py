@@ -161,8 +161,8 @@ def _read_text(path: Path, source: str) -> str:
 
 
 def load_spectrum(path) -> SpectrumFile:
-    p = Path(path)
-    return parse_levels(_read_text(p, p.name), source_label=p.name)
+    """The levels of a spectrum file (module docstring format); errors name ``path``."""
+    return parse_levels(_read_text(Path(path), str(path)), source_label=str(path))
 
 
 def load_spacings(path) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""K0 for the GPOE density, and the quadrature the tests use as a reference.
+"""K0 and the adaptive quadrature the tests use as a reference.
 
 Contract-enforcing wrappers over scipy.special (Cephes) and scipy.integrate
 (QUADPACK): strict domain checks, and a RuntimeError when quadrature does
-not converge.  The curves are closed forms, so no package code calls
-:func:`integrate`; it imports scipy.integrate on first use.  Everything here
-is a pure function and safe to call from any thread.
+not converge.  No package module imports this one: the curves are closed
+forms, and the GPOE density calls ``scipy.special.k0`` itself.
+:func:`integrate` imports scipy.integrate on first use.
+Everything here is a pure function and safe to call from any thread.
 """
 
 from __future__ import annotations

@@ -18,9 +18,7 @@ from . import _checks, curves
 __all__ = [
     "SpacingSample",
     "normalize",
-    "ecdf",
     "KsResult",
-    "kolmogorov_sf",
     "ks_test",
     "Histogram",
     "histogram",
@@ -65,26 +63,11 @@ def normalize(raw) -> SpacingSample:
     return SpacingSample(raw=arr, mean=mean, normalized=norm)
 
 
-def ecdf(values: np.ndarray, x) -> np.ndarray:
-    """Empirical CDF of ``values`` at the points ``x`` (right-continuous)."""
-    sorted_vals = np.sort(np.asarray(values, dtype=float))
-    return np.searchsorted(sorted_vals, np.asarray(x, dtype=float), side="right") / sorted_vals.size
-
-
 @dataclass(frozen=True)
 class KsResult:
     d: float
     n: int
     p_value: float
-
-
-def kolmogorov_sf(lam: float) -> float:
-    """Survival function of the asymptotic Kolmogorov distribution.
-
-    P(sqrt(n) D > lam) for n -> inf, from ``scipy.special.kolmogorov``;
-    1 for lam <= 0.
-    """
-    return float(_kolmogorov(float(lam)))
 
 
 def ks_test(sample: SpacingSample, kind: str) -> KsResult:
@@ -109,7 +92,7 @@ def ks_test(sample: SpacingSample, kind: str) -> KsResult:
     d_plus = float(np.max(i / n - F))
     d_minus = float(np.max(F - (i - 1.0) / n))
     d = max(d_plus, d_minus)
-    return KsResult(d=d, n=n, p_value=kolmogorov_sf(math.sqrt(n) * d))
+    return KsResult(d=d, n=n, p_value=float(_kolmogorov(math.sqrt(n) * d)))
 
 
 @dataclass(frozen=True)

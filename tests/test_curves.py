@@ -244,6 +244,16 @@ def test_import_skips_scipy_submodule(module):
     assert out.stdout.strip() == "False"
 
 
+def test_gpoe_curve_does_not_load_specfun():
+    # the GPOE density calls scipy.special.k0 itself; specfun serves only the tests
+    src = str(Path(spacinglab.__file__).resolve().parents[1])
+    code = ("import sys, spacinglab; spacinglab.pdf('GPOE', [0.0, 0.5, 3.0]); "
+            "spacinglab.cdf('GPOE', [0.0, 0.5, 3.0]); print('spacinglab.specfun' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "False"
+
+
 class TestMoment:
     @pytest.mark.parametrize("kind", curves.CURVE_ORDER)
     def test_normalization_and_mean(self, kind):

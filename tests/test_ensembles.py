@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from spacinglab import ensembles, verify
 from spacinglab.ensembles import (
-    COMPLEX_REJECTED,
     GOE,
     GPOE,
     GPUE,
     GSE,
     GUE,
     EnsembleKind,
-    RealPair,
     SamplerConfig,
     SpectralParams,
     acceptance_rate,
@@ -29,7 +27,6 @@ from spacinglab.ensembles import (
     qh4,
     realize_matrix,
     sample_spacings,
-    spacing,
     spectral_to_params,
 )
 
@@ -59,15 +56,11 @@ class TestKinds:
                 EnsembleKind(tag, kappa)
 
     def test_largest_kappa_with_finite_cosh_accepted(self):
-        # at kappa 100 the shrunk draws' squares stay normal down to sigma 1e-100
-        tiny = SamplerConfig(sigma=1e-100, seed=5)
-        a, _ = sample_spacings(qh3(100.0), 2000, tiny)
-        b, _ = sample_spacings(qh3(0.0), 2000, tiny)
+        # at kappa 100 the shrunk draws' squares stay normal
+        cfg = SamplerConfig(seed=5)
+        a, _ = sample_spacings(qh3(100.0), 2000, cfg)
+        b, _ = sample_spacings(qh3(0.0), 2000, cfg)
         np.testing.assert_allclose(a.normalized, b.normalized, rtol=1e-12)
-        # QH4's law depends on kappa, so compare across sigma instead
-        c, _ = sample_spacings(qh4(100.0), 2000, tiny)
-        d, _ = sample_spacings(qh4(100.0), 2000, SamplerConfig(sigma=1.0, seed=5))
-        np.testing.assert_allclose(c.normalized, d.normalized, rtol=1e-12)
 
     def test_family_facts(self):
         # independent oracle values: GPOE's b^2 >= c^2 half-space, GPUE's cone
@@ -104,21 +97,16 @@ class TestKinds:
         # kappa shrinks b, c for QH3 and c, d for QH4
         base = 1.0 / math.sqrt(2.0)
         shrunk = base / math.sqrt(math.cosh(1.0))
-        np.testing.assert_array_equal(ensembles._param_stds(qh3(0.5), 1.0), [base, shrunk, shrunk])
+        np.testing.assert_array_equal(ensembles._param_stds(qh3(0.5)), [base, shrunk, shrunk])
         np.testing.assert_array_equal(
-            ensembles._param_stds(qh4(0.5), 1.0), [base, base, shrunk, shrunk]
+            ensembles._param_stds(qh4(0.5)), [base, base, shrunk, shrunk]
         )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SamplerConfig(sigma=0.0)
-        with pytest.raises(ValueError):
             SamplerConfig(workers=0)
         with pytest.raises(ValueError):
             SamplerConfig(seed=-1)
-        for sigma in (math.inf, math.nan, 1e300, 1e-300):
-            with pytest.raises(ValueError, match="sigma"):
-                SamplerConfig(sigma=sigma)
 
     @pytest.mark.parametrize("field,value", [
         ("seed", 1.5), ("seed", 1.0), ("seed", "3"), ("seed", np.float64(2.0)),
@@ -137,26 +125,26 @@ class TestKinds:
 class TestEigenvalues:
     def test_gpoe_real_sector(self):
         out = eigenvalues(GPOE, [0.0, 5.0, 3.0])
-        assert out == RealPair(4.0, -4.0)
+        assert out == (4.0, -4.0)
 
     def test_gpoe_rejection(self):
-        assert eigenvalues(GPOE, [1.0, 1.0, 2.0]) is COMPLEX_REJECTED
+        assert eigenvalues(GPOE, [1.0, 1.0, 2.0]) is None
 
     def test_gpoe_boundary_is_real(self):
         # reality predicate is exact: b^2 == c^2 lies in the real sector
         out = eigenvalues(GPOE, [0.5, 1.5, 1.5])
-        assert out == RealPair(0.5, 0.5)
+        assert out == (0.5, 0.5)
 
     def test_gpue_example_with_numeric_oracle(self):
         p = [0.0, 3.0, 2.0, 2.0]
         out = eigenvalues(GPUE, p)
-        assert out == RealPair(1.0, -1.0)
+        assert out == (1.0, -1.0)
         numeric = np.sort_complex(np.linalg.eigvals(realize_matrix(GPUE, p)))
         assert np.allclose(numeric, [-1.0, 1.0], atol=1e-12)
 
     def test_gpue_rejection_predicate(self):
-        assert eigenvalues(GPUE, [0.0, 2.0, 1.5, 1.5]) is COMPLEX_REJECTED
-        assert eigenvalues(GPUE, [0.0, 2.0, 1.0, 1.0]) != COMPLEX_REJECTED
+        assert eigenvalues(GPUE, [0.0, 2.0, 1.5, 1.5]) is None
+        assert eigenvalues(GPUE, [0.0, 2.0, 1.0, 1.0]) is not None
 
     def test_rejection_iff_property(self):
         # the rejected outcome coincides with the exact sign predicate,
@@ -164,9 +152,9 @@ class TestEigenvalues:
         rng = np.random.default_rng(23)
         for _ in range(1000):
             a, b, c, d = rng.normal(scale=2.0, size=4)
-            rejected = eigenvalues(GPOE, [a, b, c]) is COMPLEX_REJECTED
+            rejected = eigenvalues(GPOE, [a, b, c]) is None
             assert rejected == (b * b < c * c)
-            rejected = eigenvalues(GPUE, [a, b, c, d]) is COMPLEX_REJECTED
+            rejected = eigenvalues(GPUE, [a, b, c, d]) is None
             assert rejected == (b * b < c * c + d * d)
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
@@ -181,13 +169,13 @@ class TestEigenvalues:
             "GPOE": lambda q: q[:, 1] - q[:, 2],
             "GPUE": lambda q: q[:, 1] - q[:, 2] - q[:, 3],
         }[kind.tag]
-        params = ensembles._draw_block(kind, 1.0, ensembles._stream_rng(17, 0), 20_000)
+        params = ensembles._draw_block(kind, ensembles._stream_rng(17, 0), 20_000)
         assert np.array_equal(ensembles._discriminants(kind, params), reference(params * params))
 
     def test_qh3_kappa_cancels(self):
         for kappa in (0.0, 0.7, 2.5):
             out = eigenvalues(qh3(kappa), [0.0, 3.0, 4.0])
-            assert out == RealPair(5.0, -5.0)
+            assert out == (5.0, -5.0)
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
     def test_closed_form_matches_numeric_eigensolve(self, kind):
@@ -196,33 +184,31 @@ class TestEigenvalues:
         for i in range(25):
             p = draw_params(kind, cfg, i)
             out = eigenvalues(kind, p)
-            if out is COMPLEX_REJECTED:
-                H = realize_matrix(kind, p)
+            H = realize_matrix(kind, p)
+            if out is None:
                 assert np.max(np.abs(np.linalg.eigvals(H).imag)) > 0.0
                 continue
-            H = realize_matrix(kind, p)
+            e1, e2 = out
+            assert e1 >= e2
             numeric = np.sort(np.linalg.eigvals(H).real)
-            if kind.tag == "GSE":
-                expected = np.array([out.e2, out.e2, out.e1, out.e1])
-            else:
-                expected = np.array([out.e2, out.e1])
+            expected = np.repeat([e2, e1], len(H) // 2)
             assert np.max(np.abs(numeric - expected)) < 1e-10
+
+    @pytest.mark.parametrize("fn,kind,p", [
+        (eigenvalues, GOE, [math.inf, 1.0, 1.0]),
+        (eigenvalues, GOE, [math.nan, 1.0, 1.0]),
+        (eigenvalues, GUE, [0.0, 1e200, 1e200, 0.0]),  # b^2 overflows
+        (pseudo_hermiticity_residual, GPUE, [0.0, math.nan, 1.0, 1.0]),
+    ], ids=["goe-inf", "goe-nan", "gue-overflow", "gpue-residual-nan"])
+    def test_non_finite_input_refused(self, fn, kind, p):
+        # one ValueError naming the kind, and no numpy warning (warnings are errors here)
+        with pytest.raises(ValueError, match=kind.tag):
+            fn(kind, p)
 
     def test_gse_numeric_degeneracy(self):
         p = [0.3, 0.5, -0.2, 0.9, 0.1, -0.4]
         evals = np.linalg.eigvalsh(realize_matrix(GSE, p))
         assert abs(evals[0] - evals[1]) < 1e-12 and abs(evals[2] - evals[3]) < 1e-12
-
-
-class TestSpacing:
-    def test_real_pair(self):
-        assert spacing(RealPair(4.0, -4.0)) == 8.0
-
-    def test_rejected_is_absent(self):
-        assert spacing(COMPLEX_REJECTED) is None
-
-    def test_degenerate(self):
-        assert spacing(RealPair(2.0, 2.0)) == 0.0
 
 
 class TestDrawParams:
@@ -247,23 +233,21 @@ class TestDrawParams:
         cfg = SamplerConfig(seed=31)
         for kind in (GUE, GPUE):
             rng = ensembles._stream_rng(cfg.seed, 2)
-            block = ensembles._draw_block(kind, cfg.sigma, rng, 500)
+            block = ensembles._draw_block(kind, rng, 500)
             assert np.array_equal(draw_params(kind, cfg, 2)[: kind.n_params], block[0])
 
     def test_gpoe_variances(self):
-        # active parameters are N(0, sigma^2/2); 1e6 draws, 1% tolerance
-        sigma = 1.7
+        # active parameters are N(0, 1/2); 1e6 draws, 1% tolerance
         rng = ensembles._stream_rng(5, 0)
-        block = ensembles._draw_block(GPOE, sigma, rng, 1_000_000)
-        target = sigma * sigma / 2.0
+        block = ensembles._draw_block(GPOE, rng, 1_000_000)
         for j in range(3):
-            assert abs(block[:, j].var() - target) / target < 0.01
+            assert abs(block[:, j].var() - 0.5) / 0.5 < 0.01
 
     def test_qh_variances(self):
-        sigma, kappa = 1.0, 0.8
+        kappa = 0.8
         rng = ensembles._stream_rng(5, 0)
-        block = ensembles._draw_block(qh4(kappa), sigma, rng, 1_000_000)
-        shrunk = sigma * sigma / (2.0 * math.cosh(2.0 * kappa))
+        block = ensembles._draw_block(qh4(kappa), rng, 1_000_000)
+        shrunk = 1.0 / (2.0 * math.cosh(2.0 * kappa))
         assert abs(block[:, 0].var() - 0.5) / 0.5 < 0.01
         assert abs(block[:, 2].var() - shrunk) / shrunk < 0.02
 
@@ -300,16 +284,6 @@ class TestSampleSpacings:
         b, rb = sample_spacings(GPOE, 50_000, SamplerConfig(seed=8, workers=4))
         assert np.array_equal(a.raw, b.raw)
         assert ra == rb
-
-    def test_sigma_scale_invariance_of_normalized(self):
-        # same seed: raw spacings scale linearly with sigma, normalized match
-        a, _ = sample_spacings(GUE, 100_000, SamplerConfig(sigma=1.0, seed=9))
-        b, _ = sample_spacings(GUE, 100_000, SamplerConfig(sigma=3.0, seed=9))
-        assert np.max(np.abs(a.normalized - b.normalized)) < 1e-12
-        # the ends of the accepted sigma range neither overflow nor underflow
-        for sigma in (1e-100, 1e100):
-            c, _ = sample_spacings(GUE, 100_000, SamplerConfig(sigma=sigma, seed=9))
-            np.testing.assert_allclose(c.normalized, a.normalized, rtol=1e-12)
 
     def test_n_validation(self):
         with pytest.raises(ValueError):
@@ -379,7 +353,7 @@ class TestSpectralMap:
     def test_gpoe_identity_point(self):
         p = spectral_to_params(GPOE, SpectralParams(t=0.0, s=2.0, theta=0.0))
         assert np.allclose(p[:3], [0.0, 1.0, 0.0], atol=0.0)
-        assert eigenvalues(GPOE, p) == RealPair(1.0, -1.0)
+        assert eigenvalues(GPOE, p) == (1.0, -1.0)
 
     def test_gpue_identity_point(self):
         for phi in (0.0, 1.3, 5.0):
@@ -390,8 +364,8 @@ class TestSpectralMap:
         p = spectral_to_params(GPOE, SpectralParams(t=2.0, s=2.0, theta=0.5))
         assert abs(p[1] - math.cosh(1.0)) < 1e-15
         assert abs(p[2] + math.sinh(1.0)) < 1e-15
-        out = eigenvalues(GPOE, p)
-        assert abs(out.e1 - 2.0) < 1e-12 and abs(out.e2 - 0.0) < 1e-12
+        e1, e2 = eigenvalues(GPOE, p)
+        assert abs(e1 - 2.0) < 1e-12 and abs(e2 - 0.0) < 1e-12
 
     @pytest.mark.parametrize("kind", [GPOE, GPUE], ids=str)
     def test_round_trip_property(self, kind):
@@ -403,10 +377,9 @@ class TestSpectralMap:
                 theta=rng.uniform(-1.5, 1.5),
                 phi=rng.uniform(0, 2 * math.pi),
             )
-            out = eigenvalues(kind, spectral_to_params(kind, sp))
-            assert out is not COMPLEX_REJECTED
-            assert abs(out.e1 - (sp.t + sp.s) / 2.0) < 1e-12
-            assert abs(out.e2 - (sp.t - sp.s) / 2.0) < 1e-12
+            e1, e2 = eigenvalues(kind, spectral_to_params(kind, sp))
+            assert abs(e1 - (sp.t + sp.s) / 2.0) < 1e-12
+            assert abs(e2 - (sp.t - sp.s) / 2.0) < 1e-12
 
     def test_rejects_hermitian_kinds(self):
         with pytest.raises(ValueError):
@@ -472,8 +445,8 @@ class TestRealizeMatrix:
         assert len(outs) == 1
         for k in (0.0, 0.3, 2.0):
             evs = np.sort(np.linalg.eigvals(realize_matrix(qh3(k), p)).real)
-            pair = eigenvalues(qh3(k), p)
-            assert np.max(np.abs(evs - [pair.e2, pair.e1])) < 1e-10
+            e1, e2 = eigenvalues(qh3(k), p)
+            assert np.max(np.abs(evs - [e2, e1])) < 1e-10
 
 
 @pytest.mark.parametrize("tag", ensembles.ENSEMBLE_ORDER)
@@ -499,10 +472,10 @@ def test_square_of_traceless_part_is_discriminant(tag, kappa, ints, scale):
     root = math.sqrt(abs(D))
     out = eigenvalues(kind, p)
     if D >= 0:
-        assert out == RealPair(p[0] + root, p[0] - root)
+        assert out == (p[0] + root, p[0] - root)
         real, imag = [p[0] - root, p[0] + root], [0.0, 0.0]
     else:
-        assert out is COMPLEX_REJECTED
+        assert out is None
         real, imag = [p[0], p[0]], [-root, root]
     numeric = np.linalg.eigvals(H)
     for got, want in ((numeric.real, real), (numeric.imag, imag)):

@@ -11,9 +11,7 @@ from scipy.special import kolmogorov as scipy_kolmogorov
 from spacinglab import curves, ensembles, stats
 from spacinglab.stats import (
     chi_square,
-    ecdf,
     histogram,
-    kolmogorov_sf,
     ks_test,
     normalize,
 )
@@ -56,32 +54,6 @@ class TestNormalize:
             normalize([1.0, math.inf])
 
 
-class TestEcdf:
-    def test_step_values_and_right_continuity(self):
-        vals = np.array([1.0, 2.0, 2.0, 4.0])
-        assert ecdf(vals, 0.5) == 0.0
-        assert ecdf(vals, 1.0) == 0.25  # right-continuous: jump included at the point
-        assert ecdf(vals, 2.0) == 0.75
-        assert ecdf(vals, 4.0) == 1.0
-        assert ecdf(vals, 9.0) == 1.0
-
-    def test_nondecreasing(self):
-        rng = np.random.default_rng(2)
-        vals = rng.normal(size=300)
-        grid = np.linspace(-4, 4, 1001)
-        assert np.all(np.diff(ecdf(vals, grid)) >= 0.0)
-
-
-class TestKolmogorovSf:
-    def test_against_scipy_oracle(self):
-        for lam in np.concatenate([np.linspace(0.05, 0.99, 20), np.linspace(1.0, 4.0, 31)]):
-            assert abs(kolmogorov_sf(lam) - scipy_kolmogorov(lam)) < 1e-8
-
-    def test_limits(self):
-        assert kolmogorov_sf(0.0) == 1.0
-        assert kolmogorov_sf(10.0) < 1e-80
-
-
 class TestKsTest:
     def test_sample_from_own_curve(self):
         # inverse-CDF transform of 1e5 uniforms through the closed-form
@@ -92,6 +64,13 @@ class TestKsTest:
         assert res.d < 0.006
         assert res.n == 100_000
         assert 0.0 <= res.p_value <= 1.0
+
+    def test_p_value_is_asymptotic_kolmogorov(self):
+        # a sample far enough from the curve that p is neither 0 nor 1
+        raw = goe_quantile(np.random.default_rng(7).uniform(size=60)) ** 1.5
+        res = ks_test(normalize(raw), "GOE")
+        assert 1e-6 < res.p_value < 0.5
+        assert res.p_value == scipy_kolmogorov(math.sqrt(res.n) * res.d)
 
     def test_exact_quantile_points(self):
         n = 1000
