@@ -12,7 +12,7 @@ all normalized to unit mass and unit mean:
           B = 2 (sqrt2 - ln(1+sqrt2)) / (sqrt(pi) (sqrt2 - 1)),
           alpha = B^2 / (2 (sqrt2 - 1)),  beta = B^2/4,  gamma = B/sqrt2
 
-Constants are computed from the closed forms at import time, never
+Constants are computed from the closed forms on first use, never
 hard-coded from rounded decimals.  The GPOE density tends to 0 at x = 0
 (x K0 -> 0 despite K0's logarithmic divergence) with the slowest repulsion
 of the five: on small x the densities order as
@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sp
 
 from . import _checks
 
@@ -69,9 +68,12 @@ __all__ = [
 
 CURVE_ORDER = ("GOE", "GUE", "GSE", "GPOE", "GPUE")
 
-# Every cdf is 1 to double precision beyond this x (the slowest tail, GPOE's,
-# holds < 1e-19 mass past 10); capping x keeps beta x^2 finite for any input.
-_X_SAT = 40.0
+# Every pdf is 0 and every cdf 1 to double precision beyond this x (the
+# slowest tail, GPOE's, holds < 1e-19 mass past 10 and its pdf underflows past
+# 40.3); capping x keeps beta x^2 finite for any input, infinity included.
+_X_SAT = 50.0
+# Smallest normal double; below it iti0k0 can return NaN (see cdf)
+_TINY = np.finfo(float).tiny
 # Below this z the erf forms of P(3/2, z) and P(5/2, z) cancel; gammainc is
 # exact there but several times slower, so it only serves the small-z slice.
 _GAMMAINC_BELOW = 0.25
@@ -80,7 +82,7 @@ _GAMMAINC_BELOW = 0.25
 _GPUE_SERIES_BELOW = 0.5
 
 
-def _gpue_series() -> np.ndarray:
+def _gpue_series() -> list[float]:
     """a_k with GPUE cdf = (alpha / 2 beta) y^2 sum_k a_k y^k, y = gamma x.
 
     With gamma^2 = 2 beta, cdf = (alpha / 2 beta) int_0^y u h(u) du for
@@ -93,7 +95,7 @@ def _gpue_series() -> np.ndarray:
                 for k in ks]
     erfc = [-(-1.0) ** (k // 2) * 2.0 / (math.sqrt(math.pi) * math.factorial(k // 2) * k)
             if k % 2 else float(k == 0) for k in ks]
-    return np.convolve(exp_half, erfc)[:20] / np.arange(2.0, 22.0)
+    return (np.convolve(exp_half, erfc)[:20] / np.arange(2.0, 22.0)).tolist()
 
 
 _GPUE_SERIES = _gpue_series()
@@ -125,6 +127,8 @@ class CurveConstants:
 
 @lru_cache(maxsize=None)
 def constants(kind: str) -> CurveConstants:
+    import scipy.special as special
+
     kind = canonical_kind(kind)
     pi = math.pi
     if kind == "GOE":
@@ -135,8 +139,8 @@ def constants(kind: str) -> CurveConstants:
         return CurveConstants(alpha=2.0**18 / (3.0**6 * pi**3), beta=64.0 / (9.0 * pi))
     if kind == "GPOE":
         # gammaln is log|Gamma|; Gamma(-1/4) < 0, but its 4th power is positive
-        alpha = math.exp(4.0 * _sp.gammaln(-0.25)) / (32.0 * pi**3)
-        beta = 2.0 * math.exp(4.0 * _sp.gammaln(0.75)) / pi**2
+        alpha = math.exp(4.0 * special.gammaln(-0.25)) / (32.0 * pi**3)
+        beta = 2.0 * math.exp(4.0 * special.gammaln(0.75)) / pi**2
         return CurveConstants(alpha=alpha, beta=beta)
     # GPUE
     s2 = math.sqrt(2.0)
@@ -147,15 +151,18 @@ def constants(kind: str) -> CurveConstants:
 
 
 def _check_nonnegative(x: np.ndarray) -> None:
-    if not np.all(x >= 0.0):  # also rejects NaN
+    if not (x >= 0.0).all():  # also rejects NaN
         raise ValueError("spacing argument must be nonnegative, not NaN")
 
 
 def pdf(kind: str, x):
-    """Probability density of the curve at x >= 0 (scalar or array)."""
+    """Probability density of the curve at x >= 0 (scalar or array); 0 at infinity."""
+    import scipy.special as special
+
     kind = canonical_kind(kind)
     arr = np.asarray(x, dtype=float)
     _check_nonnegative(arr)
+    arr = np.minimum(arr, _X_SAT)
     c = constants(kind)
     if kind == "GOE":
         out = c.alpha * arr * np.exp(-c.beta * arr * arr)
@@ -167,7 +174,7 @@ def pdf(kind: str, x):
         out = _gpoe_pdf(np.atleast_1d(arr), c.alpha, c.beta).reshape(arr.shape)
     else:  # GPUE; erfcx form avoids exp overflow: e^{b x^2} erfc(g x)
         # = erfcx(g x) e^{(b - g^2) x^2} with g^2 = 2b
-        out = c.alpha * arr * _sp.erfcx(c.gamma * arr) * np.exp(
+        out = c.alpha * arr * special.erfcx(c.gamma * arr) * np.exp(
             (c.beta - c.gamma * c.gamma) * arr * arr
         )
     return float(out) if np.ndim(x) == 0 else out
@@ -175,10 +182,12 @@ def pdf(kind: str, x):
 
 def _gpoe_pdf(arr: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """alpha x K0(beta x^2) with the x -> 0 limit (value 0) built in."""
+    import scipy.special as special
+
     out = np.zeros(arr.shape)
     arg = beta * arr * arr
     body = arg > 0.0  # x small enough to underflow beta x^2 contributes ~0
-    out[body] = alpha * arr[body] * _sp.k0(arg[body])
+    out[body] = alpha * arr[body] * special.k0(arg[body])
     tiny = (~body) & (arr > 0.0)
     if np.any(tiny):
         # K0(z) ~ -ln(z/2) - euler_gamma for z -> 0+
@@ -197,6 +206,8 @@ def cdf(kind: str, x):
     of two floats a few ulps apart, the larger can come out lower by less
     than the accuracy stated in the module docstring.
     """
+    import scipy.special as special
+
     kind = canonical_kind(kind)
     arr = np.asarray(x, dtype=float)
     _check_nonnegative(arr)
@@ -210,26 +221,27 @@ def cdf(kind: str, x):
         tail = (2.0 / math.sqrt(math.pi)) * root * np.exp(-z)
         if kind == "GSE":
             tail *= 1.0 + 2.0 * z / 3.0
-        out = _sp.erf(root) - tail
+        out = special.erf(root) - tail
         small = z < _GAMMAINC_BELOW
-        out[small] = _sp.gammainc(1.5 if kind == "GUE" else 2.5, z[small])
+        out[small] = special.gammainc(1.5 if kind == "GUE" else 2.5, z[small])
     elif kind == "GPOE":
         # iti0k0 is NaN at the smallest subnormal; below the smallest normal z
         # the integral is under 1e-304, so it is taken as 0
-        z[z < np.finfo(float).tiny] = 0.0
-        out = c.alpha / (2.0 * c.beta) * _sp.iti0k0(z)[1]
+        z[z < _TINY] = 0.0
+        out = c.alpha / (2.0 * c.beta) * special.iti0k0(z)[1]
     else:  # GPUE, as a survival function: the direct form cancels in the tail
         scale = c.alpha / (2.0 * c.beta)
         y = c.gamma * xs
-        out = 1.0 - scale * (math.sqrt(2.0) * _sp.erfc(np.sqrt(z)) - _sp.erfcx(y) * np.exp(-z))
+        out = 1.0 - scale * (math.sqrt(2.0) * special.erfc(np.sqrt(z)) - special.erfcx(y) * np.exp(-z))
         small = y < _GPUE_SERIES_BELOW
         ys = y[small]
         series = np.full(ys.shape, _GPUE_SERIES[-1])
-        for a in _GPUE_SERIES[-2::-1]:  # Horner, in place
-            series *= ys
-            series += a
+        for a in _GPUE_SERIES[-2::-1]:  # Horner, in place; the ufunc calls beat *= and +=
+            np.multiply(series, ys, out=series)
+            np.add(series, a, out=series)
         out[small] = scale * ys * ys * series
-    out = np.clip(out, 0.0, 1.0)
+    np.maximum(out, 0.0, out=out)
+    np.minimum(out, 1.0, out=out)
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -239,6 +251,8 @@ def moment(kind: str, k: int) -> float:
     moment(kind, 0) == 1 and moment(kind, 1) == 1 for every kind (unit
     normalization and unit mean are built into the closed forms).
     """
+    import scipy.special as special
+
     kind = canonical_kind(kind)
     k = _checks.count(k, "moment order")
     if not (0 <= k <= 4):
@@ -249,7 +263,7 @@ def moment(kind: str, k: int) -> float:
     if kind == "GPUE":
         a = (k + 3) / 2
         return (c.alpha * c.gamma ** -(k + 2) * math.gamma(a) / (math.sqrt(math.pi) * (k + 2))
-                * float(_sp.hyp2f1(a, (k + 2) / 2, (k + 4) / 2, 0.5)))
+                * float(special.hyp2f1(a, (k + 2) / 2, (k + 4) / 2, 0.5)))
     m = k + {"GOE": 2, "GUE": 3, "GSE": 5}[kind]
     return c.alpha * math.gamma(m / 2) / (2.0 * c.beta ** (m / 2))
 

@@ -236,12 +236,15 @@ def _stream_rng(seed: int, stream_index: int) -> np.random.Generator:
 
 def _draw_block(kind: EnsembleKind, rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw ``count`` parameter rows (count, n_params) from one stream."""
-    return rng.normal(size=(count, kind.n_params)) * _param_stds(kind)
+    # standard_normal gives the bits of normal(0, 1), which computes 0 + 1 * z
+    block = rng.standard_normal(size=(count, kind.n_params))
+    block *= _param_stds(kind)
+    return block
 
 
-def _pad_params(kind: EnsembleKind, row: np.ndarray) -> np.ndarray:
+def _pad_params(row) -> np.ndarray:
     out = np.zeros(6)
-    out[: kind.n_params] = row
+    out[: len(row)] = row
     return out
 
 
@@ -254,7 +257,7 @@ def draw_params(kind: EnsembleKind, config: SamplerConfig, stream_index: int) ->
     the first row consumed by :func:`sample_spacings` for the same stream.
     """
     rng = _stream_rng(config.seed, stream_index)
-    return _pad_params(kind, _draw_block(kind, rng, 1)[0])
+    return _pad_params(_draw_block(kind, rng, 1)[0])
 
 
 def _active(kind: EnsembleKind, p: np.ndarray) -> np.ndarray:
@@ -271,10 +274,14 @@ def _active(kind: EnsembleKind, p: np.ndarray) -> np.ndarray:
 
 def _discriminants(kind: EnsembleKind, params: np.ndarray) -> np.ndarray:
     """Vectorized D = +-b^2 +- c^2 ... (added left to right); eigenvalues a +- sqrt(D)."""
-    sq = params * params
-    disc = 0.0
-    for sign, col in zip(_SIGNS[kind.tag], sq.T[1:]):
-        disc = disc + col if sign > 0 else disc - col
+    cols = params.T
+    disc = cols[1] * cols[1]  # every family's first generator is Hermitian: D starts at +b^2
+    for sign, col in zip(_SIGNS[kind.tag][1:], cols[2:]):
+        sq = col * col
+        if sign > 0:
+            disc += sq
+        else:
+            disc -= sq
     return disc
 
 
@@ -315,11 +322,18 @@ def _sample_block(
     while need > 0:
         batch = math.ceil((need + 4.0 * math.sqrt(need * (1.0 - p))) / p)
         disc = _discriminants(kind, _draw_block(kind, rng, batch))
-        ok = np.flatnonzero(disc >= 0.0)[:need]
-        pieces.append(2.0 * np.sqrt(disc[ok]))
-        raws += int(ok[-1]) + 1 if ok.size == need else batch
-        need -= ok.size
-    return np.concatenate(pieces), raws
+        if p == 1.0:  # every draw is real: no scan
+            accepted, used = disc, batch
+        else:
+            ok = np.flatnonzero(disc >= 0.0)[:need]
+            accepted = disc[ok]
+            used = int(ok[-1]) + 1 if ok.size == need else batch
+        np.sqrt(accepted, out=accepted)
+        accepted *= 2.0
+        pieces.append(accepted)
+        raws += used
+        need -= accepted.size
+    return np.concatenate(pieces) if len(pieces) > 1 else pieces[0], raws
 
 
 def _stream_plan(n_accepted: int) -> list[tuple[int, int]]:
@@ -388,22 +402,30 @@ def spectral_to_params(kind: EnsembleKind, sp: SpectralParams) -> np.ndarray:
         raise ValueError("spectral coordinates are defined for GPOE/GPUE only")
     half_s = sp.s / 2.0
     ch, sh = math.cosh(2.0 * sp.theta), math.sinh(2.0 * sp.theta)
-    phi = sp.phi if kind.n_params > 3 else 0.0  # GPOE has no (c, d) plane to split
-    row = [sp.t / 2.0, half_s * ch, -half_s * sh * math.cos(phi), half_s * sh * math.sin(phi)]
-    return _pad_params(kind, row[: kind.n_params])
+    if kind.n_params == 3:  # GPOE has no (c, d) plane to split
+        return _pad_params([sp.t / 2.0, half_s * ch, -half_s * sh])
+    return _pad_params(
+        [sp.t / 2.0, half_s * ch, -half_s * sh * math.cos(sp.phi), half_s * sh * math.sin(sp.phi)]
+    )
 
 
 def realize_matrix(kind: EnsembleKind, p) -> np.ndarray:
-    """Explicit complex matrix a 1 + sum_j p_j G_j (2x2; 4x4 for GSE), QH-dressed."""
+    """Explicit complex matrix a 1 + sum_j p_j G_j (2x2; 4x4 for GSE), QH-dressed.
+
+    Refuses parameters whose matrix entries overflow with a ValueError naming the kind.
+    """
     row = _active(kind, p)
     generators = _FAMILIES[kind.tag].generators
-    H = row[0] * np.eye(len(generators[0]), dtype=complex)
-    for coeff, g in zip(row[1:], generators):
-        H = H + coeff * g
-    if kind.kappa is not None:
-        eps = math.exp(-kind.kappa)
-        H[0, 1] /= eps
-        H[1, 0] *= eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = row[0] * np.eye(len(generators[0]), dtype=complex)
+        for coeff, g in zip(row[1:], generators):
+            H = H + coeff * g
+        if kind.kappa is not None:
+            eps = math.exp(-kind.kappa)
+            H[0, 1] /= eps
+            H[1, 0] *= eps
+    if not np.isfinite(H).all():
+        raise ValueError(f"{kind.tag} matrix overflows for parameters {row.tolist()}")
     return H
 
 

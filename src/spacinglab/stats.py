@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov as _kolmogorov
 
 from . import _checks, curves
 
@@ -44,19 +43,16 @@ class SpacingSample:
 
 def normalize(raw) -> SpacingSample:
     """Scale spacings to unit mean.  Rejects empty or all-zero input."""
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 1:
-        arr = arr.ravel()
+    arr = np.array(raw, dtype=float).ravel()  # a private copy
     if arr.size == 0:
         raise ValueError("cannot normalize an empty spacing list")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("spacings must be finite")
-    if np.any(arr < 0.0):
+    if not (arr.min() >= 0.0 and arr.max() < math.inf):  # False on NaN too
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("spacings must be finite")
         raise ValueError("spacings must be nonnegative")
-    mean = float(arr.mean())
+    mean = float(arr.sum()) / arr.size  # arr.mean()'s bits without its Python wrapper
     if mean <= 0.0:
         raise ValueError("cannot normalize: mean spacing is zero")
-    arr = arr.copy()
     arr.flags.writeable = False
     norm = arr / mean
     norm.flags.writeable = False
@@ -83,16 +79,17 @@ def ks_test(sample: SpacingSample, kind: str) -> KsResult:
     to a few ulps, under positive rescaling of the raw spacings, since
     normalization absorbs the scale up to the rounding of raw / mean.
     """
+    import scipy.special as special
+
     if len(sample) == 0:
         raise ValueError("ks_test requires a nonempty sample")
     xs = np.sort(sample.normalized)
     n = xs.size
-    F = np.atleast_1d(curves.cdf(kind, xs))
-    i = np.arange(1, n + 1, dtype=float)
-    d_plus = float(np.max(i / n - F))
-    d_minus = float(np.max(F - (i - 1.0) / n))
-    d = max(d_plus, d_minus)
-    return KsResult(d=d, n=n, p_value=float(_kolmogorov(math.sqrt(n) * d)))
+    F = curves.cdf(kind, xs)
+    steps = np.arange(n + 1.0)
+    np.divide(steps, n, out=steps)  # the ECDF steps i/n, i = 0..n, in one array
+    d = float(max((steps[1:] - F).max(), (F - steps[:-1]).max()))
+    return KsResult(d=d, n=n, p_value=float(special.kolmogorov(math.sqrt(n) * d)))
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ def chi_square(hist: Histogram, kind: str) -> ChiSquareResult:
     """
     if hist.n_total <= 0 or hist.counts.sum() <= 0:
         raise ValueError("chi_square requires a histogram with counts")
-    mass = np.diff(np.atleast_1d(curves.cdf(kind, hist.edges)))
+    mass = np.diff(curves.cdf(kind, hist.edges))
     expected = hist.n_total * mass
 
     groups: list[tuple[float, float]] = []

@@ -108,6 +108,14 @@ class TestPdf:
             with pytest.raises(ValueError):
                 pdf(kind, math.nan)
 
+    @pytest.mark.parametrize("kind", curves.CURVE_ORDER)
+    def test_zero_at_infinity_and_huge_x(self, kind):
+        # warnings are errors here: inf * exp(-inf) must not be evaluated
+        assert pdf(kind, math.inf) == 0.0
+        vals = pdf(kind, np.array([0.5, 60.0, 1e200, 1.7e308, math.inf]))
+        assert vals[0] > 0.0
+        assert vals[1:].tolist() == [0.0, 0.0, 0.0, 0.0]
+
     def test_gpoe_tiny_arguments_finite(self):
         vals = pdf("GPOE", np.array([0.0, 1e-300, 1e-12, 1e-6]))
         assert np.all(np.isfinite(vals)) and vals[0] == 0.0 and np.all(vals[1:] > 0.0)
@@ -235,13 +243,18 @@ def test_cdf_refuses_nan_and_negative(kind, xs, bad, where):
         cdf(kind, bad)
 
 
-@pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.integrate"])
-def test_import_skips_scipy_submodule(module):
+@pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.integrate", "scipy.special"])
+def test_import_skips_scipy_submodule(module, tmp_path):
+    # neither the import nor a `sample` run evaluates a curve or a p-value
     src = str(Path(spacinglab.__file__).resolve().parents[1])
-    code = f"import sys, spacinglab; print({module!r} in sys.modules)"
+    argv = ["sample", "--ensemble", "gpue", "--n", "100", "--seed", "1",
+            "--out", str(tmp_path / "s.csv")]
+    code = (f"import sys, spacinglab; print({module!r} in sys.modules, file=sys.stderr); "
+            f"from spacinglab import cli; cli.main({argv!r}); "
+            f"print({module!r} in sys.modules, file=sys.stderr)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stderr.split() == ["False", "False"]
 
 
 def test_gpoe_curve_does_not_load_specfun():

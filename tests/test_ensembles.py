@@ -199,7 +199,14 @@ class TestEigenvalues:
         (eigenvalues, GOE, [math.nan, 1.0, 1.0]),
         (eigenvalues, GUE, [0.0, 1e200, 1e200, 0.0]),  # b^2 overflows
         (pseudo_hermiticity_residual, GPUE, [0.0, math.nan, 1.0, 1.0]),
-    ], ids=["goe-inf", "goe-nan", "gue-overflow", "gpue-residual-nan"])
+        (realize_matrix, GOE, [1e308, 1e308, 0.0]),  # a + b overflows
+        (realize_matrix, qh3(100.0), [0.0, 1e300, 1e300]),  # b / eps overflows
+        (pseudo_hermiticity_residual, qh3(100.0), [0.0, 1e300, 1e300]),
+        (realize_matrix, qh4(100.0), [0.0, 0.0, 1e300, 1e300]),
+        (pseudo_hermiticity_residual, qh4(100.0), [0.0, 0.0, 1e300, 1e300]),
+    ], ids=["goe-inf", "goe-nan", "gue-overflow", "gpue-residual-nan", "goe-matrix-overflow",
+            "qh3-dressing-overflow", "qh3-residual-overflow", "qh4-dressing-overflow",
+            "qh4-residual-overflow"])
     def test_non_finite_input_refused(self, fn, kind, p):
         # one ValueError naming the kind, and no numpy warning (warnings are errors here)
         with pytest.raises(ValueError, match=kind.tag):

@@ -1,0 +1,89 @@
+"""Exact outputs of the sample -> KS path, the rejection rates, the Jacobian
+check, the verify table and the curves on a grid.
+
+Speed work on these paths must keep every bit, so the values are pinned as
+reprs and SHA-256 digests rather than within a tolerance.  They were recorded
+with numpy 2.4.6 and scipy 1.17.1 on x86-64; another numpy, scipy or libm may
+move last bits, and then they must be re-recorded from a version known to be
+right.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from spacinglab import curves, ensembles, stats, verify
+
+# ks_test(sample_spacings(GPUE, 1000, seed 7), curve): repr of (d, p)
+KS_GPUE_1000_SEED7 = {
+    "GOE": ("0.057760393985547664", "0.002530397059110506"),
+    "GUE": ("0.12186932135935197", "2.5155473455648156e-13"),
+    "GSE": ("0.1999464348183102", "3.7677267753906756e-35"),
+    "GPOE": ("0.035439406295669884", "0.16214088196784684"),
+    "GPUE": ("0.021774645984199315", "0.7301615010537205"),
+}
+ACCEPTANCE_100K_SEED42 = {"GPOE": 0.4969, "GPUE": 0.29431}
+JACOBIAN_SHA256 = {
+    "GPOE": "c2d8872c8b3bfe375d5e1da686f20157796f9b516b7b5028a1b382e50fc10f51",
+    "GPUE": "4fa70e222053862d72158a6e2eda88f260911cbd443bf88f2f8e3f4fe49782d0",
+}
+VERIFY_TABLE_SHA256 = "0071fbaa936d7d8498411ddc53495b855ae400f3c095609abea1c688d467591e"
+# pdf and cdf on linspace(0, 45, 9001)
+PDF_SHA256 = {
+    "GOE": "c8c95b229cd48037591bfa0190755406be6ad5748f65a5446a9f0cfed842febd",
+    "GUE": "0c63c4b4be2da9f209fb2819803dc80f5160a4e2b6a63437f41ff226fb8317e8",
+    "GSE": "6ec320a62ac5f03a701c1b4625636c95306b8de58eb7e625ae85e45736008ba3",
+    "GPOE": "f98d3ee64f1560f9c8fd9d8455c8b00f8df9d54c0af3e5694c436dbbc740f42d",
+    "GPUE": "935c6c88c3bc0517984ecfba8adf3723a90e6468cfbadb197010056a414484a0",
+}
+CDF_SHA256 = {
+    "GOE": "540a42a3019ae008e2ecb7309b4abdda91c79a4f84d56dcf841a09872111c299",
+    "GUE": "a1eb15bcfdc204a5903a8b8bb94fa89590a28eb4c1a42c7171fc5afd5c058ddd",
+    "GSE": "15f6f7aea5b57dd5b8c1ae1d5dda415e7ed3f45808073f04362a472eee50b40a",
+    "GPOE": "e87198a8614e2bba5420eb452f4d567c60a6916ba8248d569f62490b55851dfd",
+    "GPUE": "334275733b1a6544e489240d11553260168563798982acd726fafe16cb164e02",
+}
+GRID = np.linspace(0.0, 45.0, 9001)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def gpue_sample():
+    sample, rate = ensembles.sample_spacings(ensembles.GPUE, 1000, ensembles.SamplerConfig(seed=7))
+    assert rate == 1000 / 3500
+    return sample
+
+
+@pytest.mark.parametrize("curve", curves.CURVE_ORDER)
+def test_ks_d_and_p(gpue_sample, curve):
+    res = stats.ks_test(gpue_sample, curve)
+    assert type(res.d) is float and type(res.p_value) is float
+    assert (repr(res.d), repr(res.p_value)) == KS_GPUE_1000_SEED7[curve]
+
+
+@pytest.mark.parametrize("tag", ["GPOE", "GPUE"])
+def test_acceptance_rate(tag):
+    kind = ensembles.EnsembleKind(tag)
+    rate = ensembles.acceptance_rate(kind, 100_000, ensembles.SamplerConfig(seed=42))
+    assert rate == ACCEPTANCE_100K_SEED42[tag]
+
+
+@pytest.mark.parametrize("tag", ["GPOE", "GPUE"])
+def test_jacobian_ratios(tag):
+    ratios = verify.jacobian_ratios(ensembles.EnsembleKind(tag))
+    assert ratios.shape == (verify.JACOBIAN_POINTS,)
+    assert sha256(ratios.tobytes()) == JACOBIAN_SHA256[tag]
+
+
+def test_verify_table():
+    assert sha256(verify.format_table(verify.run_verification()).encode()) == VERIFY_TABLE_SHA256
+
+
+@pytest.mark.parametrize("curve", curves.CURVE_ORDER)
+def test_pdf_and_cdf_on_grid(curve):
+    assert sha256(curves.pdf(curve, GRID).tobytes()) == PDF_SHA256[curve]
+    assert sha256(curves.cdf(curve, GRID).tobytes()) == CDF_SHA256[curve]
