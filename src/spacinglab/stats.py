@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,16 +41,34 @@ class SpacingSample:
     def __len__(self) -> int:
         return self.raw.size
 
+    @cached_property
+    def sorted_normalized(self) -> np.ndarray:
+        """The normalized spacings in ascending order: sorted on first use, read-only,
+        and shared by every :func:`ks_test` on this sample."""
+        xs = np.sort(self.normalized)
+        xs.flags.writeable = False
+        return xs
+
+
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 def normalize(raw) -> SpacingSample:
-    """Scale spacings to unit mean.  Rejects empty or all-zero input."""
+    """Scale spacings to unit mean.  Rejects empty or all-zero input, and
+    finite spacings whose sum overflows a float."""
     arr = np.array(raw, dtype=float).ravel()  # a private copy
     if arr.size == 0:
         raise ValueError("cannot normalize an empty spacing list")
-    if not (arr.min() >= 0.0 and arr.max() < math.inf):  # False on NaN too
+    top = arr.max()
+    if not (arr.min() >= 0.0 and top < math.inf):  # False on NaN too
         if not np.all(np.isfinite(arr)):
             raise ValueError("spacings must be finite")
         raise ValueError("spacings must be nonnegative")
+    if top > _FLOAT_MAX / arr.size:  # only then can the sum overflow
+        with np.errstate(over="ignore"):
+            if arr.sum() == math.inf:
+                raise ValueError("cannot normalize: the sum of the spacings overflows a float; "
+                                 "rescale the spacings")
     mean = float(arr.sum()) / arr.size  # arr.mean()'s bits without its Python wrapper
     if mean <= 0.0:
         raise ValueError("cannot normalize: mean spacing is zero")
@@ -57,6 +76,20 @@ def normalize(raw) -> SpacingSample:
     norm = arr / mean
     norm.flags.writeable = False
     return SpacingSample(raw=arr, mean=mean, normalized=norm)
+
+
+# ks_test scans every point below _KS_BOUND_MIN points and bounds d block by
+# block from there on.  Five-curve KS on one sorted sample (2-core x86-64)
+# with 32-point blocks: the bounded search runs at half the full scan's speed
+# at 500 points, breaks even near 2500, and is 1.8x faster at 4096, 7x at 2e4
+# and 19x at 1e5; the cutoff leaves a margin above the break-even point.
+_KS_BOUND_MIN = 4096
+_KS_BLOCK = 32
+# A block is skipped only if its bound falls below the knots' D by more than
+# this.  curves.cdf is exact to 3e-11 (GPOE, the accuracy of iti0k0) and to
+# 2e-15 for the other curves, so it is nondecreasing to within 6e-11; 1e-9
+# covers that and the rounding of the bound many times over.
+_KS_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,26 +102,54 @@ class KsResult:
 def ks_test(sample: SpacingSample, kind: str) -> KsResult:
     """One-sample Kolmogorov-Smirnov test against an analytic curve.
 
-    d is the supremum over the sorted normalized spacings of the two-sided
-    step bounds |i/n - F(x_i)| and |F(x_i) - (i-1)/n|; the p-value is the
-    asymptotic Kolmogorov survival function at sqrt(n) d.  That law assumes
-    a curve fixed in advance, but the spacings are first scaled to unit
-    sample mean, which pulls them towards the curve (Lilliefors, 1967), so
+    d is the maximum over the sorted normalized spacings x_0 <= ... <= x_{n-1}
+    of the two-sided step bounds (j+1)/n - F(x_j) and F(x_j) - j/n; the
+    p-value is the asymptotic Kolmogorov survival function at sqrt(n) d.  That
+    law assumes a curve fixed in advance, but the spacings are first scaled to
+    unit sample mean, which pulls them towards the curve (Lilliefors, 1967), so
     p is conservative at every n: on samples drawn from the curve itself it
     falls below 0.05 far less often than 5 % of the time.  d is invariant,
     to a few ulps, under positive rescaling of the raw spacings, since
     normalization absorbs the scale up to the rounding of raw / mean.
+
+    Below ``_KS_BOUND_MIN`` points F is evaluated at every x_j.  From there on
+    it is evaluated first at the knots, every ``_KS_BLOCK``-th point and the
+    last one, whose exact step bounds give a lower bound on d.  Because F is
+    nondecreasing, every j strictly between knots a < b has
+    (j+1)/n - F_j <= b/n - F_a and F_j - j/n <= F_b - (a+1)/n; a second
+    evaluation covers the interior of each block whose bound, plus
+    ``_KS_SLACK``, reaches the lower bound.  The slack exceeds the amount by
+    which the computed F can fall between close points (see ``curves``), so
+    a skipped block cannot hold the maximum, and d has the same bits as the
+    full scan's.
     """
     import scipy.special as special
 
     if len(sample) == 0:
         raise ValueError("ks_test requires a nonempty sample")
-    xs = np.sort(sample.normalized)
+    xs = sample.sorted_normalized
     n = xs.size
-    F = curves.cdf(kind, xs)
-    steps = np.arange(n + 1.0)
-    np.divide(steps, n, out=steps)  # the ECDF steps i/n, i = 0..n, in one array
-    d = float(max((steps[1:] - F).max(), (F - steps[:-1]).max()))
+    if n < _KS_BOUND_MIN:
+        F = curves.cdf(kind, xs)
+        steps = np.arange(n + 1.0)
+        np.divide(steps, n, out=steps)  # the ECDF steps i/n, i = 0..n, in one array
+        d = max((steps[1:] - F).max(), (F - steps[:-1]).max())
+    else:
+        # the first and last points are knots, so cdf still refuses a negative
+        # minimum and a NaN, which sorts to the end
+        knots = np.append(np.arange(0, n - 1, _KS_BLOCK), n - 1)
+        F = curves.cdf(kind, xs[knots])
+        lo = knots / n
+        hi = (knots + 1) / n
+        d = max((hi - F).max(), (F - lo).max())
+        bound = np.maximum(lo[1:] - F[:-1], F[1:] - hi[:-1])
+        starts = knots[:-1][bound + _KS_SLACK >= d]
+        inner = (starts[:, None] + np.arange(1, _KS_BLOCK)).ravel()
+        inner = inner[inner < n - 1]  # the last block can be shorter
+        if inner.size:
+            F = curves.cdf(kind, xs[inner])
+            d = max(d, ((inner + 1) / n - F).max(), (F - inner / n).max())
+    d = float(d)
     return KsResult(d=d, n=n, p_value=float(special.kolmogorov(math.sqrt(n) * d)))
 
 

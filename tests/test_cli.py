@@ -219,6 +219,16 @@ class TestCompare:
         expected = max(curves.cdf("GOE", 1.0), 1.0 - curves.cdf("GOE", 1.0))
         assert abs(d - expected) < 1e-9
 
+    def test_overflowing_sum_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("raw_spacing\n1e308\n1e308\n")
+        assert run(["compare", "--spacings", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: cannot normalize: the sum of the spacings overflows")
+
     def test_missing_file_is_runtime_error(self, capsys):
         assert run(["compare", "--spacings", "/nonexistent.csv"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -23,6 +23,38 @@ KS_GPUE_1000_SEED7 = {
     "GPOE": ("0.035439406295669884", "0.16214088196784684"),
     "GPUE": ("0.021774645984199315", "0.7301615010537205"),
 }
+# ks_test(sample_spacings(GOE/GPOE, n, seed 7), curve) at n = 20 000 and 100 000,
+# sizes where ks_test bounds d block by block instead of scanning every point
+KS_LARGE_SEED7 = {
+    ("GOE", 20_000): {
+        "GOE": ("0.00527886150477247", "0.6329880257450706"),
+        "GUE": ("0.06758483041562963", "8.949364531571905e-80"),
+        "GSE": ("0.14394640178811985", "0.0"),
+        "GPOE": ("0.06664794393599482", "1.3692485768014728e-77"),
+        "GPUE": ("0.04176872113672242", "9.857597202471746e-31"),
+    },
+    ("GOE", 100_000): {
+        "GOE": ("0.002241900644359557", "0.696286981374646"),
+        "GUE": ("0.0677219201425246", "0.0"),
+        "GSE": ("0.14426747135144863", "0.0"),
+        "GPOE": ("0.06329972310832221", "0.0"),
+        "GPUE": ("0.03838452632158387", "2.1162949556789217e-128"),
+    },
+    ("GPOE", 20_000): {
+        "GOE": ("0.06136237439849046", "7.768861630509648e-66"),
+        "GUE": ("0.12837099428966958", "1.070361862038344e-286"),
+        "GSE": ("0.20574913660697008", "0.0"),
+        "GPOE": ("0.003862055573857992", "0.9266042698400293"),
+        "GPUE": ("0.024783221431854824", "4.277037606268413e-11"),
+    },
+    ("GPOE", 100_000): {
+        "GOE": ("0.06153897625107427", "0.0"),
+        "GUE": ("0.12962369916700478", "0.0"),
+        "GSE": ("0.20527786973514206", "0.0"),
+        "GPOE": ("0.002717107951621278", "0.4514136223825419"),
+        "GPUE": ("0.02610162495201579", "1.332028062807315e-59"),
+    },
+}
 ACCEPTANCE_100K_SEED42 = {"GPOE": 0.4969, "GPUE": 0.29431}
 JACOBIAN_SHA256 = {
     "GPOE": "c2d8872c8b3bfe375d5e1da686f20157796f9b516b7b5028a1b382e50fc10f51",
@@ -63,6 +95,15 @@ def test_ks_d_and_p(gpue_sample, curve):
     res = stats.ks_test(gpue_sample, curve)
     assert type(res.d) is float and type(res.p_value) is float
     assert (repr(res.d), repr(res.p_value)) == KS_GPUE_1000_SEED7[curve]
+
+
+@pytest.mark.parametrize("tag, n", list(KS_LARGE_SEED7))
+def test_ks_d_and_p_large_n(tag, n):
+    sample, _ = ensembles.sample_spacings(ensembles.EnsembleKind(tag), n,
+                                          ensembles.SamplerConfig(seed=7))
+    got = {c: (repr(r.d), repr(r.p_value))
+           for c in curves.CURVE_ORDER for r in [stats.ks_test(sample, c)]}
+    assert got == KS_LARGE_SEED7[tag, n]
 
 
 @pytest.mark.parametrize("tag", ["GPOE", "GPUE"])

@@ -22,6 +22,16 @@ def goe_quantile(q):
     return np.sqrt(-4.0 * np.log1p(-np.asarray(q)) / math.pi)
 
 
+def full_scan(sample, kind):
+    """KS d over every sorted point, and the index where it is reached."""
+    xs = np.sort(sample.normalized)
+    n = xs.size
+    F = curves.cdf(kind, xs)
+    steps = np.arange(n + 1.0) / n
+    gaps = np.maximum(steps[1:] - F, F - steps[:-1])
+    return float(gaps.max()), int(gaps.argmax())
+
+
 class TestNormalize:
     def test_constant_sample(self):
         s = normalize([2.0, 2.0, 2.0])
@@ -42,6 +52,16 @@ class TestNormalize:
         rng = np.random.default_rng(0)
         s = normalize(rng.exponential(5.0, size=10_001))
         assert abs(s.normalized.mean() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("raw", [[1e308, 1e308], [1e308, 0.0, 1e308], [2e307] * 10])
+    def test_overflowing_sum_refused(self, raw):
+        with pytest.raises(ValueError, match="sum of the spacings overflows a float; rescale"):
+            normalize(raw)
+
+    def test_largest_spacings_with_finite_sum_accepted(self):
+        s = normalize([1e308, 0.0, 5e307])
+        assert s.mean == 1.5e308 / 3
+        assert np.array_equal(s.normalized, np.array([1e308, 0.0, 5e307]) / s.mean)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -122,6 +142,94 @@ class TestKsTest:
             for s in range(400)
         )
         assert rejected <= 4
+
+
+def _sample(tag, n, seed=3):
+    kind = ensembles.EnsembleKind(tag, 0.5) if tag in ("QH3", "QH4") else ensembles.EnsembleKind(tag)
+    return ensembles.sample_spacings(kind, n, ensembles.SamplerConfig(seed=seed))[0]
+
+
+class TestKsBoundedSearch:
+    """From stats._KS_BOUND_MIN points on, ks_test evaluates the curve only at
+    block knots and in the blocks that may hold the maximum; d must keep every
+    bit of the full scan's."""
+
+    CUT = stats._KS_BOUND_MIN
+    BLOCK = stats._KS_BLOCK
+
+    def test_sorted_once_and_read_only(self):
+        s = _sample("GOE", 300)
+        xs = s.sorted_normalized
+        assert xs is s.sorted_normalized
+        assert np.array_equal(xs, np.sort(s.normalized))
+        assert not xs.flags.writeable
+
+    @pytest.mark.parametrize("n", [CUT - 1, CUT, CUT + 1, CUT + 2 * BLOCK + 7, 3 * CUT + 5])
+    @pytest.mark.parametrize("kind", curves.CURVE_ORDER)
+    def test_equals_full_scan_at_the_cutoff(self, n, kind):
+        sample = _sample("GPUE", n)
+        assert ks_test(sample, kind).d == full_scan(sample, kind)[0]
+
+    @pytest.mark.parametrize("tag", ensembles.ENSEMBLE_ORDER)
+    def test_equals_full_scan_every_ensemble_and_curve(self, tag):
+        sample = _sample(tag, 5000, seed=11)
+        for kind in curves.CURVE_ORDER:
+            res = ks_test(sample, kind)
+            assert res.d == full_scan(sample, kind)[0]
+            assert res.p_value == scipy_kolmogorov(math.sqrt(res.n) * res.d)
+
+    @pytest.mark.parametrize("decimals", [0, 1, 2])
+    def test_equals_full_scan_with_ties(self, decimals):
+        sample = normalize(np.round(_sample("GOE", 9000).raw, decimals))
+        assert np.unique(sample.normalized).size < 1000
+        for kind in curves.CURVE_ORDER:
+            assert ks_test(sample, kind).d == full_scan(sample, kind)[0]
+
+    @pytest.mark.parametrize("n", [CUT, CUT + 1, 10_000])
+    def test_constant_sample_takes_d_from_the_end_knots(self, n):
+        sample = normalize(np.full(n, 2.0))
+        for kind in curves.CURVE_ORDER:
+            d, at = full_scan(sample, kind)
+            assert at in (0, n - 1)
+            assert ks_test(sample, kind).d == d
+
+    def test_maximum_strictly_inside_a_block(self):
+        # GOE quantile points with a run of ties inside block 100: the ECDF
+        # jumps there and d is reached at the run's last point, not at a knot
+        n = 8192
+        q = (np.arange(n) + 0.5) / n
+        first = 100 * self.BLOCK + 5
+        q[first : first + 20] = q[first]
+        sample = normalize(goe_quantile(q))
+        d, at = full_scan(sample, "GOE")
+        assert at == first + 19 and at % self.BLOCK
+        assert d > 19.0 / n
+        assert ks_test(sample, "GOE").d == d
+
+    def test_evaluates_few_points(self, monkeypatch):
+        seen = []
+        cdf = curves.cdf
+
+        def counting_cdf(kind, x):
+            seen.append(np.size(x))
+            return cdf(kind, x)
+
+        monkeypatch.setattr(curves, "cdf", counting_cdf)
+        n = 100_000
+        ks_test(_sample("GOE", n), "GOE")
+        assert len(seen) == 2
+        assert sum(seen) < n // 10
+
+    @pytest.mark.parametrize("kind", curves.CURVE_ORDER)
+    def test_cdf_drop_between_close_floats_within_half_the_slack(self, kind):
+        # a skipped block is safe only if F, evaluated on nearby floats, never
+        # falls by more than the slack; runs of 600 consecutive floats (as
+        # np.nextafter steps them) around log-spaced centres in [1e-6, 8]
+        centres = np.geomspace(1e-6, 8.0, 202)
+        xs = (centres.view(np.int64)[:, None] + np.arange(600)).view(np.float64)
+        F = curves.cdf(kind, xs.ravel()).reshape(xs.shape)
+        assert np.array_equal(xs[:, 1], np.nextafter(xs[:, 0], math.inf))
+        assert float(np.max(F[:, :-1] - F[:, 1:])) < stats._KS_SLACK / 2
 
 
 class TestHistogram:
