@@ -18,7 +18,6 @@ from .ensembles import (
     SamplerConfig,
     SpectralParams,
     acceptance_rate,
-    draw_params,
     eigenvalues,
     qh3,
     qh4,
@@ -67,7 +66,6 @@ __all__ = [
     "GPUE",
     "qh3",
     "qh4",
-    "draw_params",
     "eigenvalues",
     "sample_spacings",
     "acceptance_rate",

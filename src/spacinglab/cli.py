@@ -90,8 +90,8 @@ def _cmd_curve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     if args.points < 2:
         parser.error("--points: must be at least 2")
     xs = np.linspace(0.0, args.xmax, args.points)
-    ps = np.atleast_1d(curves.pdf(args.curve, xs))
-    cs = np.atleast_1d(curves.cdf(args.curve, xs))
+    ps = curves.pdf(args.curve, xs)
+    cs = curves.cdf(args.curve, xs)
     _write_csv(args.out, "x,pdf,cdf", xs, ps, cs)
     return 0
 

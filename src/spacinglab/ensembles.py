@@ -38,6 +38,11 @@ i sigma_y), which anticommute with the metric eta = sigma_z: H is then
 pseudo-Hermitian, eta H eta^-1 = H^dagger, and those terms enter D with a
 minus sign.  QH3/QH4 dress the off-diagonal: H[0,1] / eps, H[1,0] * eps.
 
+A parameter vector is (a, b, c, ...) in the order of the table, with exactly
+``kind.n_params`` entries: :func:`eigenvalues`, :func:`realize_matrix` and
+:func:`pseudo_hermiticity_residual` refuse any other length, and any
+non-finite entry, with a ValueError naming the kind.
+
 ``_FAMILIES`` is where a family is described: its generators, the first
 parameter kappa shrinks, the exact probability of real eigenvalues (1/2 for
 GPOE, 1 - 1/sqrt2 for GPUE's cone) and the reference curve; everything else
@@ -75,7 +80,6 @@ __all__ = [
     "GPUE",
     "qh3",
     "qh4",
-    "draw_params",
     "eigenvalues",
     "sample_spacings",
     "acceptance_rate",
@@ -215,7 +219,9 @@ class SpectralParams:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.s >= 0.0):
+        if not all(map(math.isfinite, (self.t, self.s, self.theta, self.phi))):
+            raise ValueError(f"SpectralParams requires finite t, s, theta and phi, got {self}")
+        if self.s < 0.0:
             raise ValueError("SpectralParams requires s >= 0")
 
 
@@ -242,31 +248,10 @@ def _draw_block(kind: EnsembleKind, rng: np.random.Generator, count: int) -> np.
     return block
 
 
-def _pad_params(row) -> np.ndarray:
-    out = np.zeros(6)
-    out[: len(row)] = row
-    return out
-
-
-def draw_params(kind: EnsembleKind, config: SamplerConfig, stream_index: int) -> np.ndarray:
-    """First parameter vector of the given stream, padded to length 6.
-
-    Unused trailing entries are exactly zero; the active ones are N(0, 1/2),
-    shrunk by kappa as in the module docstring.  Deterministic: the result is
-    a pure function of (kind, config.seed, stream_index), and coincides with
-    the first row consumed by :func:`sample_spacings` for the same stream.
-    """
-    rng = _stream_rng(config.seed, stream_index)
-    return _pad_params(_draw_block(kind, rng, 1)[0])
-
-
 def _active(kind: EnsembleKind, p: np.ndarray) -> np.ndarray:
     arr = np.asarray(p, dtype=float).ravel()
-    if arr.size < kind.n_params:
-        raise ValueError(
-            f"{kind.tag} needs {kind.n_params} parameters, got {arr.size}"
-        )
-    arr = arr[: kind.n_params]
+    if arr.size != kind.n_params:
+        raise ValueError(f"{kind.tag} needs exactly {kind.n_params} parameters, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{kind.tag} parameters must be finite, got {arr.tolist()}")
     return arr
@@ -288,6 +273,7 @@ def _discriminants(kind: EnsembleKind, params: np.ndarray) -> np.ndarray:
 def eigenvalues(kind: EnsembleKind, p) -> tuple[float, float] | None:
     """Closed-form eigenvalues (e1, e2) with e1 >= e2, or None outside the real sector.
 
+    ``p`` holds the kind's ``n_params`` parameters (a, b, c, ...).
     The reality predicate for GPOE/GPUE is exact (b^2 >= c^2 [+ d^2], no
     tolerance).  GSE's doubly degenerate 4x4 spectrum is reported as its
     two distinct values.  Only real eigenvalues define a spacing, e1 - e2.
@@ -391,28 +377,36 @@ def acceptance_rate(kind: EnsembleKind, n_raw: int, config: SamplerConfig) -> fl
 
 
 def spectral_to_params(kind: EnsembleKind, sp: SpectralParams) -> np.ndarray:
-    """Map spectral coordinates back to matrix parameters (padded to 6).
+    """Map spectral coordinates back to the kind's ``n_params`` matrix parameters.
 
     GPOE: a = t/2, b = (s/2) cosh 2theta, c = -(s/2) sinh 2theta.
     GPUE additionally splits the (c, d) plane by phi:
     c = -(s/2) sinh 2theta cos phi, d = (s/2) sinh 2theta sin phi.
     Round trip: eigenvalues(kind, result) == ((t+s)/2, (t-s)/2).
+    Refuses coordinates whose parameters overflow with a ValueError naming the kind.
     """
     if not kind.has_rejection:
         raise ValueError("spectral coordinates are defined for GPOE/GPUE only")
     half_s = sp.s / 2.0
-    ch, sh = math.cosh(2.0 * sp.theta), math.sinh(2.0 * sp.theta)
+    try:
+        ch, sh = math.cosh(2.0 * sp.theta), math.sinh(2.0 * sp.theta)
+    except OverflowError:  # |2 theta| above about 710; b is then inf or nan, refused below
+        ch = sh = math.inf
     if kind.n_params == 3:  # GPOE has no (c, d) plane to split
-        return _pad_params([sp.t / 2.0, half_s * ch, -half_s * sh])
-    return _pad_params(
-        [sp.t / 2.0, half_s * ch, -half_s * sh * math.cos(sp.phi), half_s * sh * math.sin(sp.phi)]
-    )
+        params = [sp.t / 2.0, half_s * ch, -half_s * sh]
+    else:
+        params = [sp.t / 2.0, half_s * ch, -half_s * sh * math.cos(sp.phi),
+                  half_s * sh * math.sin(sp.phi)]
+    if not all(map(math.isfinite, params)):
+        raise ValueError(f"{kind.tag} parameters overflow for {sp}")
+    return np.array(params)
 
 
 def realize_matrix(kind: EnsembleKind, p) -> np.ndarray:
     """Explicit complex matrix a 1 + sum_j p_j G_j (2x2; 4x4 for GSE), QH-dressed.
 
-    Refuses parameters whose matrix entries overflow with a ValueError naming the kind.
+    ``p`` holds the kind's ``n_params`` parameters.  Refuses parameters whose
+    matrix entries overflow with a ValueError naming the kind.
     """
     row = _active(kind, p)
     generators = _FAMILIES[kind.tag].generators

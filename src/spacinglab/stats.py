@@ -175,6 +175,8 @@ def histogram(sample: SpacingSample, bins: int, value_range: tuple[float, float]
     lo, hi = float(value_range[0]), float(value_range[1])
     if not -np.inf < lo < hi < np.inf:
         raise ValueError("histogram range must be finite with lo < hi")
+    if hi - lo == math.inf:
+        raise ValueError("histogram range width hi - lo overflows a float")
     x = sample.normalized
     edges = np.linspace(lo, hi, bins + 1)
     idx = np.searchsorted(edges, x, side="right") - 1

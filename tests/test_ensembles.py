@@ -18,7 +18,6 @@ from spacinglab.ensembles import (
     SamplerConfig,
     SpectralParams,
     acceptance_rate,
-    draw_params,
     eigenvalues,
     matrix_metric_residual,
     metric,
@@ -31,6 +30,11 @@ from spacinglab.ensembles import (
 )
 
 ALL_KINDS = [GOE, GUE, GSE, GPOE, GPUE, qh3(0.35), qh4(1.2)]
+
+
+def first_row(kind, seed, stream_index):
+    """First parameter vector the sampler's stream ``stream_index`` consumes."""
+    return ensembles._draw_block(kind, ensembles._stream_rng(seed, stream_index), 1)[0]
 
 
 class TestKinds:
@@ -179,10 +183,8 @@ class TestEigenvalues:
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
     def test_closed_form_matches_numeric_eigensolve(self, kind):
-        rng = np.random.default_rng(11)
-        cfg = SamplerConfig(seed=11)
         for i in range(25):
-            p = draw_params(kind, cfg, i)
+            p = first_row(kind, 11, i)
             out = eigenvalues(kind, p)
             H = realize_matrix(kind, p)
             if out is None:
@@ -212,6 +214,17 @@ class TestEigenvalues:
         with pytest.raises(ValueError, match=kind.tag):
             fn(kind, p)
 
+    @pytest.mark.parametrize("fn", [eigenvalues, realize_matrix, pseudo_hermiticity_residual],
+                             ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+    def test_wrong_length_refused(self, fn, kind):
+        # a vector is exactly n_params long; a short one, a long one (which used to lose
+        # its tail without a word) and the six entries GSE takes are all refused
+        values = [0.0, 3.0, 4.0, 100.0, -2.0, 0.5, 7.0]
+        for size in sorted({0, kind.n_params - 1, kind.n_params + 1, 6} - {kind.n_params}):
+            with pytest.raises(ValueError, match=f"{kind.tag} needs exactly {kind.n_params}"):
+                fn(kind, values[:size])
+
     def test_gse_numeric_degeneracy(self):
         p = [0.3, 0.5, -0.2, 0.9, 0.1, -0.4]
         evals = np.linalg.eigvalsh(realize_matrix(GSE, p))
@@ -219,29 +232,13 @@ class TestEigenvalues:
 
 
 class TestDrawParams:
-    def test_padded_to_six(self):
-        p = draw_params(GOE, SamplerConfig(seed=3), 0)
-        assert p.shape == (6,)
-        assert np.all(p[3:] == 0.0)
-
     def test_qh3_at_kappa_zero_matches_goe_law(self):
-        cfg = SamplerConfig(seed=99)
         for i in range(5):
-            assert np.array_equal(draw_params(qh3(0.0), cfg, i), draw_params(GOE, cfg, i))
+            assert np.array_equal(first_row(qh3(0.0), 99, i), first_row(GOE, 99, i))
 
     def test_qh4_at_kappa_zero_matches_gue_law(self):
-        cfg = SamplerConfig(seed=99)
         for i in range(5):
-            assert np.array_equal(draw_params(qh4(0.0), cfg, i), draw_params(GUE, cfg, i))
-
-    def test_matches_first_row_of_stream(self):
-        # documented: draw_params(kind, cfg, i) is the first parameter vector
-        # consumed by the sampler's stream i
-        cfg = SamplerConfig(seed=31)
-        for kind in (GUE, GPUE):
-            rng = ensembles._stream_rng(cfg.seed, 2)
-            block = ensembles._draw_block(kind, rng, 500)
-            assert np.array_equal(draw_params(kind, cfg, 2)[: kind.n_params], block[0])
+            assert np.array_equal(first_row(qh4(0.0), 99, i), first_row(GUE, 99, i))
 
     def test_gpoe_variances(self):
         # active parameters are N(0, 1/2); 1e6 draws, 1% tolerance
@@ -359,13 +356,13 @@ class TestAcceptanceRate:
 class TestSpectralMap:
     def test_gpoe_identity_point(self):
         p = spectral_to_params(GPOE, SpectralParams(t=0.0, s=2.0, theta=0.0))
-        assert np.allclose(p[:3], [0.0, 1.0, 0.0], atol=0.0)
+        assert np.allclose(p, [0.0, 1.0, 0.0], atol=0.0)
         assert eigenvalues(GPOE, p) == (1.0, -1.0)
 
     def test_gpue_identity_point(self):
         for phi in (0.0, 1.3, 5.0):
             p = spectral_to_params(GPUE, SpectralParams(t=0.0, s=2.0, theta=0.0, phi=phi))
-            assert np.allclose(p[:4], [0.0, 1.0, 0.0, 0.0], atol=1e-16)
+            assert np.allclose(p, [0.0, 1.0, 0.0, 0.0], atol=1e-16)
 
     def test_gpoe_hyperbolic_point(self):
         p = spectral_to_params(GPOE, SpectralParams(t=2.0, s=2.0, theta=0.5))
@@ -387,6 +384,33 @@ class TestSpectralMap:
             e1, e2 = eigenvalues(kind, spectral_to_params(kind, sp))
             assert abs(e1 - (sp.t + sp.s) / 2.0) < 1e-12
             assert abs(e2 - (sp.t - sp.s) / 2.0) < 1e-12
+
+    @pytest.mark.parametrize("kind,shape", [(GPOE, (3,)), (GPUE, (4,))], ids=["GPOE", "GPUE"])
+    def test_returns_n_params_entries(self, kind, shape):
+        p = spectral_to_params(kind, SpectralParams(t=0.5, s=1.5, theta=0.3, phi=1.0))
+        assert p.shape == shape == (kind.n_params,)
+
+    @pytest.mark.parametrize("field", ["t", "s", "theta", "phi"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coordinates_refused(self, field, value):
+        coords = {"t": 0.0, "s": 1.0, "theta": 0.0, "phi": 0.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            SpectralParams(**coords)
+
+    @pytest.mark.parametrize("kind", [GPOE, GPUE], ids=str)
+    @pytest.mark.parametrize("s,theta", [
+        (1.0, 400.0), (1.0, -400.0), (0.0, 400.0),  # cosh/sinh(2 theta) overflow
+        (1e308, 1.0),  # (s/2) cosh 2theta overflows
+    ])
+    def test_overflowing_parameters_refused(self, kind, s, theta):
+        # one ValueError naming the kind, not OverflowError or an inf/NaN entry
+        with pytest.raises(ValueError, match=f"{kind.tag} parameters overflow"):
+            spectral_to_params(kind, SpectralParams(t=0.0, s=s, theta=theta, phi=0.7))
+
+    def test_largest_theta_accepted(self):
+        # cosh(710) is still finite
+        p = spectral_to_params(GPOE, SpectralParams(t=0.0, s=1e-300, theta=355.0))
+        assert np.all(np.isfinite(p))
 
     def test_rejects_hermitian_kinds(self):
         with pytest.raises(ValueError):
@@ -413,12 +437,12 @@ class TestRealizeMatrix:
             H, np.array([[a + b, c + 1j * d], [c - 1j * d, a - b]])
         )
 
-    # one fixed vector per family; the expected entries are the written-out
-    # per-family matrices, independent of the generator table
+    # one fixed vector, cut to each family's n_params; the expected entries are the
+    # written-out per-family matrices, independent of the generator table
     P = [0.5, -1.25, 2.0, 0.75, -0.375, 1.5]
 
     def test_goe_entries(self):
-        assert np.array_equal(realize_matrix(GOE, self.P), [[-0.75, 2.0], [2.0, 1.75]])
+        assert np.array_equal(realize_matrix(GOE, self.P[:3]), [[-0.75, 2.0], [2.0, 1.75]])
 
     def test_gse_entries(self):
         expected = [
@@ -431,14 +455,14 @@ class TestRealizeMatrix:
 
     def test_gpue_entries(self):
         expected = [[-0.75, 0.75 + 2j], [-0.75 + 2j, 1.75]]
-        assert np.array_equal(realize_matrix(GPUE, self.P), expected)
+        assert np.array_equal(realize_matrix(GPUE, self.P[:4]), expected)
 
     def test_qh3_entries_at_kappa_half(self):
         expected = [
             [0.5, -2.0609015883751605 + 3.2974425414002564j],
             [-0.7581633246407917 - 1.2130613194252668j, 0.5],
         ]
-        assert np.array_equal(realize_matrix(qh3(0.5), self.P), expected)
+        assert np.array_equal(realize_matrix(qh3(0.5), self.P[:3]), expected)
 
     def test_qh4_entries_at_kappa_ln2(self):
         H = realize_matrix(qh4(math.log(2.0)), [0.0, 0.0, 3.0, 4.0])
@@ -494,9 +518,8 @@ class TestResiduals:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
     def test_pseudo_residual_vanishes(self, kind):
         # GOE, GUE and GSE are the eta = 1 case: H = H^dagger exactly
-        cfg = SamplerConfig(seed=6)
         for i in range(10):
-            p = draw_params(kind, cfg, i)
+            p = first_row(kind, 6, i)
             res = pseudo_hermiticity_residual(kind, p)
             if kind in (GOE, GUE, GSE):
                 assert res == 0.0

@@ -278,6 +278,8 @@ class TestHistogram:
         for bad in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
             with pytest.raises(ValueError, match="finite"):
                 histogram(s, bins=10, value_range=bad)
+        with pytest.raises(ValueError, match="overflows"):
+            histogram(s, bins=3, value_range=(-1e308, 1e308))
 
 
 class TestChiSquare:
