@@ -35,16 +35,7 @@ from .ingest import (
     serialize_levels,
     unfold,
 )
-from .stats import (
-    ChiSquareResult,
-    Histogram,
-    KsResult,
-    SpacingSample,
-    chi_square,
-    histogram,
-    ks_test,
-    normalize,
-)
+from .stats import KsResult, SpacingSample, ks_test, normalize
 
 __version__ = "0.1.0"
 
@@ -83,9 +74,5 @@ __all__ = [
     "normalize",
     "KsResult",
     "ks_test",
-    "Histogram",
-    "histogram",
-    "ChiSquareResult",
-    "chi_square",
     "__version__",
 ]

@@ -248,8 +248,16 @@ def _draw_block(kind: EnsembleKind, rng: np.random.Generator, count: int) -> np.
     return block
 
 
-def _active(kind: EnsembleKind, p: np.ndarray) -> np.ndarray:
-    arr = np.asarray(p, dtype=float).ravel()
+def _active(kind: EnsembleKind, p) -> np.ndarray:
+    if p is None:
+        raise ValueError(f"{kind.tag} got no parameter vector")
+    arr = np.asarray(p)
+    try:
+        if arr.dtype.kind not in "biufO":  # complex, text or dates
+            raise TypeError
+        arr = arr.astype(float, copy=False).ravel()
+    except (TypeError, ValueError):  # or an object entry float() refuses, such as 1j
+        raise ValueError(f"{kind.tag} parameters must be real numbers, got {p!r}") from None
     if arr.size != kind.n_params:
         raise ValueError(f"{kind.tag} needs exactly {kind.n_params} parameters, got {arr.size}")
     if not np.all(np.isfinite(arr)):

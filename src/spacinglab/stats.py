@@ -1,8 +1,8 @@
-"""Spacing post-processing and goodness-of-fit statistics.
+"""Spacing post-processing and the goodness-of-fit test.
 
-Unit-mean normalization of raw spacings, density histograms, the one-sample
-Kolmogorov-Smirnov test against the analytic curves, and a chi-square test
-on binned counts.  All functions are pure and operate on immutable inputs.
+Unit-mean normalization of raw spacings and the one-sample
+Kolmogorov-Smirnov test against the analytic curves.  All functions are
+pure and operate on immutable inputs.
 """
 
 from __future__ import annotations
@@ -13,17 +13,13 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _checks, curves
+from . import curves
 
 __all__ = [
     "SpacingSample",
     "normalize",
     "KsResult",
     "ks_test",
-    "Histogram",
-    "histogram",
-    "ChiSquareResult",
-    "chi_square",
 ]
 
 
@@ -152,90 +148,3 @@ def ks_test(sample: SpacingSample, kind: str) -> KsResult:
     d = float(d)
     return KsResult(d=d, n=n, p_value=float(special.kolmogorov(math.sqrt(n) * d)))
 
-
-@dataclass(frozen=True)
-class Histogram:
-    """Equal-width binned counts with density = count / (n_total * width).
-
-    ``sum(density * width)`` equals the in-range fraction of the sample;
-    samples falling outside [edges[0], edges[-1]) are tallied separately in
-    ``out_of_range``.
-    """
-
-    edges: np.ndarray
-    counts: np.ndarray
-    density: np.ndarray
-    n_total: int
-    out_of_range: int
-
-
-def histogram(sample: SpacingSample, bins: int, value_range: tuple[float, float]) -> Histogram:
-    """Histogram of the normalized spacings on [lo, hi) with equal-width bins."""
-    bins = _checks.count(bins, "bins", 1)
-    lo, hi = float(value_range[0]), float(value_range[1])
-    if not -np.inf < lo < hi < np.inf:
-        raise ValueError("histogram range must be finite with lo < hi")
-    if hi - lo == math.inf:
-        raise ValueError("histogram range width hi - lo overflows a float")
-    x = sample.normalized
-    edges = np.linspace(lo, hi, bins + 1)
-    idx = np.searchsorted(edges, x, side="right") - 1
-    in_range = (idx >= 0) & (idx < bins) & (x < hi)
-    counts = np.bincount(idx[in_range], minlength=bins)
-    width = (hi - lo) / bins
-    n_total = x.size
-    density = counts / (n_total * width)
-    return Histogram(
-        edges=edges,
-        counts=counts,
-        density=density,
-        n_total=n_total,
-        out_of_range=int(n_total - counts.sum()),
-    )
-
-
-# smallest expected count of a chi-square group; a group expecting fewer takes in the next bin
-MIN_EXPECTED = 5.0
-
-
-@dataclass(frozen=True)
-class ChiSquareResult:
-    statistic: float
-    dof: int
-    merged_bins: int
-
-
-def chi_square(hist: Histogram, kind: str) -> ChiSquareResult:
-    """Chi-square statistic of binned counts against an analytic curve.
-
-    Expected counts are n_total times the curve mass in each bin.  Bins
-    whose expectation falls below ``MIN_EXPECTED`` are merged rightward
-    (a trailing underfull group is folded into its left neighbour); the
-    statistic is sum (obs - exp)^2 / exp over the merged groups and
-    dof = merged groups - 1.
-    """
-    if hist.n_total <= 0 or hist.counts.sum() <= 0:
-        raise ValueError("chi_square requires a histogram with counts")
-    mass = np.diff(curves.cdf(kind, hist.edges))
-    expected = hist.n_total * mass
-
-    groups: list[tuple[float, float]] = []
-    obs_acc = 0.0
-    exp_acc = 0.0
-    for o, e in zip(hist.counts, expected):
-        obs_acc += float(o)
-        exp_acc += float(e)
-        if exp_acc >= MIN_EXPECTED:
-            groups.append((obs_acc, exp_acc))
-            obs_acc = 0.0
-            exp_acc = 0.0
-    if exp_acc > 0.0 or obs_acc > 0.0:
-        if groups:
-            last_o, last_e = groups[-1]
-            groups[-1] = (last_o + obs_acc, last_e + exp_acc)
-        else:
-            groups.append((obs_acc, exp_acc))
-    if len(groups) < 2:
-        raise ValueError("fewer than 2 bins remain after merging; widen the histogram")
-    stat = sum((o - e) ** 2 / e for o, e in groups)
-    return ChiSquareResult(statistic=float(stat), dof=len(groups) - 1, merged_bins=len(groups))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spacinglab import ensembles, verify
+from spacinglab import curves, ensembles, verify
 from spacinglab.ensembles import (
     GOE,
     GPOE,
@@ -196,22 +196,34 @@ class TestEigenvalues:
             expected = np.repeat([e2, e1], len(H) // 2)
             assert np.max(np.abs(numeric - expected)) < 1e-10
 
-    @pytest.mark.parametrize("fn,kind,p", [
-        (eigenvalues, GOE, [math.inf, 1.0, 1.0]),
-        (eigenvalues, GOE, [math.nan, 1.0, 1.0]),
-        (eigenvalues, GUE, [0.0, 1e200, 1e200, 0.0]),  # b^2 overflows
-        (pseudo_hermiticity_residual, GPUE, [0.0, math.nan, 1.0, 1.0]),
-        (realize_matrix, GOE, [1e308, 1e308, 0.0]),  # a + b overflows
-        (realize_matrix, qh3(100.0), [0.0, 1e300, 1e300]),  # b / eps overflows
-        (pseudo_hermiticity_residual, qh3(100.0), [0.0, 1e300, 1e300]),
-        (realize_matrix, qh4(100.0), [0.0, 0.0, 1e300, 1e300]),
-        (pseudo_hermiticity_residual, qh4(100.0), [0.0, 0.0, 1e300, 1e300]),
+    @pytest.mark.parametrize("fn,kind,p,why", [
+        (eigenvalues, GOE, [math.inf, 1.0, 1.0], "parameters must be finite"),
+        (eigenvalues, GOE, [math.nan, 1.0, 1.0], "parameters must be finite"),
+        (eigenvalues, GUE, [0.0, 1e200, 1e200, 0.0], "discriminant overflows"),  # b^2 overflows
+        (pseudo_hermiticity_residual, GPUE, [0.0, math.nan, 1.0, 1.0], "parameters must be finite"),
+        (realize_matrix, GOE, [1e308, 1e308, 0.0], "matrix overflows"),  # a + b overflows
+        (realize_matrix, qh3(100.0), [0.0, 1e300, 1e300], "matrix overflows"),  # b / eps overflows
+        (pseudo_hermiticity_residual, qh3(100.0), [0.0, 1e300, 1e300], "matrix overflows"),
+        (realize_matrix, qh4(100.0), [0.0, 0.0, 1e300, 1e300], "matrix overflows"),
+        (pseudo_hermiticity_residual, qh4(100.0), [0.0, 0.0, 1e300, 1e300], "matrix overflows"),
+        (eigenvalues, GOE, None, "got no parameter vector"),  # not a 0-d NaN of size 1
+        (realize_matrix, GOE, None, "got no parameter vector"),
+        (pseudo_hermiticity_residual, GPOE, None, "got no parameter vector"),
+        (eigenvalues, GOE, [1j, 2.0, 3.0], "parameters must be real numbers"),
+        (realize_matrix, GUE, [0.0, 1j, 2.0, 3.0], "parameters must be real numbers"),
+        (pseudo_hermiticity_residual, GPUE, [0.0, 1.0, 2.0, 1j], "parameters must be real numbers"),
+        (eigenvalues, GOE, ["a", 1.0, 2.0], "parameters must be real numbers"),
+        (realize_matrix, qh3(0.5), ["a", 1.0, 2.0], "parameters must be real numbers"),
+        (pseudo_hermiticity_residual, GPOE, [0.0, "a", 1.0], "parameters must be real numbers"),
     ], ids=["goe-inf", "goe-nan", "gue-overflow", "gpue-residual-nan", "goe-matrix-overflow",
             "qh3-dressing-overflow", "qh3-residual-overflow", "qh4-dressing-overflow",
-            "qh4-residual-overflow"])
-    def test_non_finite_input_refused(self, fn, kind, p):
-        # one ValueError naming the kind, and no numpy warning (warnings are errors here)
-        with pytest.raises(ValueError, match=kind.tag):
+            "qh4-residual-overflow", "goe-none", "goe-matrix-none", "gpoe-residual-none",
+            "goe-complex", "gue-matrix-complex", "gpue-residual-complex", "goe-string",
+            "qh3-matrix-string", "gpoe-residual-string"])
+    def test_non_finite_input_refused(self, fn, kind, p, why):
+        # one ValueError naming the kind and the fault, and no numpy warning (warnings
+        # are errors here)
+        with pytest.raises(ValueError, match=f"^{kind.tag} {why}"):
             fn(kind, p)
 
     @pytest.mark.parametrize("fn", [eigenvalues, realize_matrix, pseudo_hermiticity_residual],
@@ -288,6 +300,13 @@ class TestSampleSpacings:
         b, rb = sample_spacings(GPOE, 50_000, SamplerConfig(seed=8, workers=4))
         assert np.array_equal(a.raw, b.raw)
         assert ra == rb
+
+    def test_mc_density_tracks_curve(self):
+        sample, _ = sample_spacings(GOE, 1_000_000, SamplerConfig(seed=12))
+        counts, edges = np.histogram(sample.normalized, bins=100, range=(0.0, 4.0))
+        density = counts / (len(sample) * (4.0 / 100))
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        assert np.max(np.abs(density - curves.pdf("GOE", centers))) < 0.02
 
     def test_n_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Normalization, histograms, KS and chi-square machinery."""
+"""Normalization and the KS test."""
 
 import math
 
@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import kolmogorov as scipy_kolmogorov
 
 from spacinglab import curves, ensembles, stats
-from spacinglab.stats import (
-    chi_square,
-    histogram,
-    ks_test,
-    normalize,
-)
+from spacinglab.stats import ks_test, normalize
 
 
 def goe_quantile(q):
@@ -231,91 +226,3 @@ class TestKsBoundedSearch:
         assert np.array_equal(xs[:, 1], np.nextafter(xs[:, 0], math.inf))
         assert float(np.max(F[:, :-1] - F[:, 1:])) < stats._KS_SLACK / 2
 
-
-class TestHistogram:
-    def test_two_bins(self):
-        h = histogram(normalize([0.5, 1.5]), bins=2, value_range=(0.0, 2.0))
-        assert np.array_equal(h.counts, [1, 1])
-        assert np.allclose(h.density, [0.5, 0.5])
-        assert h.out_of_range == 0
-
-    def test_no_overlap(self):
-        h = histogram(normalize([0.5, 1.5]), bins=4, value_range=(5.0, 6.0))
-        assert np.all(h.counts == 0)
-        assert h.out_of_range == 2
-
-    def test_upper_edge_excluded(self):
-        h = histogram(normalize([1.0, 3.0]), bins=2, value_range=(0.0, 1.5))
-        # normalized values are 0.5 and 1.5; 1.5 == hi falls out of range
-        assert h.counts.sum() == 1
-        assert h.out_of_range == 1
-
-    def test_density_integrates_to_in_range_fraction(self):
-        rng = np.random.default_rng(3)
-        s = normalize(rng.exponential(1.0, size=5000))
-        h = histogram(s, bins=37, value_range=(0.2, 2.9))
-        width = np.diff(h.edges)
-        frac = (h.n_total - h.out_of_range) / h.n_total
-        assert abs(float(np.sum(h.density * width)) - frac) < 1e-12
-
-    def test_mc_density_tracks_curve(self):
-        sample, _ = ensembles.sample_spacings(ensembles.GOE, 1_000_000,
-                                              ensembles.SamplerConfig(seed=12))
-        h = histogram(sample, bins=100, value_range=(0.0, 4.0))
-        centers = 0.5 * (h.edges[:-1] + h.edges[1:])
-        assert np.max(np.abs(h.density - curves.pdf("GOE", centers))) < 0.02
-
-    def test_validation(self):
-        s = normalize([1.0, 2.0])
-        with pytest.raises(ValueError, match="bins must be >= 1"):
-            histogram(s, bins=0, value_range=(0.0, 1.0))
-        for bad in (2.5, 2.0, "2"):
-            with pytest.raises(ValueError, match="bins must be an integer"):
-                histogram(s, bins=bad, value_range=(0.0, 3.0))
-        assert histogram(s, bins=np.int64(2), value_range=(0.0, 3.0)).counts.size == 2
-        with pytest.raises(ValueError):
-            histogram(s, bins=5, value_range=(1.0, 1.0))
-        for bad in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
-            with pytest.raises(ValueError, match="finite"):
-                histogram(s, bins=10, value_range=bad)
-        with pytest.raises(ValueError, match="overflows"):
-            histogram(s, bins=3, value_range=(-1e308, 1e308))
-
-
-class TestChiSquare:
-    def test_exact_match_is_zero(self):
-        # build a histogram whose counts equal the expected counts exactly
-        edges = np.linspace(0.0, 4.0, 9)
-        mass = np.diff(curves.cdf("GOE", edges))
-        n = 10_000
-        h = stats.Histogram(edges=edges, counts=n * mass, density=mass / np.diff(edges),
-                            n_total=n, out_of_range=0)
-        res = chi_square(h, "GOE")
-        assert res.statistic < 1e-18
-
-    def test_goe_mc_statistic_in_concentration_band(self):
-        sample, _ = ensembles.sample_spacings(ensembles.GOE, 100_000,
-                                              ensembles.SamplerConfig(seed=13))
-        h = histogram(sample, bins=50, value_range=(0.0, 4.0))
-        res = chi_square(h, "GOE")
-        lo = res.dof - 4.0 * math.sqrt(2.0 * res.dof)
-        hi = res.dof + 4.0 * math.sqrt(2.0 * res.dof)
-        assert lo <= res.statistic <= hi
-
-    def test_gross_mismatch_is_large(self):
-        h = histogram(normalize(np.full(1000, 3.0)), bins=8, value_range=(0.0, 4.0))
-        res = chi_square(h, "GOE")
-        assert res.statistic > 1000.0
-
-    def test_underfull_bins_merged_rightward(self):
-        sample, _ = ensembles.sample_spacings(ensembles.GOE, 2_000,
-                                              ensembles.SamplerConfig(seed=14))
-        h = histogram(sample, bins=60, value_range=(0.0, 6.0))
-        res = chi_square(h, "GOE")
-        assert res.merged_bins < 60
-        assert res.dof == res.merged_bins - 1
-
-    def test_too_few_bins_after_merge(self):
-        h = histogram(normalize([1.0, 1.1, 0.9]), bins=2, value_range=(0.0, 4.0))
-        with pytest.raises(ValueError):
-            chi_square(h, "GOE")
