@@ -1,12 +1,17 @@
 """Reading of spectrum files and spacing CSVs, and unfolding of spectra.
 
-Input format (normative) of both files: UTF-8 text; a '#' starts a comment
-that runs to the end of its line, and lines holding nothing else are skipped.
-A value is what float() reads ("1_0" is 10) and must be finite; a bad one is
-refused with its line number.  A spectrum line holds one value, so the decimal
-comma "14,134725" is refused.  A spacing CSV's rows are comma separated; a
-first row that does not start with a number is a header, and the column it
-names raw_spacing (else the first column) is read.
+Input format (normative) of both files: UTF-8 text, of which one leading
+byte-order mark is ignored; a '#' starts a comment that runs to the end of its
+line, and lines holding nothing else are skipped.  A value is what float()
+reads ("1_0" is 10) and must be finite; a bad one is refused with its line
+number.  A spectrum line holds one value, so the decimal comma "14,134725" is
+refused.  A spacing CSV's rows are comma separated; a first row that does not
+start with a number is a header, and the column it names raw_spacing (else the
+first column) is read.
+
+np.loadtxt reads a file directly where its line breaks are those of
+str.splitlines(); where it cannot, or where it refuses a row, the text is read
+a line at a time, which names the bad line.
 
 Unfolding rescales a spectrum to unit local mean spacing so its fluctuations
 can be compared against the universality curves; since different
@@ -80,35 +85,60 @@ class PolynomialStaircase:
 UnfoldMethod = Union[GlobalMean, LocalWindow, PolynomialStaircase]
 
 
-def _read_column(text: str, source: str, csv: bool) -> np.ndarray:
+# str.splitlines() breaks lines at these too; np.loadtxt reading a file does not
+_SPLITLINES_ONLY_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+
+
+def _lazy_lines(text: str):
+    """``text.splitlines()``, one line at a time, for text whose only line break is \\n."""
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        yield text[pos:end]
+        pos = end + 1
+
+
+def _read_column(text: str, source: str, csv: bool, path: Path | None = None) -> np.ndarray:
     """The values of a spacing CSV (``csv``) or spectrum, in file order.
 
-    ``np.loadtxt`` reads them; where it refuses a row or reads a non-finite
-    value, ``float()`` reads them a line at a time and names the bad line.
+    ``text`` is the text of the file at ``path``, if given, as ``_read_text``
+    reads it: every line break already \\n.  Where the file is a regular one
+    and no other character breaks its lines (it is ASCII and holds none of
+    \\x0b, \\x0c, \\x1c-\\x1e), ``np.loadtxt`` reads the file itself and
+    only the head of ``text`` is scanned for the header and the first data
+    row; else ``np.loadtxt`` reads ``text.splitlines()``.  Where it refuses a
+    row or reads a non-finite value, ``float()`` reads the lines one at a time
+    and names the bad line.
     """
     noun = "spacing" if csv else "level"
     prefix = f"{source}: " if source else ""
     col = 0
-    lines = text.splitlines()
-    data_lines = (i for i, line in enumerate(lines) if line.partition("#")[0].strip())
-    start = next(data_lines, None)
+    # a pipe cannot be read twice, so only a regular file is read again by np.loadtxt
+    from_file = (path is not None and text.isascii() and path.is_file()
+                 and not any(c in text for c in _SPLITLINES_ONLY_BREAKS))
+    lines = _lazy_lines(text) if from_file else text.splitlines()
+    data_lines = ((i, line) for i, line in enumerate(lines) if line.partition("#")[0].strip())
+    start, first = next(data_lines, (None, ""))
     if csv and start is not None:
-        head = [tok.strip().lower() for tok in lines[start].partition("#")[0].split(",")]
+        head = [tok.strip().lower() for tok in first.partition("#")[0].split(",")]
         try:
             float(head[0])
         except ValueError:
             col = head.index("raw_spacing") if "raw_spacing" in head else 0
-            start = next(data_lines, None)
+            start, _ = next(data_lines, (None, ""))
     if start is None:
         raise SpectrumParseError(f"{prefix}no {noun} rows")
     try:
         # a spectrum reads every field, so a row "14,134725" has two and is refused below
-        values = np.loadtxt(lines[start:], delimiter=",", usecols=col if csv else None,
-                            comments="#", ndmin=2)
+        values = np.loadtxt(path if from_file else lines, skiprows=start, encoding="utf-8-sig",
+                            delimiter=",", usecols=col if csv else None, comments="#", ndmin=2)
         if values.shape[1] == 1 and np.isfinite(values).all():
             return values[:, 0]
     except ValueError:
         pass
+    if from_file:
+        lines = text.splitlines()
     values = []
     for lineno, line in enumerate(lines[start:], start=start + 1):
         data = line.partition("#")[0].strip()
@@ -126,24 +156,28 @@ def _read_column(text: str, source: str, csv: bool) -> np.ndarray:
     return np.asarray(values)
 
 
-def parse_levels(text: str, source_label: str = "") -> SpectrumFile:
-    """Read one level per line (module docstring format); errors name ``source_label``.
-
-    Non-monotone input is sorted with a warning and exact duplicates are
-    dropped with a warning; fewer than 3 usable levels is an error.
-    """
-    levels = _read_column(text, source_label, csv=False)
+def _spectrum(levels: np.ndarray, source_label: str) -> SpectrumFile:
+    """``levels`` sorted with a warning, duplicates dropped with a warning, at least 3."""
     if np.any(levels[1:] < levels[:-1]):  # compared, not subtracted: no overflow
-        warnings.warn("levels were not monotone increasing; sorting", stacklevel=2)
+        warnings.warn("levels were not monotone increasing; sorting", stacklevel=3)
         levels = np.sort(levels)
     if np.any(levels[1:] == levels[:-1]):
-        warnings.warn("duplicate levels removed", stacklevel=2)
+        warnings.warn("duplicate levels removed", stacklevel=3)
         levels = np.unique(levels)
     if levels.size < 3:
         prefix = f"{source_label}: " if source_label else ""
         raise SpectrumParseError(f"{prefix}need at least 3 distinct levels, got {levels.size}")
     levels.flags.writeable = False
     return SpectrumFile(levels=levels, source_label=source_label)
+
+
+def parse_levels(text: str, source_label: str = "") -> SpectrumFile:
+    """Read one level per line (module docstring format); errors name ``source_label``.
+
+    Non-monotone input is sorted with a warning and exact duplicates are
+    dropped with a warning; fewer than 3 usable levels is an error.
+    """
+    return _spectrum(_read_column(text, source_label, csv=False), source_label)
 
 
 def serialize_levels(spectrum: SpectrumFile) -> str:
@@ -153,7 +187,8 @@ def serialize_levels(spectrum: SpectrumFile) -> str:
 
 def _read_text(path: Path, source: str) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        # drops one leading BOM; every \r\n and \r becomes \n
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         lineno = exc.object[:exc.start].count(b"\n") + 1
         raise SpectrumParseError(
@@ -161,13 +196,18 @@ def _read_text(path: Path, source: str) -> str:
 
 
 def load_spectrum(path) -> SpectrumFile:
-    """The levels of a spectrum file (module docstring format); errors name ``path``."""
-    return parse_levels(_read_text(Path(path), str(path)), source_label=str(path))
+    """The levels of a spectrum file (module docstring format); errors name ``path``.
+
+    The levels are sorted, deduplicated and counted as in ``parse_levels``.
+    """
+    path, source = Path(path), str(path)
+    return _spectrum(_read_column(_read_text(path, source), source, csv=False, path=path), source)
 
 
 def load_spacings(path) -> np.ndarray:
     """The raw spacings of a spacing CSV (module docstring format); errors name ``path``."""
-    return _read_column(_read_text(Path(path), str(path)), str(path), csv=True)
+    path, source = Path(path), str(path)
+    return _read_column(_read_text(path, source), source, csv=True, path=path)
 
 
 def parse_unfold_method(text: str) -> UnfoldMethod:

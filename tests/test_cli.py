@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -207,6 +210,12 @@ class TestCompare:
         report = json.loads(capsys.readouterr().out)
         assert report["best-fit"] == "GOE"
 
+    def test_leading_byte_order_mark_is_not_a_header(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeff1.5\n2.5\n3.5\n".encode())
+        assert run(["compare", "--spacings", str(path), "--report", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 3
+
     def test_degenerate_equal_values_warns(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("2.5\n2.5\n2.5\n2.5\n")
@@ -279,6 +288,21 @@ class TestCompare:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: {path}: line 3: not UTF-8 text")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+@pytest.mark.parametrize("argv, body", [
+    (["compare", "--spacings"], "raw_spacing\n1.5\n2.5\n3.5\n"),
+    (["analyze", "--unfold", "global", "--spectrum"], "1\n2.5\n3\n4.5\n"),
+], ids=["compare", "analyze"])
+def test_reads_a_pipe(argv, body):
+    # a pipe can be read once: the whole input must come from that one read
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "spacinglab", *argv, "/dev/stdin",
+                           "--report", "json"], input=body, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n"] == 3
 
 
 _WRITER_SPECIALS = [0.0, -0.0, 5e-324, 1e-5, 9.99999999999e-5, 1e16, 123456789012.5]

@@ -1,6 +1,7 @@
 """Spectrum file parsing and unfolding."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,12 +9,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spacinglab import cli, ingest
 from spacinglab.ingest import (
     GlobalMean,
     LocalWindow,
     PolynomialStaircase,
     SpectrumFile,
     SpectrumParseError,
+    load_spacings,
+    load_spectrum,
     parse_levels,
     parse_unfold_method,
     serialize_levels,
@@ -121,6 +125,197 @@ class TestParseProperties:
         spectrum = SpectrumFile(levels=levels)
         again = parse_levels(serialize_levels(spectrum))
         assert again.levels.tobytes() == levels.tobytes()
+
+
+@st.composite
+def _level_files_any_newline(draw):
+    """``_level_files`` with the newline drawn from \\n, \\r\\n and a bare \\r."""
+    lines, data, _ = draw(_level_files())
+    return lines, data, draw(st.sampled_from(["\n", "\r\n", "\r"]))
+
+
+def _write(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("spectrum") / "levels.txt"
+    path.write_bytes(text.encode())
+    return path
+
+
+def quiet_load(path):
+    """``load_spectrum`` with its sorting and duplicate warnings silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return load_spectrum(path)
+
+
+class TestLoadSpectrumProperties:
+    """``TestParseProperties`` on a file, which ``np.loadtxt`` reads directly."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(_level_files_any_newline())
+    def test_matches_per_line_loop(self, tmp_path_factory, spec):
+        lines, _, newline = spec
+        text = _join(lines, newline)
+        expected = parse_levels_reference(text)
+        assume(expected is not None)  # fewer than 3 distinct levels
+        got = quiet_load(_write(tmp_path_factory, text)).levels
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_level_files_any_newline(), st.data())
+    def test_bad_token_names_its_line(self, tmp_path_factory, spec, data):
+        lines, rows, newline = spec
+        bad = data.draw(st.sampled_from(rows))
+        lines[bad] = data.draw(st.sampled_from(
+            ["abc", "1.0.0", "--1", "0x1p3", "1 2", "inf", "-inf", "nan", "1e999", "1.5d0"]))
+        path = _write(tmp_path_factory, _join(lines, newline))
+        with pytest.raises(SpectrumParseError,
+                           match=rf"^{re.escape(str(path))}: line {bad + 1}: cannot read a level"):
+            quiet_load(path)
+
+
+def _outcome(read, *args):
+    """What ``read(*args)`` gives: its values as bytes, or its error text."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            got = read(*args)
+        except SpectrumParseError as exc:
+            return "error", str(exc)
+    values = got.levels if isinstance(got, SpectrumFile) else got
+    return values.dtype, values.tobytes()
+
+
+def _file_and_text_outcomes(tmp_path, body, csv):
+    """The outcome of reading ``body`` from a file and of reading it as text."""
+    path = tmp_path / ("s.csv" if csv else "levels.txt")
+    path.write_bytes(body.encode())
+    if csv:
+        return _outcome(load_spacings, path), _outcome(ingest._read_column, body, str(path), True)
+    return _outcome(load_spectrum, path), _outcome(parse_levels, body, str(path))
+
+
+# str.splitlines() breaks lines at each of these; a file reader does not
+_ODD_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineBreakRules:
+    """A file reads as its text does, whatever its line breaks."""
+
+    @pytest.mark.parametrize("brk", _ODD_BREAKS)
+    @pytest.mark.parametrize("body", [
+        "1.5\n2.5{}3.5\n4.5\n",  # breaks a line in two
+        "1.5\n2.5\n3{}5\n4.5\n",  # inside a value
+        "1.5\n2.5\n3.5{}\n4.5\n",  # before a newline
+        "# note{}1.5\n2.5\n3.5\n",  # ends a comment
+        "{}1.5\r\n2.5\r\n3.5\r\n",  # first, CRLF file
+        "1.5\r2.5\r3.5{}4.5\r",  # bare CR file
+    ])
+    @pytest.mark.parametrize("csv", [True, False], ids=["spacings", "spectrum"])
+    def test_splitlines_only_breaks(self, tmp_path, body, brk, csv):
+        from_file, from_text = _file_and_text_outcomes(tmp_path, body.format(brk), csv)
+        assert from_file == from_text
+
+    @pytest.mark.parametrize("brk", _ODD_BREAKS)
+    def test_splitlines_only_break_in_header(self, tmp_path, brk):
+        body = f"x,raw_spacing{brk}junk\n9,1.5\n9,2.5\n"
+        from_file, from_text = _file_and_text_outcomes(tmp_path, body, csv=True)
+        assert from_file == from_text
+
+    @pytest.mark.parametrize("body, expected", [
+        ("\r\n# made by hand\r\n\r\nraw_spacing,x\r\n1.5,0\r\n2.5,0\r\n", [1.5, 2.5]),
+        ("# made by hand\r\n  # indented\r\nx,raw_spacing\r\n0,1.5\r\n0,2.5\r\n", [1.5, 2.5]),
+        ("raw_spacing\r1.5\r\r2.5 # note\r3.5", [1.5, 2.5, 3.5]),
+        ("# made by hand\r\r x,raw_spacing\r0,1.5\r0,2.5\r", [1.5, 2.5]),
+        ("1.5\r2.5\r3.5\r", [1.5, 2.5, 3.5]),
+        ("x,raw_spacing\n0,2.5", [2.5]),  # no newline at the end
+        ("2.5", [2.5]),
+        ("raw_spacing\rabc\r", "line 2: cannot read a spacing"),
+        ("raw_spacing,x\r\n", "no spacing rows"),
+        ("raw_spacing,x\n# only a comment\n\n", "no spacing rows"),
+        ("", "no spacing rows"),
+    ])
+    def test_spacing_files(self, tmp_path, body, expected):
+        from_file, from_text = _file_and_text_outcomes(tmp_path, body, csv=True)
+        assert from_file == from_text
+        if isinstance(expected, str):
+            assert from_file[0] == "error" and expected in from_file[1]
+        else:
+            assert from_file[1] == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize("body, expected", [
+        ("# levels\r\n\r\n1\r\n2\r\n3\r\n", [1.0, 2.0, 3.0]),
+        ("1\r2\r\r3 # note\r4", [1.0, 2.0, 3.0, 4.0]),
+        ("# levels\r\r1\r2\rabc\r", "line 5: cannot read a level"),
+        ("1\r2\rabc\r4\r", "line 3: cannot read a level"),
+        ("1\r2\r14,134725\r", "line 3: cannot read a level"),
+        ("# only comments\n  # and blanks\n\n", "no level rows"),
+        ("# only comments\r# still\r", "no level rows"),
+    ])
+    def test_spectrum_files(self, tmp_path, body, expected):
+        from_file, from_text = _file_and_text_outcomes(tmp_path, body, csv=False)
+        assert from_file == from_text
+        if isinstance(expected, str):
+            assert from_file[0] == "error" and expected in from_file[1]
+        else:
+            assert from_file[1] == np.asarray(expected).tobytes()
+
+
+class TestByteOrderMark:
+    """One leading byte-order mark is ignored: it is neither a header nor a value."""
+
+    @pytest.mark.parametrize("rest", ["", "# \u00e9chantillon\n"], ids=["ascii", "non-ascii"])
+    def test_headerless_spacings(self, tmp_path, rest):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(f"\ufeff{rest}1.5\n2.5\n3.5\n".encode())
+        assert load_spacings(path).tolist() == [1.5, 2.5, 3.5]
+
+    @pytest.mark.parametrize("rest", ["", "# \u00e9chantillon\n"], ids=["ascii", "non-ascii"])
+    def test_spectrum(self, tmp_path, rest):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(f"\ufeff{rest}1.0\n2.0\n3.0\n".encode())
+        assert load_spectrum(path).levels.tolist() == [1.0, 2.0, 3.0]
+
+    def test_only_one_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "bom2.txt"
+        path.write_bytes("\ufeff\ufeff1.0\n2.0\n3.0\n".encode())
+        with pytest.raises(SpectrumParseError, match=r": line 1: cannot read a level"):
+            load_spectrum(path)
+
+
+class TestFileFastPath:
+    """A clean file is read by ``np.loadtxt`` from the file, never from split lines."""
+
+    @pytest.fixture()
+    def no_split_lines(self, monkeypatch):
+        class NoSplitLines(str):
+            def splitlines(self, *args, **kwargs):
+                raise AssertionError("the line-by-line text path ran")
+
+        read_text = ingest._read_text
+        monkeypatch.setattr(ingest, "_read_text", lambda *a: NoSplitLines(read_text(*a)))
+
+    def test_sample_csv(self, tmp_path, no_split_lines):
+        path = tmp_path / "gpue.csv"
+        assert cli.main(["sample", "--ensemble", "gpue", "--n", "10000", "--seed", "5",
+                         "--out", str(path)]) == 0
+        rows = path.read_bytes().decode().split("\n")[1:-1]
+        expected = np.array([float(row.split(",")[0]) for row in rows])
+        got = load_spacings(path)
+        assert got.size == 10000 and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_spectrum(self, tmp_path, no_split_lines, bom):
+        levels = np.cumsum(np.random.default_rng(5).exponential(size=10000))
+        path = tmp_path / "levels.txt"
+        path.write_text(bom + "".join(f"{float(v)!r}\n" for v in levels))
+        assert load_spectrum(path).levels.tobytes() == levels.tobytes()
+
+    def test_guard_sees_the_text_path(self, tmp_path, no_split_lines):
+        path = tmp_path / "bad.txt"
+        path.write_text("1\n2\nabc\n")
+        with pytest.raises(AssertionError, match="text path ran"):
+            load_spectrum(path)
 
 
 class TestParse:
