@@ -146,7 +146,10 @@ class EnsembleKind:
         if _FAMILIES[self.tag].shrink is not None:
             if self.kappa is None:
                 raise ValueError(f"{self.tag} requires kappa >= 0")
+            if isinstance(self.kappa, (str, bytes)) or np.iscomplexobj(self.kappa):
+                raise ValueError(f"kappa must be a real number, not {self.kappa!r}")
             kappa = float(self.kappa)
+            object.__setattr__(self, "kappa", kappa)
             # at 100 the shrunk variance, 1/(2 cosh 200) = 1.4e-87, is still far from
             # subnormal; beyond 100, kappa changes normalized spacings by < 1e-15 anyway
             if not (0.0 <= kappa <= 100.0):
@@ -186,11 +189,11 @@ GPUE = EnsembleKind("GPUE")
 
 
 def qh3(kappa: float) -> EnsembleKind:
-    return EnsembleKind("QH3", float(kappa))
+    return EnsembleKind("QH3", kappa)
 
 
 def qh4(kappa: float) -> EnsembleKind:
-    return EnsembleKind("QH4", float(kappa))
+    return EnsembleKind("QH4", kappa)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,14 @@
 """Reading of spectrum files and spacing CSVs, and unfolding of spectra.
 
 Input format (normative) of both files: UTF-8 text, of which one leading
-byte-order mark is ignored; a '#' starts a comment that runs to the end of its
-line, and lines holding nothing else are skipped.  A value is what float()
-reads ("1_0" is 10) and must be finite; a bad one is refused with its line
-number.  A spectrum line holds one value, so the decimal comma "14,134725" is
-refused.  A spacing CSV's rows are comma separated; a first row that does not
-start with a number is a header, and the column it names raw_spacing (else the
-first column) is read.
-
-np.loadtxt reads a file directly where its line breaks are those of
-str.splitlines(); where it cannot, or where it refuses a row, the text is read
-a line at a time, which names the bad line.
+byte-order mark is ignored.  A line ends at \n, \r\n or \r, as open() ends
+the lines of a file, and at no other character, so a file, a pipe and a string
+read alike.  A '#' starts a comment that runs to the end of its line, and lines
+holding nothing else are skipped.  A value is what float() reads ("1_0" is 10)
+and must be finite; a bad one is refused with its line number.  A spectrum line
+holds one value, so the decimal comma "14,134725" is refused.  A spacing CSV's
+rows are comma separated; a first row that does not start with a number is a
+header, and the column it names raw_spacing (else the first column) is read.
 
 Unfolding rescales a spectrum to unit local mean spacing so its fluctuations
 can be compared against the universality curves; since different
@@ -23,7 +20,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 from typing import Union
 
@@ -85,40 +84,34 @@ class PolynomialStaircase:
 UnfoldMethod = Union[GlobalMean, LocalWindow, PolynomialStaircase]
 
 
-# str.splitlines() breaks lines at these too; np.loadtxt reading a file does not
-_SPLITLINES_ONLY_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` by the input format's line rule, first to last.
 
-
-def _lazy_lines(text: str):
-    """``text.splitlines()``, one line at a time, for text whose only line break is \\n."""
-    pos = 0
-    while pos < len(text):
-        end = text.find("\n", pos)
-        end = len(text) if end < 0 else end
-        yield text[pos:end]
-        pos = end + 1
+    One leading byte-order mark is dropped and a line ends at \\n, \\r\\n or
+    \\r.  Past the first eight lines the text is split only once a reader gets
+    there, so a reader of the head of a long text does not split all of it.
+    """
+    text = text.removeprefix("\ufeff")
+    if "\r" in text:  # replace() scans the text even when it finds nothing
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    *head, rest = text.split("\n", 8)
+    return chain(head, chain.from_iterable(map(str.split, [rest], ["\n"])))
 
 
 def _read_column(text: str, source: str, csv: bool, path: Path | None = None) -> np.ndarray:
-    """The values of a spacing CSV (``csv``) or spectrum, in file order.
+    """The values of a spacing CSV (``csv``) or spectrum (module docstring format), in file order.
 
-    ``text`` is the text of the file at ``path``, if given, as ``_read_text``
-    reads it: every line break already \\n.  Where the file is a regular one
-    and no other character breaks its lines (it is ASCII and holds none of
-    \\x0b, \\x0c, \\x1c-\\x1e), ``np.loadtxt`` reads the file itself and
-    only the head of ``text`` is scanned for the header and the first data
-    row; else ``np.loadtxt`` reads ``text.splitlines()``.  Where it refuses a
-    row or reads a non-finite value, ``float()`` reads the lines one at a time
-    and names the bad line.
+    ``text`` is the text of the file at ``path``, if given.  The header and the
+    first data row are found in the head of ``_lines(text)``.  ``np.loadtxt``
+    then reads the file at ``path`` if it is a regular one (``open()`` ends its
+    lines as ``_lines`` does), else ``_lines(text)``.  Where it refuses a row or
+    reads a non-finite value, ``float()`` reads the lines one at a time and
+    names the bad line.
     """
     noun = "spacing" if csv else "level"
     prefix = f"{source}: " if source else ""
     col = 0
-    # a pipe cannot be read twice, so only a regular file is read again by np.loadtxt
-    from_file = (path is not None and text.isascii() and path.is_file()
-                 and not any(c in text for c in _SPLITLINES_ONLY_BREAKS))
-    lines = _lazy_lines(text) if from_file else text.splitlines()
-    data_lines = ((i, line) for i, line in enumerate(lines) if line.partition("#")[0].strip())
+    data_lines = ((i, line) for i, line in enumerate(_lines(text)) if line.partition("#")[0].strip())
     start, first = next(data_lines, (None, ""))
     if csv and start is not None:
         head = [tok.strip().lower() for tok in first.partition("#")[0].split(",")]
@@ -127,20 +120,21 @@ def _read_column(text: str, source: str, csv: bool, path: Path | None = None) ->
         except ValueError:
             col = head.index("raw_spacing") if "raw_spacing" in head else 0
             start, _ = next(data_lines, (None, ""))
+    del data_lines  # and with it the copy of the text's tail that _lines holds
     if start is None:
         raise SpectrumParseError(f"{prefix}no {noun} rows")
+    # a pipe cannot be read twice, so only a regular file is read again by np.loadtxt
+    rows = path if path is not None and path.is_file() else _lines(text)
     try:
         # a spectrum reads every field, so a row "14,134725" has two and is refused below
-        values = np.loadtxt(path if from_file else lines, skiprows=start, encoding="utf-8-sig",
-                            delimiter=",", usecols=col if csv else None, comments="#", ndmin=2)
+        values = np.loadtxt(rows, skiprows=start, encoding="utf-8-sig", delimiter=",",
+                            usecols=col if csv else None, comments="#", ndmin=2)
         if values.shape[1] == 1 and np.isfinite(values).all():
             return values[:, 0]
     except ValueError:
         pass
-    if from_file:
-        lines = text.splitlines()
     values = []
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+    for lineno, line in enumerate(islice(_lines(text), start, None), start=start + 1):
         data = line.partition("#")[0].strip()
         if not data:
             continue
@@ -186,11 +180,11 @@ def serialize_levels(spectrum: SpectrumFile) -> str:
 
 
 def _read_text(path: Path, source: str) -> str:
+    data = path.read_bytes()
     try:
-        # drops one leading BOM; every \r\n and \r becomes \n
-        return path.read_text(encoding="utf-8-sig")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = exc.object[:exc.start].count(b"\n") + 1
+        lineno = sum(1 for _ in _lines(data[:exc.start].decode("utf-8")))
         raise SpectrumParseError(
             f"{source}: line {lineno}: not UTF-8 text ({exc.reason})") from None
 

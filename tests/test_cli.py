@@ -168,6 +168,15 @@ class TestCurve:
         last = out.read_text().splitlines()[-1].split(",")
         assert float(last[2]) >= 0.9999999
 
+    def test_unallocatable_grid_is_runtime_error(self, tmp_path, capsys):
+        # 10**18 float64 points are 6.9 EiB, more than any address space: refused at once
+        out = tmp_path / "c.csv"
+        assert run(["curve", "--curve", "goe", "--xmax", "4", "--points", str(10**18),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("xmax", ["0", "-1", "inf", "nan"])
     def test_bad_xmax_is_usage_error(self, tmp_path, xmax):
         with pytest.raises(SystemExit) as exc:

@@ -59,6 +59,22 @@ class TestKinds:
             with pytest.raises(ValueError, match="kappa"):
                 EnsembleKind(tag, kappa)
 
+    @pytest.mark.parametrize("kappa", ["0.5", b"0.5", 1 + 0j, np.complex64(0.5), np.complex128(0.5)],
+                             ids=["str", "bytes", "complex", "complex64", "complex128"])
+    def test_kappa_must_be_a_real_number(self, kappa):
+        for tag in ("QH3", "QH4"):
+            with pytest.raises(ValueError, match="^kappa must be a real number"):
+                EnsembleKind(tag, kappa)
+        for make in (qh3, qh4):
+            with pytest.raises(ValueError, match="^kappa must be a real number"):
+                make(kappa)
+
+    def test_kappa_is_stored_as_a_float(self):
+        kind = EnsembleKind("QH3", np.float32(0.5))
+        assert type(kind.kappa) is float and kind.kappa == 0.5
+        assert str(kind) == "QH3(kappa=0.5)" and kind == qh3(0.5)
+        assert type(EnsembleKind("QH4", 1).kappa) is float
+
     def test_largest_kappa_with_finite_cosh_accepted(self):
         # at kappa 100 the shrunk draws' squares stay normal
         cfg = SamplerConfig(seed=5)

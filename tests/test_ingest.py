@@ -284,37 +284,104 @@ class TestByteOrderMark:
 
 
 class TestFileFastPath:
-    """A clean file is read by ``np.loadtxt`` from the file, never from split lines."""
+    """A regular file is read by ``np.loadtxt`` from the file, never from the lines of its text."""
 
     @pytest.fixture()
-    def no_split_lines(self, monkeypatch):
-        class NoSplitLines(str):
-            def splitlines(self, *args, **kwargs):
+    def no_text_path(self, monkeypatch):
+        """Fails a read that cuts its text into lines twice: the head scan cuts it once."""
+        lines, calls = ingest._lines, []
+
+        def head_scan_only(text):
+            calls.append(text)
+            if len(calls) > 1:
                 raise AssertionError("the line-by-line text path ran")
+            return lines(text)
 
-        read_text = ingest._read_text
-        monkeypatch.setattr(ingest, "_read_text", lambda *a: NoSplitLines(read_text(*a)))
+        monkeypatch.setattr(ingest, "_lines", head_scan_only)
 
-    def test_sample_csv(self, tmp_path, no_split_lines):
+    @pytest.mark.parametrize("comment", ["", "# \u00e9nergie (MeV)\n"], ids=["ascii", "non-ascii"])
+    def test_sample_csv(self, tmp_path, no_text_path, comment):
         path = tmp_path / "gpue.csv"
         assert cli.main(["sample", "--ensemble", "gpue", "--n", "10000", "--seed", "5",
                          "--out", str(path)]) == 0
         rows = path.read_bytes().decode().split("\n")[1:-1]
         expected = np.array([float(row.split(",")[0]) for row in rows])
+        path.write_bytes(comment.encode() + path.read_bytes())
         got = load_spacings(path)
         assert got.size == 10000 and got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("comment", ["", "# \u00e9nergie (MeV)\n"], ids=["ascii", "non-ascii"])
     @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
-    def test_spectrum(self, tmp_path, no_split_lines, bom):
+    def test_spectrum(self, tmp_path, no_text_path, bom, comment):
         levels = np.cumsum(np.random.default_rng(5).exponential(size=10000))
         path = tmp_path / "levels.txt"
-        path.write_text(bom + "".join(f"{float(v)!r}\n" for v in levels))
+        path.write_bytes((bom + comment + "".join(f"{float(v)!r}\n" for v in levels)).encode())
         assert load_spectrum(path).levels.tobytes() == levels.tobytes()
 
-    def test_guard_sees_the_text_path(self, tmp_path, no_split_lines):
+    def test_guard_sees_the_text_path(self, tmp_path, no_text_path):
         path = tmp_path / "bad.txt"
         path.write_text("1\n2\nabc\n")
         with pytest.raises(AssertionError, match="text path ran"):
+            load_spectrum(path)
+
+
+# a line of the property below: a number, or digits mixed with '.', ',', '#', blanks,
+# the characters only str.splitlines() breaks at, and a digit float() reads but numpy does not
+_RULE_LINE = st.one_of(
+    st.text("0123456789", min_size=1, max_size=3),
+    st.lists(st.one_of(st.sampled_from("0123456789"), st.sampled_from(
+        [*".,# \t", *_ODD_BREAKS, "\xa0", "\u3000", "\uff17"])), max_size=5).map("".join))
+
+
+@st.composite
+def _rule_texts(draw):
+    """A text of ``_RULE_LINE`` lines ended by \\n, \\r\\n or \\r, maybe led by a BOM."""
+    lines = draw(st.lists(st.tuples(_RULE_LINE, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12))
+    last = draw(_RULE_LINE)
+    return draw(st.sampled_from(["", "\ufeff"])) + "".join(map("".join, lines)) + last
+
+
+class TestOneLineRule:
+    """One rule cuts every input into lines: one leading BOM dropped, \\n, \\r\\n or \\r ends a line."""
+
+    @settings(max_examples=150, database=None)
+    @given(_rule_texts())
+    def test_file_reads_as_its_text(self, tmp_path_factory, body):
+        for csv in (False, True):
+            from_file, from_text = _file_and_text_outcomes(tmp_path_factory.mktemp("rule"), body, csv)
+            assert from_file == from_text
+
+    @pytest.mark.parametrize("brk", _ODD_BREAKS)
+    @pytest.mark.parametrize("csv, noun", [(False, "level"), (True, "spacing")])
+    def test_retired_break_in_a_value_is_refused_at_its_line(self, tmp_path, brk, csv, noun):
+        from_file, from_text = _file_and_text_outcomes(tmp_path, f"1.5\n2{brk}5\n3.5\n", csv)
+        assert from_file == from_text
+        assert from_file[0] == "error" and f": line 2: cannot read a {noun} from " in from_file[1]
+
+    @pytest.mark.parametrize("brk", _ODD_BREAKS)
+    @pytest.mark.parametrize("csv", [False, True], ids=["spectrum", "spacings"])
+    def test_retired_break_in_a_comment_stays_in_it(self, tmp_path, brk, csv):
+        from_file, from_text = _file_and_text_outcomes(tmp_path, f"# x{brk}9.5\n1.5\n2.5\n3.5\n", csv)
+        assert from_file == from_text == (np.dtype(float), np.array([1.5, 2.5, 3.5]).tobytes())
+
+    def test_parse_levels_drops_one_byte_order_mark(self):
+        assert parse_levels("\ufeff1.0\n2.0\n3.0\n").levels.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(SpectrumParseError, match=r"^line 1: cannot read a level"):
+            parse_levels("\ufeff\ufeff1.0\n2.0\n3.0\n")
+
+    @pytest.mark.parametrize("body, lineno", [
+        (b"1\n2\n\xff3\n4\n", 3),
+        (b"1\r2\r\xff3\r4\r", 3),
+        (b"1\r\n2\r\n\xff3\r\n4\r\n", 3),
+        (b"1\r\xff\n", 2),
+        (b"\xef\xbb\xbf\xff1\n2\n3\n", 1),
+        (b"\xef\xbb\xbf1\r2\r3\xff\r", 3),
+    ], ids=["lf", "cr", "crlf", "cr-then-bad-byte", "bom-first-line", "bom-cr"])
+    def test_bad_utf8_byte_names_its_line(self, tmp_path, body, lineno):
+        path = tmp_path / "levels.txt"
+        path.write_bytes(body)
+        with pytest.raises(SpectrumParseError,
+                           match=rf"^{re.escape(str(path))}: line {lineno}: not UTF-8 text"):
             load_spectrum(path)
 
 
