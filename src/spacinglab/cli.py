@@ -99,7 +99,8 @@ def _cmd_curve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 def _parse_against(text: str) -> list[str]:
     if text.strip().lower() == "all":
         return list(curves.CURVE_ORDER)
-    requested = [curves.canonical_kind(tok) for tok in text.split(",") if tok.strip()]
+    tokens = (tok.strip() for tok in text.split(","))
+    requested = [curves.canonical_kind(tok) for tok in tokens if tok]
     if not requested:
         raise ValueError("selected no curves")
     # keep the canonical order, drop duplicates

@@ -150,9 +150,12 @@ def constants(kind: str) -> CurveConstants:
     )
 
 
+_NEGATIVE_OR_NAN = "spacing argument must be nonnegative, not NaN"
+
+
 def _check_nonnegative(x: np.ndarray) -> None:
     if not (x >= 0.0).all():  # also rejects NaN
-        raise ValueError("spacing argument must be nonnegative, not NaN")
+        raise ValueError(_NEGATIVE_OR_NAN)
 
 
 def pdf(kind: str, x):
@@ -206,13 +209,24 @@ def cdf(kind: str, x):
     of two floats a few ulps apart, the larger can come out lower by less
     than the accuracy stated in the module docstring.
     """
-    import scipy.special as special
-
     kind = canonical_kind(kind)
     arr = np.asarray(x, dtype=float)
     _check_nonnegative(arr)
+    out = _cdf(kind, np.atleast_1d(arr))
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
+def _cdf(kind: str, x: np.ndarray) -> np.ndarray:
+    """The closed forms behind :func:`cdf`, without its checks.
+
+    ``kind`` must be a canonical tag and ``x`` a float array of at least one
+    dimension whose entries are nonnegative and not NaN; the result is a new
+    array of x's shape.
+    """
+    import scipy.special as special
+
     c = constants(kind)
-    xs = np.minimum(np.atleast_1d(arr), _X_SAT)
+    xs = np.minimum(x, _X_SAT)
     z = c.beta * xs * xs
     if kind == "GOE":
         out = -np.expm1(-z)
@@ -242,7 +256,7 @@ def cdf(kind: str, x):
         out[small] = scale * ys * ys * series
     np.maximum(out, 0.0, out=out)
     np.minimum(out, 1.0, out=out)
-    return float(out[0]) if np.ndim(x) == 0 else out
+    return out
 
 
 def moment(kind: str, k: int) -> float:

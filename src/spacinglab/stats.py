@@ -27,7 +27,9 @@ __all__ = [
 class SpacingSample:
     """Raw nonnegative spacings with their unit-mean rescaling.
 
-    normalized[i] = raw[i] / mean(raw); input order is preserved.
+    normalized[i] = raw[i] / mean(raw); input order is preserved.  The sorted
+    spacings and the ECDF steps i/n are built on first use and kept, read-only,
+    for every :func:`ks_test` on the sample.
     """
 
     raw: np.ndarray
@@ -44,6 +46,14 @@ class SpacingSample:
         xs = np.sort(self.normalized)
         xs.flags.writeable = False
         return xs
+
+    @cached_property
+    def ecdf_steps(self) -> np.ndarray:
+        """The ECDF steps i/n, i = 0..n, in one array: built on first use, read-only."""
+        steps = np.arange(self.raw.size + 1.0)
+        np.divide(steps, self.raw.size, out=steps)
+        steps.flags.writeable = False
+        return steps
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -108,33 +118,39 @@ def ks_test(sample: SpacingSample, kind: str) -> KsResult:
     to a few ulps, under positive rescaling of the raw spacings, since
     normalization absorbs the scale up to the rounding of raw / mean.
 
-    Below ``_KS_BOUND_MIN`` points F is evaluated at every x_j.  From there on
-    it is evaluated first at the knots, every ``_KS_BLOCK``-th point and the
-    last one, whose exact step bounds give a lower bound on d.  Because F is
-    nondecreasing, every j strictly between knots a < b has
-    (j+1)/n - F_j <= b/n - F_a and F_j - j/n <= F_b - (a+1)/n; a second
-    evaluation covers the interior of each block whose bound, plus
-    ``_KS_SLACK``, reaches the lower bound.  The slack exceeds the amount by
-    which the computed F can fall between close points (see ``curves``), so
-    a skipped block cannot hold the maximum, and d has the same bits as the
-    full scan's.
+    The kind is canonicalized once and the sample is checked at its sorted
+    ends alone: x_0 >= 0, and x_{n-1} is not NaN (NaN sorts last).  F is then
+    the closed-form kernel behind :func:`curves.cdf`, which skips the
+    per-call checks and gives the same bits.
+
+    Below ``_KS_BOUND_MIN`` points F is evaluated at every x_j, against the
+    sample's cached ECDF steps.  From there on it is evaluated first at the
+    knots, every ``_KS_BLOCK``-th point and the last one, whose exact step
+    bounds give a lower bound on d.  Because F is nondecreasing, every j
+    strictly between knots a < b has (j+1)/n - F_j <= b/n - F_a and
+    F_j - j/n <= F_b - (a+1)/n; a second evaluation covers the interior of
+    each block whose bound, plus ``_KS_SLACK``, reaches the lower bound.  The
+    slack exceeds the amount by which the computed F can fall between close
+    points (see ``curves``), so a skipped block cannot hold the maximum, and d
+    has the same bits as the full scan's.
     """
     import scipy.special as special
 
     if len(sample) == 0:
         raise ValueError("ks_test requires a nonempty sample")
+    kind = curves.canonical_kind(kind)
     xs = sample.sorted_normalized
     n = xs.size
+    if not xs[0] >= 0.0 or xs[-1] != xs[-1]:  # a negative minimum; NaN sorts to the end
+        raise ValueError(curves._NEGATIVE_OR_NAN)
     if n < _KS_BOUND_MIN:
-        F = curves.cdf(kind, xs)
-        steps = np.arange(n + 1.0)
-        np.divide(steps, n, out=steps)  # the ECDF steps i/n, i = 0..n, in one array
+        F = curves._cdf(kind, xs)
+        steps = sample.ecdf_steps
         d = max((steps[1:] - F).max(), (F - steps[:-1]).max())
     else:
-        # the first and last points are knots, so cdf still refuses a negative
-        # minimum and a NaN, which sorts to the end
+        # xs passed the end checks above, so every subset of it is a valid kernel input
         knots = np.append(np.arange(0, n - 1, _KS_BLOCK), n - 1)
-        F = curves.cdf(kind, xs[knots])
+        F = curves._cdf(kind, xs[knots])
         lo = knots / n
         hi = (knots + 1) / n
         d = max((hi - F).max(), (F - lo).max())
@@ -143,7 +159,7 @@ def ks_test(sample: SpacingSample, kind: str) -> KsResult:
         inner = (starts[:, None] + np.arange(1, _KS_BLOCK)).ravel()
         inner = inner[inner < n - 1]  # the last block can be shorter
         if inner.size:
-            F = curves.cdf(kind, xs[inner])
+            F = curves._cdf(kind, xs[inner])
             d = max(d, ((inner + 1) / n - F).max(), (F - inner / n).max())
     d = float(d)
     return KsResult(d=d, n=n, p_value=float(special.kolmogorov(math.sqrt(n) * d)))

@@ -211,6 +211,12 @@ class TestCompare:
         report = json.loads(capsys.readouterr().out)
         assert list(report["ks-results"]) == ["GPOE", "GPUE"]
 
+    def test_against_tokens_with_spaces_and_mixed_case(self, goe_csv, capsys):
+        assert run(["compare", "--spacings", str(goe_csv),
+                    "--against", " GOE , gpue ", "--report", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report["ks-results"]) == ["GOE", "GPUE"]
+
     def test_rescaled_column_same_best_fit(self, goe_csv, tmp_path, capsys):
         raw = [float(ln.split(",")[0]) for ln in goe_csv.read_text().splitlines()[1:]]
         other = tmp_path / "scaled.csv"

@@ -158,8 +158,13 @@ class TestKsBoundedSearch:
         assert xs is s.sorted_normalized
         assert np.array_equal(xs, np.sort(s.normalized))
         assert not xs.flags.writeable
+        steps = s.ecdf_steps
+        assert steps is s.ecdf_steps
+        assert np.array_equal(steps, np.arange(301) / 300)
+        assert not steps.flags.writeable
 
-    @pytest.mark.parametrize("n", [CUT - 1, CUT, CUT + 1, CUT + 2 * BLOCK + 7, 3 * CUT + 5])
+    @pytest.mark.parametrize("n", [1, 2, 50, 300, CUT - 1, CUT, CUT + 1, CUT + 2 * BLOCK + 7,
+                                   3 * CUT + 5])
     @pytest.mark.parametrize("kind", curves.CURVE_ORDER)
     def test_equals_full_scan_at_the_cutoff(self, n, kind):
         sample = _sample("GPUE", n)
@@ -203,17 +208,32 @@ class TestKsBoundedSearch:
 
     def test_evaluates_few_points(self, monkeypatch):
         seen = []
-        cdf = curves.cdf
+        kernel = curves._cdf
 
         def counting_cdf(kind, x):
             seen.append(np.size(x))
-            return cdf(kind, x)
+            return kernel(kind, x)
 
-        monkeypatch.setattr(curves, "cdf", counting_cdf)
+        monkeypatch.setattr(curves, "_cdf", counting_cdf)
         n = 100_000
         ks_test(_sample("GOE", n), "GOE")
         assert len(seen) == 2
         assert sum(seen) < n // 10
+        seen.clear()
+        ks_test(_sample("GOE", self.CUT - 1), "GOE")
+        assert seen == [self.CUT - 1]
+
+    @pytest.mark.parametrize("n", [3, CUT + 1])
+    @pytest.mark.parametrize("bad", [-0.5, math.nan])
+    @pytest.mark.parametrize("kind", curves.CURVE_ORDER)
+    def test_refuses_a_negative_or_nan_spacing(self, n, bad, kind):
+        # normalize() refuses such input, so the sample is built by hand; the
+        # end checks on the sorted spacings must still find the bad value
+        normalized = np.linspace(0.5, 1.5, n)
+        normalized[n // 2] = bad
+        sample = stats.SpacingSample(raw=np.ones(n), mean=1.0, normalized=normalized)
+        with pytest.raises(ValueError, match="^spacing argument must be nonnegative, not NaN$"):
+            ks_test(sample, kind)
 
     @pytest.mark.parametrize("kind", curves.CURVE_ORDER)
     def test_cdf_drop_between_close_floats_within_half_the_slack(self, kind):
