@@ -16,6 +16,7 @@ reports are deterministic except for their timestamp field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -27,29 +28,166 @@ from . import curves, ensembles, ingest, stats, verify
 
 _ENSEMBLE_CHOICES = tuple(tag.lower() for tag in ensembles.ENSEMBLE_ORDER)
 _CURVE_CHOICES = tuple(tag.lower() for tag in curves.CURVE_ORDER)
-# Rows per formatted CSV block.  At 1024 rows every per-block temporary
-# stays below glibc's 128 KiB mmap threshold; larger blocks (or stacking the
-# whole table at once) raised the peak RSS of later commands in the same
-# process by 2-3 MiB.
-_CSV_BLOCK_ROWS = 1024
+# Rows per formatted CSV block.  Each block pays a fixed cost of some forty
+# numpy calls; at 2048 rows the text buffer of a two-column block (24 bytes
+# a value) is 96 KiB, under glibc's 128 KiB mmap threshold.
+_CSV_BLOCK_ROWS = 2048
+# Bytes per value in a block's text buffer (see _csv_tables for the layout).
+_SLOT = 24
 
 
 def _fmt(v: float) -> str:
     return format(float(v), ".12g")
 
 
+@functools.cache
+def _csv_tables():
+    """Tables of the vectorized ``%.12g`` path, built on first use.
+
+    Returns the 4-digit ASCII groups (uint32 per 0..9999), their trailing
+    zero counts (4 for 0000), the exact powers of ten 10**k = p1[k] * p2[k]
+    for k in 0..44, and three per-class byte tables viewed as uint64: the
+    keep masks of the two digit copies and the literal text.  A class is an
+    exponent e in -33..11 and a digit count nd in 1..12 (the 12 significand
+    digits less their trailing zeros), at index (e + 33) * 12 + nd - 1.  In a
+    value's 24-byte slot, bytes 0-4 hold the "0.000" prefix of 1e-4 <= x < 1,
+    bytes 4-15 copy A of the digits and bytes 5-16 copy B (one byte later,
+    so the point can sit between digits), bytes 17-20 the "e-XX" suffix and
+    byte 21 the separator.  `%g` puts the point after digit e + 1 when
+    -4 <= e < 12 and writes d.ddd plus the suffix otherwise; bytes left 0
+    are dropped.
+    """
+    i = np.arange(10000)
+    groups = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + ord("0")
+    digits = groups.astype(np.uint8).view(np.uint32).ravel()
+    zeros = (i % 10 == 0).astype(np.intp) + (i % 100 == 0) + (i % 1000 == 0) + (i == 0)
+    pow10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # exact: 10**k = 2**k * 5**k, 5**22 < 2**53
+    k = np.arange(45)
+    p1, p2 = pow10[np.minimum(k, 22)], pow10[np.maximum(k - 22, 0)]
+    e = np.arange(-33, 12)[:, None, None]
+    nd = np.arange(1, 13)[None, :, None]
+    s = np.arange(_SLOT)
+    below1, fixed, sci = (e >= -4) & (e < 0), e >= 0, e < -4
+    ja, jb = s - 4, s - 5  # digit index of copy A, copy B at each byte
+    keep_a = (ja >= 0) & np.where(fixed, ja <= e, sci & (ja == 0))
+    keep_b = (jb >= 0) & (jb < nd) & (below1 | (fixed & (jb > e)) | (sci & (jb > 0)))
+    point = np.where(below1, 5 + e, np.where(fixed & (nd > e + 1), 5 + e, np.where(sci & (nd > 1), 5, -1)))
+    text = np.where(s == point, ord("."), 0)
+    text = np.where(below1 & (s >= 4 + e) & (s < 5) & (s != 5 + e), ord("0"), text)
+    for at, byte in ((17, ord("e")), (18, ord("-")), (19, ord("0") + -e // 10), (20, ord("0") + -e % 10)):
+        text = np.where(sci & (s == at), byte, text)
+
+    def words(table):
+        table = np.ascontiguousarray(np.broadcast_to(table, (45, 12, _SLOT)), dtype=np.uint8)
+        return table.reshape(45 * 12, _SLOT).view(np.uint64)
+
+    tables = digits, zeros, p1, p2, words(keep_a * 255), words(keep_b * 255), words(text)
+    for table in tables:
+        table.flags.writeable = False  # shared by every call
+    return tables
+
+
+def _format_rows(row: str, rows: np.ndarray) -> bytes:
+    """The exact path: the text of ``rows``, each through the ``%`` row template."""
+    return (row * len(rows) % tuple(rows.ravel().tolist())).encode()
+
+
+def _fast_text(block: np.ndarray):
+    """``%.12g`` text of a (rows, columns) block where numpy can round it exactly.
+
+    Returns the block's uint8 text buffer of shape (rows, columns, _SLOT),
+    with 0 for every byte to drop and the separators not yet set, and a
+    per-row flag: False where some value of the row is off the fast path
+    (its bytes are then meaningless).  Returns (None, None) when fewer than a
+    quarter of the rows lie in the fast domain, as in the underflowed tail of
+    a wide `curve` table, where numpy would add to the cost of ``%``.
+    """
+    x = block.ravel()
+    ok = (x >= 1e-33) & (x < 1e12)
+    if np.count_nonzero(ok.reshape(block.shape).all(axis=1)) * 4 < len(block):
+        return None, None
+    digits, zeros, p1, p2, keep_a, keep_b, text = _csv_tables()
+    xs = np.where(ok, x, 1.0)
+    e = np.floor(np.log10(xs)).astype(np.intp)
+    np.minimum(e, 11, out=e)  # keep 10**(11 - e) in the table; m decides below
+    np.maximum(e, -33, out=e)
+    m = xs * p1.take(11 - e)
+    m *= p2.take(11 - e)
+    off = np.flatnonzero((m < 1e11) | (m >= 1e12))
+    if off.size:  # log10 rounded across a power of ten: move e once
+        eo = e[off] + (m[off] >= 1e12) - (m[off] < 1e11)
+        ok[off] &= (eo >= -33) & (eo <= 11)
+        e[off] = eo = np.clip(eo, -33, 11)
+        m[off] = xs[off] * p1.take(11 - eo) * p2.take(11 - eo)
+    big = np.rint(m)
+    ok &= (np.abs(m - big) < 0.499) & (big >= 1e11) & (big <= 1e12)
+    carry = np.flatnonzero(big == 1e12)
+    if carry.size:  # 0.99999999999996 rounds to 1: 1e11 at e + 1
+        big[carry] = 1e11
+        ok[carry] &= e[carry] < 11
+        e[carry] = np.minimum(e[carry] + 1, 11)
+    sig = big.astype(np.intp)
+    hi = sig // 100_000_000
+    lo = sig - hi * 100_000_000
+    mid = lo // 10_000
+    lo -= mid * 10_000
+    out = np.empty((len(x), _SLOT // 4), np.uint32)
+    out[:, 1] = digits.take(hi, mode="clip")
+    out[:, 2] = digits.take(mid)
+    out[:, 3] = digits.take(lo)
+    trailing = zeros.take(lo)
+    whole = np.flatnonzero(lo == 0)
+    if whole.size:
+        more = zeros.take(mid[whole])
+        trailing[whole] += more + (more == 4) * zeros.take(hi[whole], mode="clip")
+    cls = (e + 33) * 12 + 11 - trailing
+    a = out.view(np.uint64)
+    b = np.empty_like(a)
+    b.view(np.uint8).ravel()[1:] = a.view(np.uint8).ravel()[:-1]
+    a &= keep_a.take(cls, axis=0)
+    b &= keep_b.take(cls, axis=0)
+    a |= b
+    a |= text.take(cls, axis=0)
+    return out.view(np.uint8).reshape(*block.shape, _SLOT), ok.reshape(block.shape).all(axis=1)
+
+
 def _write_csv(path, header: str, *columns) -> None:
     """Write float columns under a header line, one ``.12g`` row per line.
 
-    Rows are formatted a block at a time with one ``%`` on a repeated row
-    template; ``"%.12g" % x`` prints the same text as ``_fmt(x)``.
+    The text is the same, byte for byte, as ``"%.12g" % x`` (and ``_fmt``)
+    for every value.  Numpy formats a value when it can prove the digits:
+    for 1e-33 <= x < 1e12 it takes e = floor(log10 x), moved once by one if
+    the scaled value misses [1e11, 1e12), and m = x * 10**(11 - e) with at
+    most two multiplies by exact powers of ten, so |m - exact| <= 2.3e-4.
+    If m lies more than 1e-3 from a .5 tie (|m - rint(m)| < 0.499), rint(m)
+    is the rounded 12-digit significand (1e12 carries to 1e11 at e + 1).
+    Every other value (0, -0.0, negatives, NaN, inf, subnormals, near-ties,
+    x >= 1e12 or below 1e-33) sends its whole row to ``_format_rows``,
+    Python's own ``%``, one call per run of such rows; a block with fewer
+    than a quarter of its rows in that domain goes to ``%`` whole.
     """
     row = ",".join(["%.12g"] * len(columns)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
+    seps = np.frombuffer(("," * (len(columns) - 1) + "\n").encode(), np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
             block = np.column_stack([c[lo : lo + _CSV_BLOCK_ROWS] for c in columns])
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            text, fast = _fast_text(block)
+            if text is None:
+                fh.write(_format_rows(row, block))
+                continue
+            text[:, :, 21] = seps
+            slow = np.flatnonzero(~fast)
+            # slow[a:b] is a run of consecutive slow rows; firsts holds each a
+            firsts = np.flatnonzero(np.diff(slow, prepend=-2) > 1).tolist()
+            pieces, start = [], 0
+            for a, b in zip(firsts, [*firsts[1:], len(slow)]):
+                first, end = slow[a], slow[b - 1] + 1
+                pieces.append(text[start:first].tobytes().translate(None, b"\0"))
+                pieces.append(_format_rows(row, block[first:end]))
+                start = end
+            pieces.append(text[start:].tobytes().translate(None, b"\0"))
+            fh.write(b"".join(pieces))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -320,7 +320,9 @@ def test_reads_a_pipe(argv, body):
     assert json.loads(proc.stdout)["n"] == 3
 
 
-_WRITER_SPECIALS = [0.0, -0.0, 5e-324, 1e-5, 9.99999999999e-5, 1e16, 123456789012.5]
+_WRITER_SPECIALS = [0.0, -0.0, 5e-324, 1e-5, 9.99999999999e-5, 1e16, 123456789012.5,
+                    float(np.nextafter(1e-4, 0)), 9.999999999995e-05, 999999999999.5,
+                    float(np.nextafter(1e-33, 0)), math.nan, math.inf, -1.5]
 
 
 class TestCsvWriter:
@@ -348,8 +350,91 @@ class TestCsvWriter:
         assert path.read_text().splitlines()[1:] == [
             "0,-0", "-0,0", "4.94065645841e-324,-4.94065645841e-324", "1e-05,-1e-05",
             "9.99999999999e-05,-9.99999999999e-05", "1e+16,-1e+16",
-            "123456789012,-123456789012",
+            "123456789012,-123456789012", "0.0001,-0.0001",
+            "9.99999999999e-05,-9.99999999999e-05", "1e+12,-1e+12", "1e-33,-1e-33",
+            "nan,nan", "inf,-inf", "-1.5,1.5",
         ]
+
+
+_BLOCK = cli._CSV_BLOCK_ROWS
+
+
+def _near_tie(k, j, side):
+    """(k + 1/2) * 10**j, or its neighbour toward ``side``."""
+    v = (k + 0.5) * 10.0**j
+    return float(v if side is None else np.nextafter(v, side))
+
+
+_WRITER_VALUES = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, np.uint64).view(np.float64))),
+    st.builds(_near_tie, st.integers(10**11, 10**12 - 1), st.integers(-45, 0),
+              st.sampled_from([None, 0.0, math.inf])),
+    st.integers(-40, 12).map(lambda j: 9.999999999995 * 10.0**j),
+    st.sampled_from([float(np.nextafter(1e-4, 0)), 1e-33, float(np.nextafter(1e-33, 0)), 1e12]),
+)
+
+
+@st.composite
+def _writer_columns(draw):
+    """1-3 columns of n rows, n around the block size: seeded background
+    values (ordinary, or all below the fast domain) with drawn values
+    written over some rows."""
+    n = draw(st.sampled_from([1, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        low, high = draw(st.sampled_from([(-34, 13), (-300, -33)]))
+        col = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(low, high, n)
+        values = draw(st.lists(_WRITER_VALUES, max_size=40))
+        col[rng.integers(0, n, len(values))] = values
+        columns.append(col)
+    return columns
+
+
+class TestCsvWriterProperties:
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(_writer_columns())
+    def test_bytes_match_per_row_loop(self, tmp_path_factory, columns):
+        folder = tmp_path_factory.mktemp("writer")
+        header = ",".join(f"c{j}" for j in range(len(columns)))
+        cli._write_csv(folder / "fast.csv", header, *columns)
+        write_rows_reference(folder / "slow.csv", header, *columns)
+        assert (folder / "fast.csv").read_bytes() == (folder / "slow.csv").read_bytes()
+
+
+class TestCsvFastPath:
+    """Guards the vectorized writer: few rows may fall back to ``%``."""
+
+    @pytest.fixture
+    def exact_rows(self, monkeypatch):
+        seen = []
+        format_rows = cli._format_rows
+
+        def spy(row, rows):
+            seen.append(np.array(rows))
+            return format_rows(row, rows)
+
+        monkeypatch.setattr(cli, "_format_rows", spy)
+        return seen
+
+    # 1e5-row tables as the benchmark writes them; about a third of the GSE
+    # pdf values print in exponent form and must stay on the fast path.
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--ensemble", "goe", "--n", "100000", "--seed", "1"],
+        ["sample", "--ensemble", "gpue", "--n", "100000", "--seed", "1"],
+        *(["curve", "--curve", c, "--xmax", "4", "--points", "100000"]
+          for c in ("goe", "gue", "gse", "gpoe", "gpue")),
+    ], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+    def test_few_rows_take_the_exact_path(self, tmp_path, exact_rows, argv):
+        assert run([*argv, "--out", str(tmp_path / "t.csv")]) == 0
+        assert sum(len(rows) for rows in exact_rows) < 1000
+
+    def test_only_rows_off_the_path_are_formatted_by_percent(self, tmp_path, exact_rows):
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, "v", np.array([0.0, math.nan, 999999999999.5, 1.5]))
+        assert len(exact_rows) == 1
+        np.testing.assert_array_equal(exact_rows[0], [[0.0], [math.nan], [999999999999.5]])
+        assert path.read_text() == "v\n0\nnan\n1e+12\n1.5\n"
 
 
 # SHA-256 of `sample --n 40000 --seed 42` (three streams), taken with the
