@@ -60,6 +60,7 @@ count, and bit-identical for fixed (kind, n, seed).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -352,6 +353,7 @@ def sample_spacings(
     Returns (sample, rate) where ``sample`` carries the raw spacings in
     stream order together with their unit-mean normalization, and ``rate``
     is accepted/consumed raw draws (exactly 1.0 for the always-real kinds).
+    At most min(``config.workers``, streams, ``os.cpu_count()``) threads run.
     """
     n_accepted = _checks.count(n_accepted, "n_accepted", 1)
     plan = _stream_plan(n_accepted)
@@ -360,8 +362,11 @@ def sample_spacings(
         idx, quota = entry
         return _sample_block(kind, config.seed, idx, quota)
 
-    if config.workers > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=int(config.workers)) as pool:
+    # the output does not depend on the worker count, so no more threads start
+    # than there are streams or cores; os.cpu_count() reads a file, so it is asked last
+    workers = min(int(config.workers), len(plan))
+    if workers > 1 and (cores := os.cpu_count() or 1) > 1:
+        with ThreadPoolExecutor(max_workers=min(workers, cores)) as pool:
             results = list(pool.map(job, plan))
     else:
         results = [job(entry) for entry in plan]
@@ -387,6 +392,32 @@ def acceptance_rate(kind: EnsembleKind, n_raw: int, config: SamplerConfig) -> fl
     return accepted / n_raw
 
 
+def _cosh_sinh(x: float) -> tuple[float, float]:
+    try:
+        return math.cosh(x), math.sinh(x)
+    except OverflowError:  # |x| above about 710; the parameters are then inf or nan
+        return math.inf, math.inf
+
+
+def _spectral_params(n_params: int, t, s, theta, phi=None) -> np.ndarray:
+    """Matrix parameters, one row per entry of the columns (t, s, theta, phi).
+
+    The map of :func:`spectral_to_params`; ``phi`` is read only for
+    ``n_params`` 4.  cosh, sinh, cos and sin are math's, taken per value:
+    numpy's may differ in the last bit, and its cosh and sinh do.  Entries
+    that overflow are inf or nan.
+    """
+    half_s = np.asarray(s, dtype=float) / 2.0
+    ch, sh = np.array([_cosh_sinh(2.0 * v) for v in np.asarray(theta, dtype=float).tolist()]).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        cols = [np.asarray(t, dtype=float) / 2.0, half_s * ch, -half_s * sh]
+        if n_params == 4:  # GPUE splits the (c, d) plane by phi
+            phi = np.asarray(phi, dtype=float).tolist()
+            cols[2] = cols[2] * [math.cos(v) for v in phi]
+            cols.append(half_s * sh * [math.sin(v) for v in phi])
+    return np.stack(cols, axis=-1)
+
+
 def spectral_to_params(kind: EnsembleKind, sp: SpectralParams) -> np.ndarray:
     """Map spectral coordinates back to the kind's ``n_params`` matrix parameters.
 
@@ -398,19 +429,10 @@ def spectral_to_params(kind: EnsembleKind, sp: SpectralParams) -> np.ndarray:
     """
     if not kind.has_rejection:
         raise ValueError("spectral coordinates are defined for GPOE/GPUE only")
-    half_s = sp.s / 2.0
-    try:
-        ch, sh = math.cosh(2.0 * sp.theta), math.sinh(2.0 * sp.theta)
-    except OverflowError:  # |2 theta| above about 710; b is then inf or nan, refused below
-        ch = sh = math.inf
-    if kind.n_params == 3:  # GPOE has no (c, d) plane to split
-        params = [sp.t / 2.0, half_s * ch, -half_s * sh]
-    else:
-        params = [sp.t / 2.0, half_s * ch, -half_s * sh * math.cos(sp.phi),
-                  half_s * sh * math.sin(sp.phi)]
-    if not all(map(math.isfinite, params)):
+    params = _spectral_params(kind.n_params, [sp.t], [sp.s], [sp.theta], [sp.phi])[0]
+    if not np.isfinite(params).all():
         raise ValueError(f"{kind.tag} parameters overflow for {sp}")
-    return np.array(params)
+    return params
 
 
 def realize_matrix(kind: EnsembleKind, p) -> np.ndarray:

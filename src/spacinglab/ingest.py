@@ -221,6 +221,53 @@ def parse_unfold_method(text: str) -> UnfoldMethod:
     raise ValueError(f"unknown unfolding method {text!r}; use global, local:w or poly:p")
 
 
+# the normal equations square the condition number of the least-squares problem,
+# so above this condition number of the Gram matrix the fit is left to lstsq
+_GRAM_COND_MAX = 1e8
+
+
+def _legendre_staircase(levels: np.ndarray, staircase: np.ndarray, degree: int) -> np.ndarray | None:
+    """The fitted staircase from the Legendre normal equations (see ``unfold``).
+
+    None where the Cholesky factorization of the Gram matrix fails or the
+    matrix's condition number exceeds ``_GRAM_COND_MAX``.  ``np.einsum`` is
+    called without ``optimize``, the setting under which it calls no BLAS.
+    """
+    lo, hi = levels[0], levels[-1]
+    u = (levels - lo) / (hi - lo) * 2.0 - 1.0  # not 2x - (lo + hi): that sum can overflow
+    vander = np.polynomial.legendre.legvander(u, degree)
+    gram = np.einsum("ij,ik->jk", vander, vander)
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    if np.linalg.cond(gram) > _GRAM_COND_MAX:
+        return None
+    rhs = np.einsum("ij,i->j", vander, staircase)
+    coef = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+    return np.einsum("ij,j->i", vander, coef)
+
+
+def _lstsq_staircase(levels: np.ndarray, staircase: np.ndarray, degree: int) -> np.ndarray:
+    """The fitted staircase from ``Polynomial.fit`` (an SVD least-squares solve).
+
+    Refuses with a ValueError a fit of rank at most ``degree``, and one whose
+    mapping of the levels onto [-1, 1] overflows, as it does for a subnormal
+    span or where the sum of the first and last level overflows.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            fit, (_, rank, _, _) = np.polynomial.Polynomial.fit(
+                levels, staircase, degree, full=True)
+            fitted = fit(levels)
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        raise ValueError(f"degenerate staircase fit: {exc}") from exc
+    if rank <= degree:
+        raise ValueError("degenerate staircase fit: the levels fix fewer "
+                         f"than {degree + 1} coefficients; lower the degree")
+    return fitted
+
+
 def unfold(spectrum: SpectrumFile, method: UnfoldMethod) -> stats.SpacingSample:
     """Rescale a spectrum's spacings to unit local mean.
 
@@ -231,6 +278,16 @@ def unfold(spectrum: SpectrumFile, method: UnfoldMethod) -> stats.SpacingSample:
     N(E_i) = i with a degree-p polynomial and takes differences of the
     fitted values.  The output is renormalized to exact unit mean as a
     final step.
+
+    The staircase fit maps the levels onto u in [-1, 1] and solves the
+    (p + 1) x (p + 1) normal equations on the Legendre basis P_0(u) ..
+    P_p(u) by Cholesky.  Their products over the levels are ``np.einsum``
+    calls, which call no BLAS: a multithreaded BLAS spends longer starting
+    threads than on these thin products.  Where the Gram matrix is not
+    positive definite or its condition number exceeds 1e8 (the normal
+    equations square it), the fit falls back to the SVD least-squares
+    solve of ``np.polynomial.Polynomial.fit``, which refuses a
+    rank-deficient fit.  The two fits agree to rounding, not bit for bit.
     """
     if not math.isfinite(float(spectrum.levels[-1]) - float(spectrum.levels[0])):
         raise ValueError("the spectrum's span overflows a float; rescale the levels")
@@ -257,15 +314,9 @@ def unfold(spectrum: SpectrumFile, method: UnfoldMethod) -> stats.SpacingSample:
         if method.degree >= n:
             raise ValueError("polynomial degree must be below the number of levels")
         staircase = np.arange(1, n + 1, dtype=float)
-        try:
-            fit, (_, rank, _, _) = np.polynomial.Polynomial.fit(
-                spectrum.levels, staircase, method.degree, full=True)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"degenerate staircase fit: {exc}") from exc
-        if rank <= method.degree:
-            raise ValueError("degenerate staircase fit: the levels fix fewer "
-                             f"than {method.degree + 1} coefficients; lower the degree")
-        unfolded = fit(spectrum.levels)
+        unfolded = _legendre_staircase(spectrum.levels, staircase, method.degree)
+        if unfolded is None:
+            unfolded = _lstsq_staircase(spectrum.levels, staircase, method.degree)
         out = np.diff(unfolded)
         if np.any(out < 0):
             raise ValueError(

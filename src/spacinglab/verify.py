@@ -55,20 +55,13 @@ def jacobian_ratios(kind: ensembles.EnsembleKind) -> np.ndarray:
     comes from a = t/2).
     """
     k = kind.n_params
-
-    def fn(v: list[float]) -> np.ndarray:
-        sp = ensembles.SpectralParams(
-            t=v[0], s=v[1], theta=v[2], phi=v[3] if k == 4 else 0.0
-        )
-        return ensembles.spectral_to_params(kind, sp)
-
     # rows (t, s, theta, phi) in draw order; GPOE drops phi but still draws it
     points = np.random.default_rng(SEED).uniform(
         [-2.0, 0.2, -1.5, 0.0], [2.0, 3.0, 1.5, 2.0 * math.pi], size=(JACOBIAN_POINTS, 4)
     )[:, :k]
     step = JACOBIAN_STEP * np.eye(k)
     probes = points[:, None, :] + np.concatenate([step, -step])  # (point, +-step j, coordinate)
-    params = np.array([fn(v) for v in probes.reshape(-1, k).tolist()]).reshape(-1, 2 * k, k)
+    params = ensembles._spectral_params(k, *probes.reshape(-1, k).T).reshape(-1, 2 * k, k)
     # jac[i, m, j] = d param_m / d coordinate_j at point i, by central differences
     jac = ((params[:, :k] - params[:, k:]) / (2.0 * JACOBIAN_STEP)).transpose(0, 2, 1)
     # math.sinh, not np.sinh: the two differ in the last bit

@@ -365,6 +365,32 @@ class TestSampleSpacings:
             assert np.array_equal(sample.raw, runs[0][0].raw)
             assert rate == runs[0][1]
 
+    @pytest.mark.parametrize("cpus,pool_size", [(64, 3), (2, 2), (1, None), (None, None)])
+    def test_worker_count_is_clamped(self, monkeypatch, cpus, pool_size):
+        # a stand-in pool that runs jobs inline: no thread is started
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(ensembles, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(ensembles.os, "cpu_count", lambda: cpus)
+        n = 2 * ensembles.BLOCK_QUOTA + 5  # three streams
+        sample, rate = sample_spacings(GPUE, n, SamplerConfig(seed=3, workers=10**6))
+        assert sizes == ([] if pool_size is None else [pool_size])
+        serial, serial_rate = sample_spacings(GPUE, n, SamplerConfig(seed=3))
+        assert np.array_equal(sample.raw, serial.raw) and rate == serial_rate
+
 
 class TestAcceptanceRate:
     def test_always_real_kinds(self):
@@ -446,6 +472,25 @@ class TestSpectralMap:
         # cosh(710) is still finite
         p = spectral_to_params(GPOE, SpectralParams(t=0.0, s=1e-300, theta=355.0))
         assert np.all(np.isfinite(p))
+
+    @pytest.mark.parametrize("kind", [GPOE, GPUE], ids=str)
+    def test_batched_map_has_the_bits_of_the_scalar_formulas(self, kind):
+        coords = np.random.default_rng(22).uniform(
+            [-3.0, 0.0, -2.0, 0.0], [3.0, 3.0, 2.0, 2.0 * math.pi], size=(200, 4))
+        coords[0, 2] = 400.0  # cosh and sinh overflow: inf entries, as spectral_to_params refuses
+        want = []
+        for t, s, theta, phi in coords.tolist():
+            h, ch, sh = s / 2.0, math.inf, math.inf
+            if abs(theta) < 355.0:
+                ch, sh = math.cosh(2.0 * theta), math.sinh(2.0 * theta)
+            row = [t / 2.0, h * ch, -h * sh]
+            if kind.n_params == 4:
+                row = [t / 2.0, h * ch, -h * sh * math.cos(phi), h * sh * math.sin(phi)]
+            want.append(row)
+        got = ensembles._spectral_params(kind.n_params, *coords.T)
+        assert got.tobytes() == np.array(want).tobytes()
+        for sp, row in zip(coords[1:].tolist(), got[1:]):
+            assert spectral_to_params(kind, SpectralParams(*sp)).tobytes() == row.tobytes()
 
     def test_rejects_hermitian_kinds(self):
         with pytest.raises(ValueError):

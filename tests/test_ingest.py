@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spacinglab import cli, ingest
+from spacinglab import cli, curves, ingest, stats
 from spacinglab.ingest import (
     GlobalMean,
     LocalWindow,
@@ -553,3 +553,88 @@ class TestUnfoldProperties:
         assert np.all(np.isfinite(out))
         assert np.all(out >= 0.0)
         assert abs(out.mean() - 1.0) <= 1e-12
+
+
+def _lstsq_spacings(levels, degree):
+    """Differences of the ``Polynomial.fit`` staircase, the one fit ``unfold`` used to make."""
+    fit = np.polynomial.Polynomial.fit(levels, np.arange(1.0, levels.size + 1), degree)
+    return np.diff(fit(levels))
+
+
+def _raise_if_called(*args, **kwargs):
+    raise AssertionError("the Legendre staircase fit called lstsq")
+
+
+def _stretched_spectrum():
+    rng = np.random.default_rng(12)
+    x = np.cumsum(rng.exponential(size=5000))
+    return x + x * x / x[-1]  # density falls by a factor of 3 across the spectrum
+
+
+def _goe_matrix_spectrum():
+    a = np.random.default_rng(13).standard_normal((400, 400))
+    return np.linalg.eigvalsh((a + a.T) / 2.0)
+
+
+_SPECTRA = {
+    "poisson": lambda: np.cumsum(np.random.default_rng(11).exponential(size=5000)),
+    "goe-matrix": _goe_matrix_spectrum,
+    "stretched": _stretched_spectrum,
+}
+# 1000 unit-spaced levels and one far out: the Gram matrix's condition number is
+# 2e12 at degree 2 and the Cholesky factorization fails from degree 7
+_CLUSTERED = np.append(np.arange(1000.0), 1e9)
+_UNFOLD_ERRORS = ("degenerate staircase fit: ", "fitted staircase is not increasing",
+                  "the spectrum's span overflows a float")
+
+
+class TestPolynomialStaircaseFit:
+    @pytest.mark.parametrize("degree", [3, 7, 9])
+    @pytest.mark.parametrize("name", list(_SPECTRA))
+    def test_legendre_fit_matches_lstsq_without_calling_it(self, monkeypatch, name, degree):
+        levels = _SPECTRA[name]()
+        want = stats.normalize(_lstsq_spacings(levels, degree))
+        monkeypatch.setattr(np.linalg, "lstsq", _raise_if_called)
+        monkeypatch.setattr(np.polynomial.Polynomial, "fit", _raise_if_called)
+        got = unfold(SpectrumFile(levels=levels), PolynomialStaircase(degree))
+        for curve in curves.CURVE_ORDER:
+            assert abs(stats.ks_test(got, curve).d - stats.ks_test(want, curve).d) <= 1e-10
+
+    def test_ill_conditioned_gram_falls_back_to_lstsq(self, monkeypatch):
+        want = _lstsq_spacings(_CLUSTERED, 2)
+        calls = []
+        fit = np.polynomial.Polynomial.fit
+        monkeypatch.setattr(np.polynomial.Polynomial, "fit",
+                            lambda *args, **kwargs: calls.append(args) or fit(*args, **kwargs))
+        got = unfold(SpectrumFile(levels=_CLUSTERED), PolynomialStaircase(2))
+        assert len(calls) == 1
+        assert np.array_equal(got.raw, want)
+
+    @pytest.mark.parametrize("degree", [3, 7, 9])
+    def test_rank_refusal_is_kept(self, degree):
+        with pytest.raises(ValueError, match=f"^degenerate staircase fit: the levels fix fewer "
+                                             f"than {degree + 1} coefficients; lower the degree$"):
+            unfold(SpectrumFile(levels=_CLUSTERED), PolynomialStaircase(degree))
+
+    @pytest.mark.parametrize("levels", [
+        [0.0, 1.0, 8.99e307],
+        [-8.9e307, 0.0, 8.9e307],
+        [0.0, 1e308, 1.7976931348623157e308],
+        [-1e308, 0.0, 1e308],
+        np.linspace(-8.98e307, 8.98e307, 50),
+        np.append(9e307 + np.arange(1000.0) * 1e292, 1.7e308),
+        np.arange(20) * 5e-324,
+        np.linspace(1e-310, 3e-310, 30),
+        _CLUSTERED * 5e-324,
+    ], ids=["8.99e307", "symmetric", "largest", "span-overflows", "wide-linspace",
+            "wide-clustered", "subnormal-steps", "subnormal-linspace", "subnormal-clustered"])
+    def test_extreme_spans_unfold_or_refuse(self, levels):
+        spectrum = SpectrumFile(levels=np.asarray(levels, dtype=float))
+        for degree in range(1, min(spectrum.levels.size, 10)):
+            try:
+                out = unfold(spectrum, PolynomialStaircase(degree)).normalized
+            except ValueError as exc:
+                assert str(exc).startswith(_UNFOLD_ERRORS), exc
+            else:
+                assert np.all(np.isfinite(out)) and np.all(out >= 0.0)
+                assert abs(out.mean() - 1.0) <= 1e-12
