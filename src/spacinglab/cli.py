@@ -304,6 +304,7 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache  # built once per process: parse_args does not change the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="spacinglab",

@@ -55,6 +55,12 @@ schedules blocks onto threads, and the rejection batch size never shows
 in the output (``Generator.normal`` fills in sequence, and draws count up to
 the quota-th acceptance).  Output is therefore identical for any worker
 count, and bit-identical for fixed (kind, n, seed).
+
+The output array is allocated once, before any draw, so an ``n`` that
+cannot be held is refused at once; each stream then fills its own slice of
+it in place.  The draws stay unscaled: each term of D scales its own
+column, fl(fl(p_j s_j)^2), which are the bits D has for scaled parameters,
+and the ``a`` column is drawn but never scaled.
 """
 
 from __future__ import annotations
@@ -244,10 +250,18 @@ def _stream_rng(seed: int, stream_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _draw_block(kind: EnsembleKind, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw ``count`` parameter rows (count, n_params) from one stream."""
+def _normals(kind: EnsembleKind, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` unscaled parameter rows (count, n_params) from one stream."""
     # standard_normal gives the bits of normal(0, 1), which computes 0 + 1 * z
-    block = rng.standard_normal(size=(count, kind.n_params))
+    return rng.standard_normal(size=(count, kind.n_params))
+
+
+def _draw_block(kind: EnsembleKind, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Draw ``count`` parameter rows (count, n_params) from one stream, scaled.
+
+    The sampler draws the same rows unscaled and scales inside D instead.
+    """
+    block = _normals(kind, rng, count)
     block *= _param_stds(kind)
     return block
 
@@ -269,16 +283,36 @@ def _active(kind: EnsembleKind, p) -> np.ndarray:
     return arr
 
 
-def _discriminants(kind: EnsembleKind, params: np.ndarray) -> np.ndarray:
-    """Vectorized D = +-b^2 +- c^2 ... (added left to right); eigenvalues a +- sqrt(D)."""
+def _discriminants(
+    kind: EnsembleKind,
+    params: np.ndarray,
+    stds: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Vectorized D = +-b^2 +- c^2 ... (added left to right); eigenvalues a +- sqrt(D).
+
+    With ``stds``, ``params`` are unscaled draws and each term scales its own
+    column first, fl(fl(p_j s_j)^2): D keeps the bits it has for the scaled
+    block, and no pass scales the block (column ``a`` is never read).  D is
+    written to ``out`` if given.
+    """
     cols = params.T
-    disc = cols[1] * cols[1]  # every family's first generator is Hermitian: D starts at +b^2
-    for sign, col in zip(_SIGNS[kind.tag][1:], cols[2:]):
-        sq = col * col
+
+    def term(j: int, dst):
+        if stds is None:
+            return np.multiply(cols[j], cols[j], out=dst)
+        dst = np.multiply(cols[j], stds[j], out=dst)
+        dst *= dst
+        return dst
+
+    disc = term(1, out)  # every family's first generator is Hermitian: D starts at +b^2
+    tmp = None
+    for sign, j in zip(_SIGNS[kind.tag][1:], range(2, len(cols))):
+        tmp = term(j, tmp)
         if sign > 0:
-            disc += sq
+            disc += tmp
         else:
-            disc -= sq
+            disc -= tmp
     return disc
 
 
@@ -302,47 +336,40 @@ def eigenvalues(kind: EnsembleKind, p) -> tuple[float, float] | None:
     return a + r, a - r
 
 
-def _sample_block(
-    kind: EnsembleKind, seed: int, stream_index: int, quota: int
-) -> tuple[np.ndarray, int]:
-    """Accepted spacings and raw draws consumed for one logical stream.
+def _fill_stream(
+    kind: EnsembleKind, stds: np.ndarray, seed: int, stream_index: int, out: np.ndarray
+) -> int:
+    """Fill ``out`` with one logical stream's accepted spacings; return the raw draws consumed.
 
     Raw draws are consumed in stream order up to and including the draw that
-    yields the quota-th acceptance, which makes the reported acceptance rate
+    yields the last acceptance, which makes the reported acceptance rate
     reproducible.  A batch exceeds need/p by four standard deviations of the
     accepted count, so one batch nearly always suffices; at p = 1 it is need.
     """
     rng = _stream_rng(seed, stream_index)
     p = kind.acceptance
-    pieces: list[np.ndarray] = []
-    raws = 0
-    need = quota
-    while need > 0:
+    raws = filled = 0
+    while (need := out.size - filled) > 0:
         batch = math.ceil((need + 4.0 * math.sqrt(need * (1.0 - p))) / p)
-        disc = _discriminants(kind, _draw_block(kind, rng, batch))
-        if p == 1.0:  # every draw is real: no scan
-            accepted, used = disc, batch
+        draws = _normals(kind, rng, batch)
+        if p == 1.0:  # every draw is real and batch == need: D goes straight into out
+            dest = _discriminants(kind, draws, stds, out=out[filled:])
+            used = batch
         else:
+            disc = _discriminants(kind, draws, stds)
             ok = np.flatnonzero(disc >= 0.0)[:need]
-            accepted = disc[ok]
+            dest = np.take(disc, ok, out=out[filled:filled + ok.size])
             used = int(ok[-1]) + 1 if ok.size == need else batch
-        np.sqrt(accepted, out=accepted)
-        accepted *= 2.0
-        pieces.append(accepted)
+        np.sqrt(dest, out=dest)
+        dest *= 2.0
         raws += used
-        need -= accepted.size
-    return np.concatenate(pieces) if len(pieces) > 1 else pieces[0], raws
+        filled += dest.size
+    return raws
 
 
-def _stream_plan(n_accepted: int) -> list[tuple[int, int]]:
-    """(stream_index, quota) pairs covering n_accepted spacings."""
-    plan = []
-    full, rest = divmod(n_accepted, BLOCK_QUOTA)
-    for i in range(full):
-        plan.append((i, BLOCK_QUOTA))
-    if rest:
-        plan.append((full, rest))
-    return plan
+def _stream_count(n: int) -> int:
+    """Number of logical streams covering ``n`` items, BLOCK_QUOTA each but the last."""
+    return -(-n // BLOCK_QUOTA)
 
 
 def sample_spacings(
@@ -354,26 +381,26 @@ def sample_spacings(
     stream order together with their unit-mean normalization, and ``rate``
     is accepted/consumed raw draws (exactly 1.0 for the always-real kinds).
     At most min(``config.workers``, streams, ``os.cpu_count()``) threads run.
+    An ``n_accepted`` whose output cannot be allocated raises MemoryError
+    before any draw.
     """
     n_accepted = _checks.count(n_accepted, "n_accepted", 1)
-    plan = _stream_plan(n_accepted)
+    out = np.empty(n_accepted)
+    streams = range(_stream_count(n_accepted))
+    stds = _param_stds(kind)
 
-    def job(entry: tuple[int, int]) -> tuple[np.ndarray, int]:
-        idx, quota = entry
-        return _sample_block(kind, config.seed, idx, quota)
+    def job(i: int) -> int:
+        return _fill_stream(kind, stds, config.seed, i, out[i * BLOCK_QUOTA:(i + 1) * BLOCK_QUOTA])
 
     # the output does not depend on the worker count, so no more threads start
     # than there are streams or cores; os.cpu_count() reads a file, so it is asked last
-    workers = min(int(config.workers), len(plan))
+    workers = min(int(config.workers), len(streams))
     if workers > 1 and (cores := os.cpu_count() or 1) > 1:
         with ThreadPoolExecutor(max_workers=min(workers, cores)) as pool:
-            results = list(pool.map(job, plan))
+            total_raws = sum(pool.map(job, streams))
     else:
-        results = [job(entry) for entry in plan]
-
-    raw = np.concatenate([r[0] for r in results])
-    total_raws = sum(r[1] for r in results)
-    return stats.normalize(raw), n_accepted / total_raws
+        total_raws = sum(map(job, streams))
+    return stats.normalize(out), n_accepted / total_raws
 
 
 def acceptance_rate(kind: EnsembleKind, n_raw: int, config: SamplerConfig) -> float:
@@ -384,11 +411,12 @@ def acceptance_rate(kind: EnsembleKind, n_raw: int, config: SamplerConfig) -> fl
     worker-independent.  Always 1.0 for the non-rejecting kinds.
     """
     n_raw = _checks.count(n_raw, "n_raw", 1)
+    stds = _param_stds(kind)
     accepted = 0
-    for idx, quota in _stream_plan(n_raw):
-        rng = _stream_rng(config.seed, idx)
-        params = _draw_block(kind, rng, quota)
-        accepted += int(np.count_nonzero(_discriminants(kind, params) >= 0.0))
+    for i in range(_stream_count(n_raw)):
+        quota = min(BLOCK_QUOTA, n_raw - i * BLOCK_QUOTA)
+        draws = _normals(kind, _stream_rng(config.seed, i), quota)
+        accepted += int(np.count_nonzero(_discriminants(kind, draws, stds) >= 0.0))
     return accepted / n_raw
 
 

@@ -127,6 +127,15 @@ class TestSample:
             columns[kappa] = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
         np.testing.assert_allclose(columns["100"], columns["0"], rtol=1e-12)
 
+    def test_unallocatable_n_is_runtime_error(self, tmp_path, capsys):
+        # 10**18 spacings are 6.9 EiB: the output array is refused before any draw
+        out = tmp_path / "s.csv"
+        assert run(["sample", "--ensemble", "gpue", "--n", str(10**18), "--seed", "1",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
     def test_headerless_scientific_notation_column(self, tmp_path, capsys):
         # a bare column in scientific notation must not be mistaken for a header
         path = tmp_path / "sci.csv"
@@ -626,6 +635,36 @@ class TestUsageErrors:
         assert "usage:" not in err
         assert caught == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["levels.txt"]
+
+
+class TestParserCache:
+    """The parser is built once per process and reused by every ``main`` call."""
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--ensemble", "goe", "--n", "0", "--seed", "1", "--out", "OUT"),
+        ("sample", "--ensemble", "goe", "--n", "10", "--out", "OUT"),
+    ], ids=["n-zero", "seed-missing"])
+    def test_usage_error_after_sample(self, tmp_path, capsys, argv):
+        assert run(["sample", "--ensemble", "goe", "--n", "10", "--seed", "1",
+                    "--out", str(tmp_path / "a.csv")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "b.csv"
+        with pytest.raises(SystemExit) as exc:
+            run([str(out) if a == "OUT" else a for a in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_defaults_do_not_carry_over(self, tmp_path, capsys):
+        # qh4 without --kappa sets kappa on its own namespace only; goe then sees none
+        for tag in ("qh4", "goe"):
+            assert run(["sample", "--ensemble", tag, "--n", "10", "--seed", "1",
+                        "--out", str(tmp_path / f"{tag}.csv")]) == 0
+        assert capsys.readouterr().err.count("defaulting to kappa=0") == 1
 
 
 class TestVerifyCommand:

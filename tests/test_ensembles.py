@@ -414,6 +414,55 @@ class TestAcceptanceRate:
         assert acceptance_rate(GPOE, np.int64(1000), cfg) == acceptance_rate(GPOE, 1000, cfg)
 
 
+FOLD_KINDS = [GOE, GUE, GSE, GPOE, GPUE] + [
+    family(kappa) for family in (qh3, qh4) for kappa in (0.0, 0.25, 3.0, 100.0)
+]
+
+
+def sample_reference(kind, n, seed):
+    """The sampler as a plain loop: scaled blocks, one array per batch, joined at the end."""
+    p, pieces, raws = kind.acceptance, [], 0
+    for i in range(-(-n // ensembles.BLOCK_QUOTA)):
+        rng = ensembles._stream_rng(seed, i)
+        need = min(ensembles.BLOCK_QUOTA, n - i * ensembles.BLOCK_QUOTA)
+        while need > 0:
+            batch = math.ceil((need + 4.0 * math.sqrt(need * (1.0 - p))) / p)
+            disc = ensembles._discriminants(kind, ensembles._draw_block(kind, rng, batch))
+            ok = np.flatnonzero(disc >= 0.0)[:need]
+            raws += int(ok[-1]) + 1 if ok.size == need else batch
+            pieces.append(2.0 * np.sqrt(disc[ok]))
+            need -= ok.size
+    return np.concatenate(pieces), n / raws
+
+
+class TestFoldedScaling:
+    """The sampler scales each column inside D instead of scaling the block."""
+
+    @pytest.mark.parametrize("kind", FOLD_KINDS, ids=str)
+    def test_discriminant_bits(self, kind):
+        rng_a, rng_b = ensembles._stream_rng(17, 3), ensembles._stream_rng(17, 3)
+        draws = rng_a.standard_normal(size=(20_000, kind.n_params))
+        before = draws.copy()
+        stds = ensembles._param_stds(kind)
+        folded = ensembles._discriminants(kind, draws, stds)
+        scaled = ensembles._discriminants(kind, ensembles._draw_block(kind, rng_b, 20_000))
+        assert folded.tobytes() == scaled.tobytes()
+        assert np.array_equal(draws, before)  # the draws, column a included, stay unscaled
+        out = np.empty(20_000)
+        assert ensembles._discriminants(kind, draws, stds, out=out) is out
+        assert out.tobytes() == scaled.tobytes()
+
+    # two full streams and a short one; then two seeds where stream 0's first batch falls short
+    @pytest.mark.parametrize("kind, n, seed", [
+        *[(kind, 2 * ensembles.BLOCK_QUOTA + 7, 5) for kind in FOLD_KINDS],
+        (GPUE, 3, 235), (GPOE, 2, 58),
+    ], ids=str)
+    def test_sampler_matches_reference_loop(self, kind, n, seed):
+        sample, rate = sample_spacings(kind, n, SamplerConfig(seed=seed, workers=2))
+        raw, ref_rate = sample_reference(kind, n, seed)
+        assert sample.raw.tobytes() == raw.tobytes() and rate == ref_rate
+
+
 class TestSpectralMap:
     def test_gpoe_identity_point(self):
         p = spectral_to_params(GPOE, SpectralParams(t=0.0, s=2.0, theta=0.0))

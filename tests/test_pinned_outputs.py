@@ -56,6 +56,14 @@ KS_LARGE_SEED7 = {
     },
 }
 ACCEPTANCE_100K_SEED42 = {"GPOE": 0.4969, "GPUE": 0.29431}
+# sample_spacings(kind, n, seed): SHA-256 of raw.tobytes() and repr of the rate, at
+# seeds where stream 0's first rejection batch falls short, so a second batch fills the rest
+MULTI_BATCH = {
+    ("GPUE", 3, 235): ("c60297ca69804b876ea18de4dc61f706b8d856b98fba435276bfce3eac854a4d",
+                       "0.09090909090909091"),
+    ("GPOE", 2, 58): ("36a510adca55b49aca4cdd41025f61ba6bc237aa0148b87c33884273f40c9286",
+                      "0.15384615384615385"),
+}
 JACOBIAN_SHA256 = {
     "GPOE": "c2d8872c8b3bfe375d5e1da686f20157796f9b516b7b5028a1b382e50fc10f51",
     "GPUE": "4fa70e222053862d72158a6e2eda88f260911cbd443bf88f2f8e3f4fe49782d0",
@@ -111,6 +119,13 @@ def test_acceptance_rate(tag):
     kind = ensembles.EnsembleKind(tag)
     rate = ensembles.acceptance_rate(kind, 100_000, ensembles.SamplerConfig(seed=42))
     assert rate == ACCEPTANCE_100K_SEED42[tag]
+
+
+@pytest.mark.parametrize("tag, n, seed", list(MULTI_BATCH))
+def test_multi_batch_rejection(tag, n, seed):
+    sample, rate = ensembles.sample_spacings(ensembles.EnsembleKind(tag), n,
+                                             ensembles.SamplerConfig(seed=seed))
+    assert (sha256(sample.raw.tobytes()), repr(rate)) == MULTI_BATCH[tag, n, seed]
 
 
 @pytest.mark.parametrize("tag", ["GPOE", "GPUE"])
