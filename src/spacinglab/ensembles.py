@@ -291,16 +291,17 @@ def _discriminants(
 ) -> np.ndarray:
     """Vectorized D = +-b^2 +- c^2 ... (added left to right); eigenvalues a +- sqrt(D).
 
-    With ``stds``, ``params`` are unscaled draws and each term scales its own
-    column first, fl(fl(p_j s_j)^2): D keeps the bits it has for the scaled
-    block, and no pass scales the block (column ``a`` is never read).  D is
-    written to ``out`` if given.
+    Each term scales its own column first, fl(fl(p_j s_j)^2), so with
+    ``stds`` the unscaled draws give the bits of the scaled block and no pass
+    scales the block (column ``a`` is never read).  Without ``stds``,
+    ``params`` are taken as scaled; p * 1.0 is exact, so each term is
+    fl(p_j^2).  D is written to ``out`` if given.
     """
     cols = params.T
+    if stds is None:
+        stds = np.ones(len(cols))
 
     def term(j: int, dst):
-        if stds is None:
-            return np.multiply(cols[j], cols[j], out=dst)
         dst = np.multiply(cols[j], stds[j], out=dst)
         dst *= dst
         return dst
@@ -358,7 +359,8 @@ def _fill_stream(
         else:
             disc = _discriminants(kind, draws, stds)
             ok = np.flatnonzero(disc >= 0.0)[:need]
-            dest = np.take(disc, ok, out=out[filled:filled + ok.size])
+            # ok is always in range; mode="raise" would buffer out and copy it back
+            dest = np.take(disc, ok, out=out[filled:filled + ok.size], mode="clip")
             used = int(ok[-1]) + 1 if ok.size == need else batch
         np.sqrt(dest, out=dest)
         dest *= 2.0

@@ -452,12 +452,10 @@ class TestFoldedScaling:
         assert ensembles._discriminants(kind, draws, stds, out=out) is out
         assert out.tobytes() == scaled.tobytes()
 
-    # two full streams and a short one; then two seeds where stream 0's first batch falls short
-    @pytest.mark.parametrize("kind, n, seed", [
-        *[(kind, 2 * ensembles.BLOCK_QUOTA + 7, 5) for kind in FOLD_KINDS],
-        (GPUE, 3, 235), (GPOE, 2, 58),
-    ], ids=str)
-    def test_sampler_matches_reference_loop(self, kind, n, seed):
+    # two full streams and a short one; test_pinned_outputs pins the multi-batch seeds
+    @pytest.mark.parametrize("kind", FOLD_KINDS, ids=str)
+    def test_sampler_matches_reference_loop(self, kind):
+        n, seed = 2 * ensembles.BLOCK_QUOTA + 7, 5
         sample, rate = sample_spacings(kind, n, SamplerConfig(seed=seed, workers=2))
         raw, ref_rate = sample_reference(kind, n, seed)
         assert sample.raw.tobytes() == raw.tobytes() and rate == ref_rate
