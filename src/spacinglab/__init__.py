@@ -32,7 +32,6 @@ from .ingest import (
     SpectrumFile,
     load_spectrum,
     parse_levels,
-    serialize_levels,
     unfold,
 )
 from .stats import KsResult, SpacingSample, ks_test, normalize
@@ -67,7 +66,6 @@ __all__ = [
     "LocalWindow",
     "PolynomialStaircase",
     "parse_levels",
-    "serialize_levels",
     "load_spectrum",
     "unfold",
     "SpacingSample",

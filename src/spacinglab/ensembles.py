@@ -51,16 +51,22 @@ about a family, the signs in D included, is derived from its row.
 Reproducibility: spacing generation is split into fixed-size logical
 blocks (streams).  Block ``i`` owns a private generator seeded by
 ``SeedSequence(seed, spawn_key=(i,))``; the ``workers`` setting only
-schedules blocks onto threads, and the rejection batch size never shows
-in the output (``Generator.normal`` fills in sequence, and draws count up to
-the quota-th acceptance).  Output is therefore identical for any worker
-count, and bit-identical for fixed (kind, n, seed).
+schedules blocks onto threads, and neither the rejection batch size nor the
+chunk edges ever show in the output (``Generator.standard_normal`` fills in
+sequence, D is computed row by row, and draws count up to the quota-th
+acceptance).  Output is therefore identical for any worker count, and
+bit-identical for fixed (kind, n, seed).
 
 The output array is allocated once, before any draw, so an ``n`` that
 cannot be held is refused at once; each stream then fills its own slice of
-it in place.  The draws stay unscaled: each term of D scales its own
-column, fl(fl(p_j s_j)^2), which are the bits D has for scaled parameters,
-and the ``a`` column is drawn but never scaled.
+it in place.  A stream reads its draws in chunks through one draws buffer
+of at most ``_CHUNK_VALUES`` floats (128 KiB) and, for the rejecting kinds,
+one D buffer of one float per row, so each worker's working memory is a
+constant, whatever ``n``.  The filled array goes to :func:`stats.normalize`
+read-only, which keeps it as the sample's ``raw`` without a copy.  The
+draws stay unscaled: each term of D scales its own column,
+fl(fl(p_j s_j)^2), which are the bits D has for scaled parameters, and the
+``a`` column is drawn but never scaled.
 """
 
 from __future__ import annotations
@@ -138,6 +144,9 @@ _SIGNS = {
 
 # accepted spacings per logical stream; workers only schedule streams
 BLOCK_QUOTA = 16384
+# float64 values in one stream's draws buffer (128 KiB): a stream reads its
+# draws in chunks of at most _CHUNK_VALUES // n_params rows
+_CHUNK_VALUES = 2**14
 
 
 @dataclass(frozen=True)
@@ -250,18 +259,13 @@ def _stream_rng(seed: int, stream_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _normals(kind: EnsembleKind, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` unscaled parameter rows (count, n_params) from one stream."""
-    # standard_normal gives the bits of normal(0, 1), which computes 0 + 1 * z
-    return rng.standard_normal(size=(count, kind.n_params))
-
-
 def _draw_block(kind: EnsembleKind, rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw ``count`` parameter rows (count, n_params) from one stream, scaled.
 
-    The sampler draws the same rows unscaled and scales inside D instead.
+    The sampler draws the same rows unscaled, in chunks, and scales inside D instead.
     """
-    block = _normals(kind, rng, count)
+    # standard_normal gives the bits of normal(0, 1), which computes 0 + 1 * z
+    block = rng.standard_normal(size=(count, kind.n_params))
     block *= _param_stds(kind)
     return block
 
@@ -337,6 +341,36 @@ def eigenvalues(kind: EnsembleKind, p) -> tuple[float, float] | None:
     return a + r, a - r
 
 
+def _batch_rows(need: int, p: float) -> int:
+    """Draws that give ``need`` acceptances at rate ``p`` with near certainty.
+
+    need/p plus four standard deviations of the accepted count, so one batch
+    nearly always suffices; at p = 1 it is need.
+    """
+    return math.ceil((need + 4.0 * math.sqrt(need * (1.0 - p))) / p)
+
+
+def _draws_buffer(kind: EnsembleKind, first_rows: int) -> np.ndarray:
+    """One stream's draws buffer: min(first_rows, _CHUNK_VALUES // n_params) rows."""
+    return np.empty((min(first_rows, _CHUNK_VALUES // kind.n_params), kind.n_params))
+
+
+def _read_chunk(
+    kind: EnsembleKind,
+    stds: np.ndarray,
+    rng: np.random.Generator,
+    draws: np.ndarray,
+    disc: np.ndarray,
+) -> np.ndarray:
+    """D of the stream's next ``disc.size`` draws, written to ``disc`` and returned.
+
+    The draws go unscaled into the first ``disc.size`` rows of ``draws``.
+    ``standard_normal`` fills in sequence, so the chunk sizes never show in
+    the draws, and D is computed row by row, so never in D either.
+    """
+    return _discriminants(kind, rng.standard_normal(out=draws[:disc.size]), stds, out=disc)
+
+
 def _fill_stream(
     kind: EnsembleKind, stds: np.ndarray, seed: int, stream_index: int, out: np.ndarray
 ) -> int:
@@ -344,24 +378,28 @@ def _fill_stream(
 
     Raw draws are consumed in stream order up to and including the draw that
     yields the last acceptance, which makes the reported acceptance rate
-    reproducible.  A batch exceeds need/p by four standard deviations of the
-    accepted count, so one batch nearly always suffices; at p = 1 it is need.
+    reproducible.  Each chunk holds ``_batch_rows`` (need) draws, at most the
+    rows of one draws buffer, which is allocated once per stream and never
+    exceeds its first batch; the rejecting kinds write D to one D buffer of
+    as many rows and take the accepted values from it, the always-real kinds
+    write D straight into ``out``.
     """
     rng = _stream_rng(seed, stream_index)
     p = kind.acceptance
+    draws = _draws_buffer(kind, _batch_rows(out.size, p))  # the first batch is the largest
+    disc = None if p == 1.0 else np.empty(len(draws))
     raws = filled = 0
     while (need := out.size - filled) > 0:
-        batch = math.ceil((need + 4.0 * math.sqrt(need * (1.0 - p))) / p)
-        draws = _normals(kind, rng, batch)
-        if p == 1.0:  # every draw is real and batch == need: D goes straight into out
-            dest = _discriminants(kind, draws, stds, out=out[filled:])
-            used = batch
+        rows = min(_batch_rows(need, p), len(draws))
+        if p == 1.0:  # every draw is real and rows <= need
+            dest = _read_chunk(kind, stds, rng, draws, out[filled:filled + rows])
+            used = rows
         else:
-            disc = _discriminants(kind, draws, stds)
-            ok = np.flatnonzero(disc >= 0.0)[:need]
+            chunk = _read_chunk(kind, stds, rng, draws, disc[:rows])
+            ok = np.flatnonzero(chunk >= 0.0)[:need]
             # ok is always in range; mode="raise" would buffer out and copy it back
-            dest = np.take(disc, ok, out=out[filled:filled + ok.size], mode="clip")
-            used = int(ok[-1]) + 1 if ok.size == need else batch
+            dest = np.take(chunk, ok, out=out[filled:filled + ok.size], mode="clip")
+            used = int(ok[-1]) + 1 if ok.size == need else rows
         np.sqrt(dest, out=dest)
         dest *= 2.0
         raws += used
@@ -402,6 +440,7 @@ def sample_spacings(
             total_raws = sum(pool.map(job, streams))
     else:
         total_raws = sum(map(job, streams))
+    out.flags.writeable = False  # so normalize takes it over without a copy
     return stats.normalize(out), n_accepted / total_raws
 
 
@@ -410,15 +449,22 @@ def acceptance_rate(kind: EnsembleKind, n_raw: int, config: SamplerConfig) -> fl
 
     Uses the same stream construction as :func:`sample_spacings` (streams of
     BLOCK_QUOTA raw draws), so the result is deterministic and
-    worker-independent.  Always 1.0 for the non-rejecting kinds.
+    worker-independent.  The streams are read in chunks, as the sampler
+    reads them, through one draws buffer and one D buffer allocated once, so
+    the working memory does not grow with ``n_raw``.  Always 1.0 for the
+    non-rejecting kinds.
     """
     n_raw = _checks.count(n_raw, "n_raw", 1)
     stds = _param_stds(kind)
+    draws = _draws_buffer(kind, min(BLOCK_QUOTA, n_raw))  # stream 0 is the longest
+    disc = np.empty(len(draws))
     accepted = 0
     for i in range(_stream_count(n_raw)):
         quota = min(BLOCK_QUOTA, n_raw - i * BLOCK_QUOTA)
-        draws = _normals(kind, _stream_rng(config.seed, i), quota)
-        accepted += int(np.count_nonzero(_discriminants(kind, draws, stds) >= 0.0))
+        rng = _stream_rng(config.seed, i)
+        for start in range(0, quota, disc.size):
+            chunk = _read_chunk(kind, stds, rng, draws, disc[:quota - start])
+            accepted += int(np.count_nonzero(chunk >= 0.0))
     return accepted / n_raw
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "PolynomialStaircase",
     "UnfoldMethod",
     "parse_levels",
-    "serialize_levels",
     "load_spectrum",
     "load_spacings",
     "parse_unfold_method",
@@ -172,11 +171,6 @@ def parse_levels(text: str, source_label: str = "") -> SpectrumFile:
     dropped with a warning; fewer than 3 usable levels is an error.
     """
     return _spectrum(_read_column(text, source_label, csv=False), source_label)
-
-
-def serialize_levels(spectrum: SpectrumFile) -> str:
-    """One level per line, shortest round-trip float representation."""
-    return "\n".join(repr(float(v)) for v in spectrum.levels) + "\n"
 
 
 def _read_text(path: Path, source: str) -> str:

@@ -61,8 +61,19 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 def normalize(raw) -> SpacingSample:
     """Scale spacings to unit mean.  Rejects empty or all-zero input, and
-    finite spacings whose sum overflows a float."""
-    arr = np.array(raw, dtype=float).ravel()  # a private copy
+    finite spacings whose sum overflows a float.
+
+    A read-only 1-d float64 ndarray that owns its data, such as the array
+    :func:`~spacinglab.ensembles.sample_spacings` fills, becomes the sample's
+    ``raw`` without a copy: whoever made it read-only must leave it so.  Any
+    other input, a writable array or a view included, is copied first, so
+    changing it later leaves the sample unchanged.
+    """
+    if (type(raw) is np.ndarray and raw.dtype == np.float64 and raw.ndim == 1
+            and raw.flags.owndata and not raw.flags.writeable):
+        arr = raw
+    else:
+        arr = np.array(raw, dtype=float).ravel()  # a private copy
     if arr.size == 0:
         raise ValueError("cannot normalize an empty spacing list")
     top = arr.max()

@@ -1,13 +1,14 @@
 """Matrix families, closed-form eigenvalues, rejection sampling, reproducibility."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spacinglab import curves, ensembles, verify
+from spacinglab import curves, ensembles, stats, verify
 from spacinglab.ensembles import (
     GOE,
     GPOE,
@@ -435,6 +436,21 @@ def sample_reference(kind, n, seed):
     return np.concatenate(pieces), n / raws
 
 
+def acceptance_reference(kind, n_raw, seed):
+    """acceptance_rate as a plain loop: one scaled block per stream."""
+    accepted = 0
+    for i in range(-(-n_raw // ensembles.BLOCK_QUOTA)):
+        quota = min(ensembles.BLOCK_QUOTA, n_raw - i * ensembles.BLOCK_QUOTA)
+        block = ensembles._draw_block(kind, ensembles._stream_rng(seed, i), quota)
+        accepted += int(np.count_nonzero(ensembles._discriminants(kind, block) >= 0.0))
+    return accepted / n_raw
+
+
+def chunk_rows(kind):
+    """Rows in one chunk of a long stream's draws."""
+    return ensembles._CHUNK_VALUES // kind.n_params
+
+
 class TestFoldedScaling:
     """The sampler scales each column inside D instead of scaling the block."""
 
@@ -452,13 +468,90 @@ class TestFoldedScaling:
         assert ensembles._discriminants(kind, draws, stds, out=out) is out
         assert out.tobytes() == scaled.tobytes()
 
-    # two full streams and a short one; test_pinned_outputs pins the multi-batch seeds
+    # two full streams and a short one, and one stream around a chunk's length;
+    # test_pinned_outputs pins the multi-batch seeds
     @pytest.mark.parametrize("kind", FOLD_KINDS, ids=str)
     def test_sampler_matches_reference_loop(self, kind):
-        n, seed = 2 * ensembles.BLOCK_QUOTA + 7, 5
-        sample, rate = sample_spacings(kind, n, SamplerConfig(seed=seed, workers=2))
+        seed, rows, k = 5, chunk_rows(kind), None
+        ns = [2 * ensembles.BLOCK_QUOTA + 7, rows - 1, rows, rows + 1]
+        if kind.has_rejection:
+            # at n = k the quota-th acceptance is the first chunk's last one; at k + 1, past it
+            first = ensembles._draw_block(kind, ensembles._stream_rng(seed, 0), rows)
+            k = int(np.count_nonzero(ensembles._discriminants(kind, first) >= 0.0))
+            ns += [k, k + 1]
+        for n in ns:
+            sample, rate = sample_spacings(kind, n, SamplerConfig(seed=seed, workers=2))
+            raw, ref_rate = sample_reference(kind, n, seed)
+            assert sample.raw.tobytes() == raw.tobytes() and rate == ref_rate, n
+            if kind.has_rejection:  # the raw draws consumed, n / rate
+                assert (round(n / rate) <= rows) == (n == k), n
+
+    # seeds whose stream 0 falls short twice: its third chunk follows a short one
+    @pytest.mark.parametrize("kind, n, seed", [
+        (GPOE, 2, 180953), (GPOE, 3, 139613), (GPUE, 2, 8672), (GPUE, 3, 76580),
+    ], ids=["GPOE-2", "GPOE-3", "GPUE-2", "GPUE-3"])
+    def test_three_chunk_streams_match_reference_loop(self, kind, n, seed):
+        sample, rate = sample_spacings(kind, n, SamplerConfig(seed=seed))
         raw, ref_rate = sample_reference(kind, n, seed)
         assert sample.raw.tobytes() == raw.tobytes() and rate == ref_rate
+
+    @pytest.mark.parametrize("kind", FOLD_KINDS, ids=str)
+    def test_acceptance_rate_matches_reference_loop(self, kind):
+        rows = chunk_rows(kind)
+        for n_raw in (1, rows - 1, rows, rows + 1, ensembles.BLOCK_QUOTA + rows):
+            assert acceptance_rate(kind, n_raw, SamplerConfig(seed=6)) == \
+                acceptance_reference(kind, n_raw, 6), n_raw
+
+
+def traced_peak(fn):
+    """Peak bytes traced while ``fn()`` runs, above those held before it; after one warm-up call."""
+    fn()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    """Each stream reads its draws through fixed buffers; the output is not copied."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+    def test_sample_spacings_peak(self, kind, workers):
+        n = 10**5  # the output and its normalization, plus at most 512 KiB of working memory
+        peak = traced_peak(lambda: sample_spacings(kind, n, SamplerConfig(seed=1, workers=workers)))
+        assert peak <= 16 * n + 512 * 1024
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+    def test_acceptance_rate_peak(self, kind):
+        peak = traced_peak(lambda: acceptance_rate(kind, 10**5, SamplerConfig(seed=1)))
+        assert peak <= 256 * 1024
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+    def test_small_n_allocates_little(self, kind, workers):
+        cfg = SamplerConfig(seed=1, workers=workers)  # buffers never exceed the first batch
+        assert traced_peak(lambda: sample_spacings(kind, 50, cfg)) < 32 * 1024
+        assert traced_peak(lambda: acceptance_rate(kind, 50, cfg)) < 32 * 1024
+
+    def test_output_goes_to_normalize_once_without_a_copy(self, monkeypatch):
+        calls, normalize = [], stats.normalize
+
+        def spy(raw):
+            calls.append(raw)
+            return normalize(raw)
+
+        monkeypatch.setattr(stats, "normalize", spy)
+        cfg = SamplerConfig(seed=1, workers=2)
+        sample, _ = sample_spacings(GPUE, 3 * ensembles.BLOCK_QUOTA, cfg)
+        assert len(calls) == 1 and sample.raw is calls[0] and not sample.raw.flags.writeable
 
 
 class TestSpectralMap:

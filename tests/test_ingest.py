@@ -20,11 +20,15 @@ from spacinglab.ingest import (
     load_spectrum,
     parse_levels,
     parse_unfold_method,
-    serialize_levels,
     unfold,
 )
 
 ZETA_HEAD = "14.13\n21.02\n30.42\n37.58\n"
+
+
+def serialize_levels(spectrum):
+    """One level per line, shortest round-trip float representation."""
+    return "\n".join(repr(float(v)) for v in spectrum.levels) + "\n"
 
 
 def parse_levels_reference(text):

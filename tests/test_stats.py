@@ -27,6 +27,10 @@ def full_scan(sample, kind):
     return float(gaps.max()), int(gaps.argmax())
 
 
+class OwnedSubclass(np.ndarray):
+    """An ndarray subclass; its copies own their data."""
+
+
 class TestNormalize:
     def test_constant_sample(self):
         s = normalize([2.0, 2.0, 2.0])
@@ -57,6 +61,40 @@ class TestNormalize:
         s = normalize([1e308, 0.0, 5e307])
         assert s.mean == 1.5e308 / 3
         assert np.array_equal(s.normalized, np.array([1e308, 0.0, 5e307]) / s.mean)
+
+    def test_read_only_owned_float64_array_is_taken_over(self):
+        arr = np.array([1.0, 3.0])
+        arr.flags.writeable = False
+        s = normalize(arr)
+        assert s.raw is arr and s.mean == 2.0
+        assert np.array_equal(s.normalized, [0.5, 1.5])
+
+    def test_writable_array_is_copied(self):
+        arr = np.array([1.0, 3.0])
+        s = normalize(arr)
+        arr[0] = 100.0
+        assert s.raw.tolist() == [1.0, 3.0] and s.mean == 2.0
+        assert s.normalized.tolist() == [0.5, 1.5]
+        assert not s.raw.flags.writeable and arr.flags.writeable
+
+    @pytest.mark.parametrize("make", [
+        lambda base: base[:],  # a read-only view of a writable array
+        lambda base: base.reshape(2, 2).copy(),
+        lambda base: base.astype(np.float32),
+        lambda base: base.astype(">f8"),
+        lambda base: base.view(OwnedSubclass).copy(),
+    ], ids=["view", "2-d", "float32", "big-endian", "subclass"])
+    def test_other_read_only_arrays_are_copied(self, make):
+        base = np.array([1.0, 3.0, 2.0, 2.0])
+        arr = make(base)
+        arr.flags.writeable = False
+        s = normalize(arr)
+        assert not np.shares_memory(s.raw, arr) and type(s.raw) is np.ndarray
+        base[0] = 100.0
+        if arr.flags.owndata:  # a converted copy; change it through the caller's own array
+            arr.flags.writeable = True
+            arr.flat[0] = 100.0
+        assert s.raw.tolist() == [1.0, 3.0, 2.0, 2.0] and s.mean == 2.0
 
     def test_errors(self):
         with pytest.raises(ValueError):
