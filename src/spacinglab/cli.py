@@ -28,10 +28,12 @@ from . import curves, ensembles, ingest, stats, verify
 
 _ENSEMBLE_CHOICES = tuple(tag.lower() for tag in ensembles.ENSEMBLE_ORDER)
 _CURVE_CHOICES = tuple(tag.lower() for tag in curves.CURVE_ORDER)
-# Rows per formatted CSV block.  Each block pays a fixed cost of some forty
-# numpy calls; at 2048 rows the text buffer of a two-column block (24 bytes
-# a value) is 96 KiB, under glibc's 128 KiB mmap threshold.
-_CSV_BLOCK_ROWS = 2048
+# Rows per formatted CSV block.  Each block pays a fixed cost of some fifty
+# numpy calls, so larger blocks write faster, but the workspace they are
+# formatted in grows with them (_Workspace, 91 bytes a value).  At 4096 rows
+# the traced peak of a 1e5-row two-column write is about 980 KiB, under the
+# 1.2 MiB allowed to it; 8192 rows would take about 1.9 MiB.
+_CSV_BLOCK_ROWS = 4096
 # Bytes per value in a block's text buffer (see _csv_tables for the layout).
 _SLOT = 24
 
@@ -92,63 +94,118 @@ def _format_rows(row: str, rows: np.ndarray) -> bytes:
     return (row * len(rows) % tuple(rows.ravel().tolist())).encode()
 
 
-def _fast_text(block: np.ndarray):
+class _Workspace:
+    """The buffers ``_fast_text`` formats a file's blocks in, allocated once per file.
+
+    Sized for blocks of up to ``rows`` rows of ``columns`` values: the stacked
+    block, three rows of per-value flags (the fast flag and two test results),
+    the per-row flag, the exponents, and three uint64 arrays of _SLOT bytes a
+    value: the slots the text is built in, their copy one byte later, and the
+    gather buffer that takes each class-table lookup.  Until the digits are in
+    the slots, the gather buffer holds the three float scratch rows and the
+    shifted copy the three int scratch rows, so the workspace takes 91 bytes a
+    value.
+    """
+
+    def __init__(self, rows: int, columns: int):
+        n = rows * columns
+        self.block = np.empty((rows, columns))
+        self.flags = np.empty((3, n), bool)
+        self.row = np.empty(rows, bool)
+        self.e = np.empty(n, np.intp)
+        self.slots, self.shifted, self.gather = np.empty((3, n, _SLOT // 8), np.uint64)
+
+    def scratch(self, n: int):
+        """Three float64 rows in the gather buffer and three intp rows in the
+        shifted copy, ``n`` values each."""
+        f = self.gather.reshape(-1).view(np.float64)
+        i = self.shifted.reshape(-1).view(np.intp)
+        return f[:n], f[n : 2 * n], f[2 * n : 3 * n], i[:n], i[n : 2 * n], i[2 * n : 3 * n]
+
+
+def _rows_ok(ok: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[i]`` is True where every flag of row i of ``ok`` (rows, columns) is:
+    a ``&`` over the columns, which is faster than ``all(axis=1)``."""
+    np.copyto(out, ok[:, 0])
+    for j in range(1, ok.shape[1]):
+        out &= ok[:, j]
+    return out
+
+
+def _fast_text(block: np.ndarray, ws: _Workspace):
     """``%.12g`` text of a (rows, columns) block where numpy can round it exactly.
 
-    Returns the block's uint8 text buffer of shape (rows, columns, _SLOT),
-    with 0 for every byte to drop and the separators not yet set, and a
-    per-row flag: False where some value of the row is off the fast path
-    (its bytes are then meaningless).  Returns (None, None) when fewer than a
-    quarter of the rows lie in the fast domain, as in the underflowed tail of
-    a wide `curve` table, where numpy would add to the cost of ``%``.
+    ``block`` is the leading rows of ``ws.block``, and every step writes into
+    the workspace ``ws``.  Returns the block's uint8 text buffer of shape
+    (rows, columns, _SLOT), a view of ``ws.slots`` with 0 for every byte to
+    drop and the separators not yet set, and a per-row flag, a view of
+    ``ws.row``: the ``&`` over the block's columns of the values' fast flags,
+    False where some value of the row is off the fast path (its bytes are then
+    meaningless).  Returns (None, None) when the row flag of the domain test
+    alone passes fewer than a quarter of the rows, as in the underflowed tail
+    of a wide `curve` table, where numpy would add to the cost of ``%``.
     """
-    x = block.ravel()
-    ok = (x >= 1e-33) & (x < 1e12)
-    if np.count_nonzero(ok.reshape(block.shape).all(axis=1)) * 4 < len(block):
+    rows, columns = block.shape
+    n = block.size
+    x = block.reshape(n)
+    ok, test, more = ws.flags[:, :n]
+    fast = ws.row[:rows]
+    np.greater_equal(x, 1e-33, out=ok)
+    ok &= np.less(x, 1e12, out=test)
+    if np.count_nonzero(_rows_ok(ok.reshape(rows, columns), fast)) * 4 < rows:
         return None, None
     digits, zeros, p1, p2, keep_a, keep_b, text = _csv_tables()
-    xs = np.where(ok, x, 1.0)
-    e = np.floor(np.log10(xs)).astype(np.intp)
-    np.minimum(e, 11, out=e)  # keep 10**(11 - e) in the table; m decides below
-    np.maximum(e, -33, out=e)
-    m = xs * p1.take(11 - e)
-    m *= p2.take(11 - e)
-    off = np.flatnonzero((m < 1e11) | (m >= 1e12))
+    xs, m, f, k, hi, mid = ws.scratch(n)
+    np.copyto(xs, x)
+    np.copyto(xs, 1.0, where=np.logical_not(ok, out=test))
+    e = ws.e[:n]
+    np.copyto(e, np.floor(np.log10(xs, out=f), out=f), casting="unsafe")
+    np.clip(e, -33, 11, out=e)  # keep 10**(11 - e) in the table; m decides below
+    np.subtract(11, e, out=k)
+    np.multiply(xs, np.take(p1, k, out=m, mode="clip"), out=m)
+    m *= np.take(p2, k, out=f, mode="clip")
+    np.less(m, 1e11, out=test)
+    test |= np.greater_equal(m, 1e12, out=more)
+    off = np.flatnonzero(test)
     if off.size:  # log10 rounded across a power of ten: move e once
         eo = e[off] + (m[off] >= 1e12) - (m[off] < 1e11)
         ok[off] &= (eo >= -33) & (eo <= 11)
         e[off] = eo = np.clip(eo, -33, 11)
         m[off] = xs[off] * p1.take(11 - eo) * p2.take(11 - eo)
-    big = np.rint(m)
-    ok &= (np.abs(m - big) < 0.499) & (big >= 1e11) & (big <= 1e12)
-    carry = np.flatnonzero(big == 1e12)
+    big = np.rint(m, out=f)
+    ok &= np.less(np.abs(np.subtract(m, big, out=m), out=m), 0.499, out=test)
+    ok &= np.greater_equal(big, 1e11, out=test)
+    ok &= np.less_equal(big, 1e12, out=test)
+    carry = np.flatnonzero(np.equal(big, 1e12, out=test))
     if carry.size:  # 0.99999999999996 rounds to 1: 1e11 at e + 1
         big[carry] = 1e11
         ok[carry] &= e[carry] < 11
         e[carry] = np.minimum(e[carry] + 1, 11)
-    sig = big.astype(np.intp)
-    hi = sig // 100_000_000
-    lo = sig - hi * 100_000_000
-    mid = lo // 10_000
-    lo -= mid * 10_000
-    out = np.empty((len(x), _SLOT // 4), np.uint32)
-    out[:, 1] = digits.take(hi, mode="clip")
-    out[:, 2] = digits.take(mid)
-    out[:, 3] = digits.take(lo)
-    trailing = zeros.take(lo)
-    whole = np.flatnonzero(lo == 0)
+    lo = k
+    np.copyto(lo, big, casting="unsafe")
+    np.floor_divide(lo, 100_000_000, out=hi)
+    lo -= np.multiply(hi, 100_000_000, out=mid)
+    np.floor_divide(lo, 10_000, out=mid)
+    lo -= np.multiply(mid, 10_000, out=f.view(np.intp))
+    words, group = ws.slots[:n].view(np.uint32), xs.view(np.uint32)[:n]
+    for j, part in ((1, hi), (2, mid), (3, lo)):
+        words[:, j] = np.take(digits, part, out=group, mode="clip")
+    trailing = np.take(zeros, lo, out=m.view(np.intp), mode="clip")
+    whole = np.flatnonzero(np.equal(lo, 0, out=test))
     if whole.size:
-        more = zeros.take(mid[whole])
-        trailing[whole] += more + (more == 4) * zeros.take(hi[whole], mode="clip")
-    cls = (e + 33) * 12 + 11 - trailing
-    a = out.view(np.uint64)
-    b = np.empty_like(a)
-    b.view(np.uint8).ravel()[1:] = a.view(np.uint8).ravel()[:-1]
-    a &= keep_a.take(cls, axis=0)
-    b &= keep_b.take(cls, axis=0)
+        midz = zeros.take(mid[whole])
+        trailing[whole] += midz + (midz == 4) * zeros.take(hi[whole], mode="clip")
+    cls = e  # (e + 33) * 12 + 11 - trailing
+    cls *= 12
+    cls += 33 * 12 + 11
+    cls -= trailing
+    a, b, g = ws.slots[:n], ws.shifted[:n], ws.gather[:n]
+    b.view(np.uint8).reshape(-1)[1:] = a.view(np.uint8).reshape(-1)[:-1]
+    b &= np.take(keep_b, cls, axis=0, out=g, mode="clip")
+    a &= np.take(keep_a, cls, axis=0, out=g, mode="clip")
     a |= b
-    a |= text.take(cls, axis=0)
-    return out.view(np.uint8).reshape(*block.shape, _SLOT), ok.reshape(block.shape).all(axis=1)
+    a |= np.take(text, cls, axis=0, out=g, mode="clip")
+    return a.view(np.uint8).reshape(rows, columns, _SLOT), _rows_ok(ok.reshape(rows, columns), fast)
 
 
 def _write_csv(path, header: str, *columns) -> None:
@@ -165,28 +222,37 @@ def _write_csv(path, header: str, *columns) -> None:
     x >= 1e12 or below 1e-33) sends its whole row to ``_format_rows``,
     Python's own ``%``, one call per run of such rows; a block with fewer
     than a quarter of its rows in that domain goes to ``%`` whole.
+
+    The columns are copied block by block into one ``_Workspace``, allocated
+    for the call and sized to one block, and ``_fast_text`` formats each
+    block in it, so the working memory does not grow with the table.
     """
+    n_rows = len(columns[0])
+    if any(len(column) != n_rows for column in columns):
+        raise ValueError("CSV columns differ in length")
     row = ",".join(["%.12g"] * len(columns)) + "\n"
     seps = np.frombuffer(("," * (len(columns) - 1) + "\n").encode(), np.uint8)
+    ws = _Workspace(min(n_rows, _CSV_BLOCK_ROWS), len(columns))
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[lo : lo + _CSV_BLOCK_ROWS] for c in columns])
-            text, fast = _fast_text(block)
+        for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = ws.block[: min(_CSV_BLOCK_ROWS, n_rows - lo)]
+            for j, column in enumerate(columns):
+                block[:, j] = column[lo : lo + len(block)]
+            text, fast = _fast_text(block, ws)
             if text is None:
                 fh.write(_format_rows(row, block))
                 continue
             text[:, :, 21] = seps
-            slow = np.flatnonzero(~fast)
-            # slow[a:b] is a run of consecutive slow rows; firsts holds each a
-            firsts = np.flatnonzero(np.diff(slow, prepend=-2) > 1).tolist()
-            pieces, start = [], 0
-            for a, b in zip(firsts, [*firsts[1:], len(slow)]):
-                first, end = slow[a], slow[b - 1] + 1
-                pieces.append(text[start:first].tobytes().translate(None, b"\0"))
-                pieces.append(_format_rows(row, block[first:end]))
-                start = end
-            pieces.append(text[start:].tobytes().translate(None, b"\0"))
+            # rows bounds[i]:bounds[i + 1] are a run of fast rows or of slow rows, in turn
+            bounds = [0, *(np.flatnonzero(fast[1:] != fast[:-1]) + 1).tolist(), len(block)]
+            pieces, is_fast = [], bool(fast[0])
+            for start, end in zip(bounds, bounds[1:]):
+                if is_fast:
+                    pieces.append(text[start:end].tobytes().translate(None, b"\0"))
+                else:
+                    pieces.append(_format_rows(row, block[start:end]))
+                is_fast = not is_fast
             fh.write(b"".join(pieces))
 
 

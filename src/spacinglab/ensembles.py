@@ -447,12 +447,13 @@ def sample_spacings(
 def acceptance_rate(kind: EnsembleKind, n_raw: int, config: SamplerConfig) -> float:
     """Fraction of real-eigenvalue outcomes among ``n_raw`` raw draws.
 
-    Uses the same stream construction as :func:`sample_spacings` (streams of
-    BLOCK_QUOTA raw draws), so the result is deterministic and
-    worker-independent.  The streams are read in chunks, as the sampler
-    reads them, through one draws buffer and one D buffer allocated once, so
-    the working memory does not grow with ``n_raw``.  Always 1.0 for the
-    non-rejecting kinds.
+    The draws are split into streams of BLOCK_QUOTA raw draws, each seeded
+    from ``config.seed`` and its index as in :func:`sample_spacings`, so the
+    result is deterministic.  Only ``config.seed`` is read: ``config.workers``
+    is ignored, and every stream is read in turn on the calling thread.  The
+    streams are read in chunks, as the sampler reads them, through one draws
+    buffer and one D buffer allocated once, so the working memory does not
+    grow with ``n_raw``.  Always 1.0 for the non-rejecting kinds.
     """
     n_raw = _checks.count(n_raw, "n_raw", 1)
     stds = _param_stds(kind)

@@ -98,7 +98,8 @@ def _lines(text: str) -> Iterator[str]:
 
 
 def _read_column(text: str, source: str, csv: bool, path: Path | None = None) -> np.ndarray:
-    """The values of a spacing CSV (``csv``) or spectrum (module docstring format), in file order.
+    """The values of a spacing CSV (``csv``) or spectrum (module docstring format), in file
+    order, read-only.
 
     ``text`` is the text of the file at ``path``, if given.  The header and the
     first data row are found in the head of ``_lines(text)``.  ``np.loadtxt``
@@ -129,6 +130,7 @@ def _read_column(text: str, source: str, csv: bool, path: Path | None = None) ->
         values = np.loadtxt(rows, skiprows=start, encoding="utf-8-sig", delimiter=",",
                             usecols=col if csv else None, comments="#", ndmin=2)
         if values.shape[1] == 1 and np.isfinite(values).all():
+            values.flags.writeable = False  # and with it the column view
             return values[:, 0]
     except ValueError:
         pass
@@ -146,7 +148,9 @@ def _read_column(text: str, source: str, csv: bool, path: Path | None = None) ->
             raise SpectrumParseError(
                 f"{prefix}line {lineno}: cannot read a {noun} from {data!r}: not a finite number")
         values.append(v)
-    return np.asarray(values)
+    values = np.asarray(values)
+    values.flags.writeable = False
+    return values
 
 
 def _spectrum(levels: np.ndarray, source_label: str) -> SpectrumFile:
@@ -193,7 +197,12 @@ def load_spectrum(path) -> SpectrumFile:
 
 
 def load_spacings(path) -> np.ndarray:
-    """The raw spacings of a spacing CSV (module docstring format); errors name ``path``."""
+    """The raw spacings of a spacing CSV (module docstring format); errors name ``path``.
+
+    The array is read-only, and it owns its data or is a view of a read-only
+    array that does, so :func:`~spacinglab.stats.normalize` keeps it as the
+    sample's ``raw`` without a copy.
+    """
     path, source = Path(path), str(path)
     return _read_column(_read_text(path, source), source, csv=True, path=path)
 

@@ -64,13 +64,17 @@ def normalize(raw) -> SpacingSample:
     finite spacings whose sum overflows a float.
 
     A read-only 1-d float64 ndarray that owns its data, such as the array
-    :func:`~spacinglab.ensembles.sample_spacings` fills, becomes the sample's
-    ``raw`` without a copy: whoever made it read-only must leave it so.  Any
-    other input, a writable array or a view included, is copied first, so
-    changing it later leaves the sample unchanged.
+    :func:`~spacinglab.ensembles.sample_spacings` fills, or that is a view of
+    a read-only ndarray owning its data, such as the column
+    :func:`~spacinglab.ingest.load_spacings` reads, becomes the sample's
+    ``raw`` without a copy: whoever made the owner read-only must leave it so.
+    Any other input, a writable array or a view of one included, is copied
+    first, so changing it later leaves the sample unchanged.
     """
+    owner = raw if getattr(raw, "base", None) is None else raw.base
     if (type(raw) is np.ndarray and raw.dtype == np.float64 and raw.ndim == 1
-            and raw.flags.owndata and not raw.flags.writeable):
+            and not raw.flags.writeable and type(owner) is np.ndarray
+            and owner.flags.owndata and not owner.flags.writeable):
         arr = raw
     else:
         arr = np.array(raw, dtype=float).ravel()  # a private copy

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spacinglab import cli, curves, ingest
+from test_ensembles import traced_peak
 
 
 def run(argv):
@@ -334,8 +335,17 @@ _WRITER_SPECIALS = [0.0, -0.0, 5e-324, 1e-5, 9.99999999999e-5, 1e16, 12345678901
                     float(np.nextafter(1e-33, 0)), math.nan, math.inf, -1.5]
 
 
+_BLOCK = cli._CSV_BLOCK_ROWS
+
+
+def _exact_column(n, rng):
+    """n values k / 256 with k < 1e6: at most 12 significant digits, so every
+    value takes the fast path."""
+    return rng.integers(1, 10**6, n) / 256.0
+
+
 class TestCsvWriter:
-    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097])
+    @pytest.mark.parametrize("n", [1, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1])
     @pytest.mark.parametrize("n_columns", [2, 3])
     def test_bytes_match_per_row_loop(self, tmp_path, n, n_columns):
         rng = np.random.default_rng(n * 10 + n_columns)
@@ -352,6 +362,27 @@ class TestCsvWriter:
         assert fast.read_bytes() == slow.read_bytes()
         assert len(fast.read_text().splitlines()) == n + 1
 
+    @pytest.mark.parametrize("last", [1.5, math.nan], ids=["fast", "percent"])
+    def test_final_block_of_one_row(self, tmp_path, monkeypatch, last):
+        columns = [_exact_column(_BLOCK + 1, np.random.default_rng(4)) for _ in range(2)]
+        columns[1][-1] = last
+        shapes, fast_text = [], cli._fast_text
+
+        def spy(block, ws):
+            shapes.append(block.shape)
+            return fast_text(block, ws)
+
+        monkeypatch.setattr(cli, "_fast_text", spy)
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        cli._write_csv(fast, "a,b", *columns)
+        write_rows_reference(slow, "a,b", *columns)
+        assert fast.read_bytes() == slow.read_bytes()
+        assert shapes == [(_BLOCK, 2), (1, 2)]
+
+    def test_columns_of_different_lengths_are_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="differ in length"):
+            cli._write_csv(tmp_path / "t.csv", "a,b", np.ones(3), np.ones(1))
+
     def test_special_values_text(self, tmp_path):
         path = tmp_path / "s.csv"
         values = np.array(_WRITER_SPECIALS)
@@ -365,7 +396,16 @@ class TestCsvWriter:
         ]
 
 
-_BLOCK = cli._CSV_BLOCK_ROWS
+class TestCsvWriterMemory:
+    """Every block is formatted in one workspace, allocated once per file."""
+
+    @pytest.mark.parametrize("n_columns, bound", [(2, 1.2 * 2**20), (3, 1.8 * 2**20)],
+                             ids=["2-columns", "3-columns"])
+    def test_write_csv_peak(self, tmp_path, n_columns, bound):
+        rng = np.random.default_rng(1)
+        columns = [rng.exponential(1.0, 10**5) for _ in range(n_columns)]
+        path = tmp_path / "t.csv"
+        assert traced_peak(lambda: cli._write_csv(path, "h", *columns)) <= bound
 
 
 def _near_tie(k, j, side):
@@ -437,6 +477,20 @@ class TestCsvFastPath:
     def test_few_rows_take_the_exact_path(self, tmp_path, exact_rows, argv):
         assert run([*argv, "--out", str(tmp_path / "t.csv")]) == 0
         assert sum(len(rows) for rows in exact_rows) < 1000
+
+    def test_slow_run_across_block_edge(self, tmp_path, exact_rows):
+        """A run of ``%`` rows over the last rows of one block and the first of the
+        next is cut at the block edge; every other row takes the fast path."""
+        rng = np.random.default_rng(3)
+        columns = [_exact_column(2 * _BLOCK, rng) for _ in range(2)]
+        columns[0][_BLOCK - 2 : _BLOCK + 1] = [0.0, math.nan, 123456789012.5]
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        cli._write_csv(fast, "a,b", *columns)
+        write_rows_reference(slow, "a,b", *columns)
+        assert fast.read_bytes() == slow.read_bytes()
+        assert len(exact_rows) == 2
+        np.testing.assert_array_equal(exact_rows[0][:, 0], [0.0, math.nan])
+        np.testing.assert_array_equal(exact_rows[1][:, 0], [123456789012.5])
 
     def test_only_rows_off_the_path_are_formatted_by_percent(self, tmp_path, exact_rows):
         path = tmp_path / "t.csv"

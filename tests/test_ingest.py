@@ -287,6 +287,21 @@ class TestByteOrderMark:
             load_spectrum(path)
 
 
+class TestLoadedSpacingsAreKept:
+    """``load_spacings`` returns a read-only array that ``normalize`` keeps without a copy."""
+
+    @pytest.mark.parametrize("body", ["raw_spacing,normalized_spacing\n1.5,0.75\n2.5,1.25\n",
+                                      "1_5\n2.5\n"], ids=["loadtxt", "per-line"])
+    def test_normalize_shares_memory(self, tmp_path, body):
+        path = tmp_path / "s.csv"
+        path.write_text(body)
+        raw = load_spacings(path)
+        sample = stats.normalize(raw)
+        assert np.shares_memory(sample.raw, raw)
+        with pytest.raises(ValueError, match="read-only"):
+            raw[0] = 1.0
+
+
 class TestFileFastPath:
     """A regular file is read by ``np.loadtxt`` from the file, never from the lines of its text."""
 

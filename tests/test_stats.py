@@ -69,6 +69,13 @@ class TestNormalize:
         assert s.raw is arr and s.mean == 2.0
         assert np.array_equal(s.normalized, [0.5, 1.5])
 
+    def test_read_only_view_of_read_only_owner_is_taken_over(self):
+        table = np.array([[1.0], [3.0]])
+        table.flags.writeable = False
+        column = table[:, 0]
+        s = normalize(column)
+        assert s.raw is column and s.mean == 2.0
+
     def test_writable_array_is_copied(self):
         arr = np.array([1.0, 3.0])
         s = normalize(arr)
