@@ -30,9 +30,11 @@ _ENSEMBLE_CHOICES = tuple(tag.lower() for tag in ensembles.ENSEMBLE_ORDER)
 _CURVE_CHOICES = tuple(tag.lower() for tag in curves.CURVE_ORDER)
 # Rows per formatted CSV block.  Each block pays a fixed cost of some fifty
 # numpy calls, so larger blocks write faster, but the workspace they are
-# formatted in grows with them (_Workspace, 91 bytes a value).  At 4096 rows
-# the traced peak of a 1e5-row two-column write is about 980 KiB, under the
-# 1.2 MiB allowed to it; 8192 rows would take about 1.9 MiB.
+# formatted in grows with them (_Workspace, 91 bytes a value), and so do the
+# Python strings of a block's one ``%`` call when many of its values are off
+# the fast path.  At 4096 rows the traced peak of a 1e5-row two-column write
+# is about 930 KiB, and about 1.5 MiB when every value takes ``%``, under the
+# 1.2 and 1.7 MiB allowed to them; 8192 rows would take 1.8 and 2.9 MiB.
 _CSV_BLOCK_ROWS = 4096
 # Bytes per value in a block's text buffer (see _csv_tables for the layout).
 _SLOT = 24
@@ -89,31 +91,38 @@ def _csv_tables():
     return tables
 
 
-def _format_rows(row: str, rows: np.ndarray) -> bytes:
-    """The exact path: the text of ``rows``, each through the ``%`` row template."""
-    return (row * len(rows) % tuple(rows.ravel().tolist())).encode()
+def _exact_text(values: np.ndarray) -> np.ndarray:
+    """Python's own ``%.12g`` text of ``values``, each in a _SLOT-byte slot
+    with 0 in the bytes it leaves unused, as (len(values), _SLOT // 8) uint64
+    words.  The text never holds a space and is at most 19 bytes long
+    (-4.94065645841e-324), so the padding of ``%-24.12g`` is all it replaces
+    and the separator byte 21 stays free."""
+    text = (f"%-{_SLOT}.12g" * len(values) % tuple(values.tolist())).encode()
+    return np.frombuffer(text.replace(b" ", b"\0"), np.uint64).reshape(-1, _SLOT // 8)
 
 
 class _Workspace:
-    """The buffers ``_fast_text`` formats a file's blocks in, allocated once per file.
+    """The buffers ``_block_text`` formats a file's blocks in, allocated once per file.
 
     Sized for blocks of up to ``rows`` rows of ``columns`` values: the stacked
     block, three rows of per-value flags (the fast flag and two test results),
-    the per-row flag, the exponents, and three uint64 arrays of _SLOT bytes a
-    value: the slots the text is built in, their copy one byte later, and the
-    gather buffer that takes each class-table lookup.  Until the digits are in
-    the slots, the gather buffer holds the three float scratch rows and the
-    shifted copy the three int scratch rows, so the workspace takes 91 bytes a
-    value.
+    the exponents, and three uint64 arrays of _SLOT bytes a value: the slots
+    the text is built in, their copy one byte later, and the gather buffer
+    that takes each class-table lookup.  The slots are a view of the
+    bytearray ``text``, which ``_write_csv`` writes less its 0 bytes.  Until
+    the digits are in the slots, the gather buffer holds the three float
+    scratch rows and the shifted copy the three int scratch rows, so the
+    workspace takes 91 bytes a value.
     """
 
     def __init__(self, rows: int, columns: int):
         n = rows * columns
         self.block = np.empty((rows, columns))
         self.flags = np.empty((3, n), bool)
-        self.row = np.empty(rows, bool)
         self.e = np.empty(n, np.intp)
-        self.slots, self.shifted, self.gather = np.empty((3, n, _SLOT // 8), np.uint64)
+        self.text = bytearray(n * _SLOT)
+        self.slots = np.frombuffer(self.text, np.uint64).reshape(n, _SLOT // 8)
+        self.shifted, self.gather = np.empty((2, n, _SLOT // 8), np.uint64)
 
     def scratch(self, n: int):
         """Three float64 rows in the gather buffer and three intp rows in the
@@ -123,37 +132,22 @@ class _Workspace:
         return f[:n], f[n : 2 * n], f[2 * n : 3 * n], i[:n], i[n : 2 * n], i[2 * n : 3 * n]
 
 
-def _rows_ok(ok: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out[i]`` is True where every flag of row i of ``ok`` (rows, columns) is:
-    a ``&`` over the columns, which is faster than ``all(axis=1)``."""
-    np.copyto(out, ok[:, 0])
-    for j in range(1, ok.shape[1]):
-        out &= ok[:, j]
-    return out
-
-
-def _fast_text(block: np.ndarray, ws: _Workspace):
-    """``%.12g`` text of a (rows, columns) block where numpy can round it exactly.
+def _block_text(block: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """The ``%.12g`` text of a (rows, columns) block, value by value.
 
     ``block`` is the leading rows of ``ws.block``, and every step writes into
-    the workspace ``ws``.  Returns the block's uint8 text buffer of shape
-    (rows, columns, _SLOT), a view of ``ws.slots`` with 0 for every byte to
-    drop and the separators not yet set, and a per-row flag, a view of
-    ``ws.row``: the ``&`` over the block's columns of the values' fast flags,
-    False where some value of the row is off the fast path (its bytes are then
-    meaningless).  Returns (None, None) when the row flag of the domain test
-    alone passes fewer than a quarter of the rows, as in the underflowed tail
-    of a wide `curve` table, where numpy would add to the cost of ``%``.
+    the workspace ``ws``.  Numpy builds the text of each value it can round
+    exactly (see ``_write_csv``); ``_exact_text`` then writes the text of
+    every other value of the block over that value's slot, in one call.
+    Returns the block's uint8 text buffer of shape (rows, columns, _SLOT), a
+    view of ``ws.slots`` with 0 for every byte to drop and the separators
+    not yet set.
     """
-    rows, columns = block.shape
     n = block.size
     x = block.reshape(n)
     ok, test, more = ws.flags[:, :n]
-    fast = ws.row[:rows]
     np.greater_equal(x, 1e-33, out=ok)
     ok &= np.less(x, 1e12, out=test)
-    if np.count_nonzero(_rows_ok(ok.reshape(rows, columns), fast)) * 4 < rows:
-        return None, None
     digits, zeros, p1, p2, keep_a, keep_b, text = _csv_tables()
     xs, m, f, k, hi, mid = ws.scratch(n)
     np.copyto(xs, x)
@@ -205,7 +199,10 @@ def _fast_text(block: np.ndarray, ws: _Workspace):
     a &= np.take(keep_a, cls, axis=0, out=g, mode="clip")
     a |= b
     a |= np.take(text, cls, axis=0, out=g, mode="clip")
-    return a.view(np.uint8).reshape(rows, columns, _SLOT), _rows_ok(ok.reshape(rows, columns), fast)
+    exact = np.flatnonzero(np.logical_not(ok, out=test))
+    if exact.size:
+        a[exact] = _exact_text(x[exact])
+    return a.view(np.uint8).reshape(*block.shape, _SLOT)
 
 
 def _write_csv(path, header: str, *columns) -> None:
@@ -219,18 +216,17 @@ def _write_csv(path, header: str, *columns) -> None:
     If m lies more than 1e-3 from a .5 tie (|m - rint(m)| < 0.499), rint(m)
     is the rounded 12-digit significand (1e12 carries to 1e11 at e + 1).
     Every other value (0, -0.0, negatives, NaN, inf, subnormals, near-ties,
-    x >= 1e12 or below 1e-33) sends its whole row to ``_format_rows``,
-    Python's own ``%``, one call per run of such rows; a block with fewer
-    than a quarter of its rows in that domain goes to ``%`` whole.
+    x >= 1e12 or below 1e-33) is formatted by Python's own ``%`` into its
+    own slot, by ``_exact_text``; the rest of its row keeps numpy's text.
 
     The columns are copied block by block into one ``_Workspace``, allocated
-    for the call and sized to one block, and ``_fast_text`` formats each
-    block in it, so the working memory does not grow with the table.
+    for the call and sized to one block, and ``_block_text`` formats each
+    block in it, so the working memory does not grow with the table.  Each
+    block is one write: the workspace's slot bytes less their 0 bytes.
     """
     n_rows = len(columns[0])
     if any(len(column) != n_rows for column in columns):
         raise ValueError("CSV columns differ in length")
-    row = ",".join(["%.12g"] * len(columns)) + "\n"
     seps = np.frombuffer(("," * (len(columns) - 1) + "\n").encode(), np.uint8)
     ws = _Workspace(min(n_rows, _CSV_BLOCK_ROWS), len(columns))
     with open(path, "wb") as fh:
@@ -239,21 +235,9 @@ def _write_csv(path, header: str, *columns) -> None:
             block = ws.block[: min(_CSV_BLOCK_ROWS, n_rows - lo)]
             for j, column in enumerate(columns):
                 block[:, j] = column[lo : lo + len(block)]
-            text, fast = _fast_text(block, ws)
-            if text is None:
-                fh.write(_format_rows(row, block))
-                continue
-            text[:, :, 21] = seps
-            # rows bounds[i]:bounds[i + 1] are a run of fast rows or of slow rows, in turn
-            bounds = [0, *(np.flatnonzero(fast[1:] != fast[:-1]) + 1).tolist(), len(block)]
-            pieces, is_fast = [], bool(fast[0])
-            for start, end in zip(bounds, bounds[1:]):
-                if is_fast:
-                    pieces.append(text[start:end].tobytes().translate(None, b"\0"))
-                else:
-                    pieces.append(_format_rows(row, block[start:end]))
-                is_fast = not is_fast
-            fh.write(b"".join(pieces))
+            _block_text(block, ws)[:, :, 21] = seps
+            ws.slots[block.size :] = 0  # the slots a short last block leaves unused
+            fh.write(ws.text.translate(None, b"\0"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -416,7 +400,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError, Warning) as exc:  # Warning: under -W error
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -140,13 +140,16 @@ def _read_column(text: str, source: str, csv: bool, path: Path | None = None) ->
         if not data:
             continue
         fields = data.split(",", col + 1) if csv else [data]
+        reason = "not a finite number"
         try:
             v = float(fields[col])
-        except (ValueError, IndexError):
+        except ValueError:
             v = math.nan  # refused below, as a non-finite value is
+        except IndexError:  # col > 0 only where the header names raw_spacing
+            v, reason = math.nan, "no raw_spacing column"
         if not math.isfinite(v):
             raise SpectrumParseError(
-                f"{prefix}line {lineno}: cannot read a {noun} from {data!r}: not a finite number")
+                f"{prefix}line {lineno}: cannot read a {noun} from {data!r}: {reason}")
         values.append(v)
     values = np.asarray(values)
     values.flags.writeable = False

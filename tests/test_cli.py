@@ -330,6 +330,22 @@ def test_reads_a_pipe(argv, body):
     assert json.loads(proc.stdout)["n"] == 3
 
 
+@pytest.mark.parametrize("argv, body, message", [
+    (["compare", "--spacings"], "2.5\n2.5\n2.5\n2.5\n", "zero-variance sample"),
+    (["analyze", "--unfold", "global", "--spectrum"], "1\n2\n2\n3\n4.5\n", "duplicate levels removed"),
+], ids=["compare", "analyze"])
+def test_warning_raised_as_error_is_one_error_line(tmp_path, argv, body, message):
+    path = tmp_path / "input.txt"
+    path.write_text(body)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "spacinglab", *argv, str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and message in errors[0]
+    assert "Traceback" not in proc.stderr
+
+
 _WRITER_SPECIALS = [0.0, -0.0, 5e-324, 1e-5, 9.99999999999e-5, 1e16, 123456789012.5,
                     float(np.nextafter(1e-4, 0)), 9.999999999995e-05, 999999999999.5,
                     float(np.nextafter(1e-33, 0)), math.nan, math.inf, -1.5]
@@ -366,13 +382,13 @@ class TestCsvWriter:
     def test_final_block_of_one_row(self, tmp_path, monkeypatch, last):
         columns = [_exact_column(_BLOCK + 1, np.random.default_rng(4)) for _ in range(2)]
         columns[1][-1] = last
-        shapes, fast_text = [], cli._fast_text
+        shapes, block_text = [], cli._block_text
 
         def spy(block, ws):
             shapes.append(block.shape)
-            return fast_text(block, ws)
+            return block_text(block, ws)
 
-        monkeypatch.setattr(cli, "_fast_text", spy)
+        monkeypatch.setattr(cli, "_block_text", spy)
         fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
         cli._write_csv(fast, "a,b", *columns)
         write_rows_reference(slow, "a,b", *columns)
@@ -399,11 +415,14 @@ class TestCsvWriter:
 class TestCsvWriterMemory:
     """Every block is formatted in one workspace, allocated once per file."""
 
-    @pytest.mark.parametrize("n_columns, bound", [(2, 1.2 * 2**20), (3, 1.8 * 2**20)],
-                             ids=["2-columns", "3-columns"])
-    def test_write_csv_peak(self, tmp_path, n_columns, bound):
+    @pytest.mark.parametrize("off_path, n_columns, bound", [
+        (False, 2, 1.2 * 2**20), (False, 3, 1.8 * 2**20), (True, 2, 1.7 * 2**20),
+    ], ids=["2-columns", "3-columns", "2-columns-off-path"])
+    def test_write_csv_peak(self, tmp_path, off_path, n_columns, bound):
         rng = np.random.default_rng(1)
         columns = [rng.exponential(1.0, 10**5) for _ in range(n_columns)]
+        if off_path:  # every value is formatted by ``%``: below 1e-33, or negative
+            columns = [rng.uniform(1.0, 10.0, 10**5) * 1e-200, -columns[1]]
         path = tmp_path / "t.csv"
         assert traced_peak(lambda: cli._write_csv(path, "h", *columns)) <= bound
 
@@ -452,18 +471,18 @@ class TestCsvWriterProperties:
 
 
 class TestCsvFastPath:
-    """Guards the vectorized writer: few rows may fall back to ``%``."""
+    """Guards the vectorized writer: few values may fall back to ``%``."""
 
     @pytest.fixture
-    def exact_rows(self, monkeypatch):
+    def exact_values(self, monkeypatch):
         seen = []
-        format_rows = cli._format_rows
+        exact_text = cli._exact_text
 
-        def spy(row, rows):
-            seen.append(np.array(rows))
-            return format_rows(row, rows)
+        def spy(values):
+            seen.append(np.array(values))
+            return exact_text(values)
 
-        monkeypatch.setattr(cli, "_format_rows", spy)
+        monkeypatch.setattr(cli, "_exact_text", spy)
         return seen
 
     # 1e5-row tables as the benchmark writes them; about a third of the GSE
@@ -474,13 +493,14 @@ class TestCsvFastPath:
         *(["curve", "--curve", c, "--xmax", "4", "--points", "100000"]
           for c in ("goe", "gue", "gse", "gpoe", "gpue")),
     ], ids=lambda argv: f"{argv[0]}-{argv[2]}")
-    def test_few_rows_take_the_exact_path(self, tmp_path, exact_rows, argv):
+    def test_few_rows_take_the_exact_path(self, tmp_path, exact_values, argv):
         assert run([*argv, "--out", str(tmp_path / "t.csv")]) == 0
-        assert sum(len(rows) for rows in exact_rows) < 1000
+        assert sum(len(values) for values in exact_values) < 1000
 
-    def test_slow_run_across_block_edge(self, tmp_path, exact_rows):
-        """A run of ``%`` rows over the last rows of one block and the first of the
-        next is cut at the block edge; every other row takes the fast path."""
+    def test_slow_run_across_block_edge(self, tmp_path, exact_values):
+        """Values off the fast path over the last rows of one block and the first
+        of the next take one ``%`` call per block; every other value takes the
+        fast path."""
         rng = np.random.default_rng(3)
         columns = [_exact_column(2 * _BLOCK, rng) for _ in range(2)]
         columns[0][_BLOCK - 2 : _BLOCK + 1] = [0.0, math.nan, 123456789012.5]
@@ -488,15 +508,15 @@ class TestCsvFastPath:
         cli._write_csv(fast, "a,b", *columns)
         write_rows_reference(slow, "a,b", *columns)
         assert fast.read_bytes() == slow.read_bytes()
-        assert len(exact_rows) == 2
-        np.testing.assert_array_equal(exact_rows[0][:, 0], [0.0, math.nan])
-        np.testing.assert_array_equal(exact_rows[1][:, 0], [123456789012.5])
+        assert len(exact_values) == 2
+        np.testing.assert_array_equal(exact_values[0], [0.0, math.nan])
+        np.testing.assert_array_equal(exact_values[1], [123456789012.5])
 
-    def test_only_rows_off_the_path_are_formatted_by_percent(self, tmp_path, exact_rows):
+    def test_only_values_off_the_path_are_formatted_by_percent(self, tmp_path, exact_values):
         path = tmp_path / "t.csv"
         cli._write_csv(path, "v", np.array([0.0, math.nan, 999999999999.5, 1.5]))
-        assert len(exact_rows) == 1
-        np.testing.assert_array_equal(exact_rows[0], [[0.0], [math.nan], [999999999999.5]])
+        assert len(exact_values) == 1
+        np.testing.assert_array_equal(exact_values[0], [0.0, math.nan, 999999999999.5])
         assert path.read_text() == "v\n0\nnan\n1e+12\n1.5\n"
 
 

@@ -235,6 +235,7 @@ class TestLineBreakRules:
         ("x,raw_spacing\n0,2.5", [2.5]),  # no newline at the end
         ("2.5", [2.5]),
         ("raw_spacing\rabc\r", "line 2: cannot read a spacing"),
+        ("a,raw_spacing\n1\n2,3\n", "line 2: cannot read a spacing from '1': no raw_spacing column"),
         ("raw_spacing,x\r\n", "no spacing rows"),
         ("raw_spacing,x\n# only a comment\n\n", "no spacing rows"),
         ("", "no spacing rows"),
