@@ -15,7 +15,7 @@ from spacinglab import (
     CURVE_ORDER,
     EnsembleKind,
     SamplerConfig,
-    ks_test,
+    classify,
     pdf,
     sample_spacings,
 )
@@ -31,10 +31,9 @@ print("\nKS distance of each sample against each curve:")
 print("sample   " + "".join(f"{k:>9}" for k in CURVE_ORDER) + "   best fit   rate")
 for tag in CURVE_ORDER:
     sample, rate = sample_spacings(EnsembleKind(tag), N, cfg)
-    ds = {k: ks_test(sample, k).d for k in CURVE_ORDER}
-    best = min(ds, key=ds.get)
-    row = f"{tag:<9}" + "".join(f"{ds[k]:>9.4f}" for k in CURVE_ORDER)
-    print(row + f"   {best:<9}  {rate:.4f}")
+    fit = classify(sample)
+    row = f"{tag:<9}" + "".join(f"{fit.ks[k].d:>9.4f}" for k in CURVE_ORDER)
+    print(row + f"   {fit.best_fit:<9}  {rate:.4f}")
 
 print("\nConditional reality: the pseudo ensembles reject complex sectors")
 print("  GPOE keeps the half-plane b^2 >= c^2           -> rate ~ 1/2")

@@ -13,14 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spacinglab import (
-    CURVE_ORDER,
-    LocalWindow,
-    PolynomialStaircase,
-    ks_test,
-    load_spectrum,
-    unfold,
-)
+from spacinglab import LocalWindow, PolynomialStaircase, classify, load_spectrum, unfold
 
 print("=" * 72)
 print("Synthetic spectrum: bulk eigenvalues of a 1200x1200 Hermitian matrix")
@@ -45,12 +38,11 @@ print(f"wrote {path}")
 spectrum = load_spectrum(path)
 for method in (LocalWindow(51), PolynomialStaircase(7)):
     sample = unfold(spectrum, method)
-    ds = {k: ks_test(sample, k).d for k in CURVE_ORDER}
-    best = min(ds, key=ds.get)
-    row = "  ".join(f"{k} {ds[k]:.4f}" for k in CURVE_ORDER)
+    fit = classify(sample)
+    row = "  ".join(f"{k} {r.d:.4f}" for k, r in fit.ks.items())
     print(f"\nunfold {method}:")
     print(f"  {row}")
-    print(f"  best fit: {best}")
+    print(f"  best fit: {fit.best_fit}")
 
 print(
     "\nSame thing from the command line:\n"

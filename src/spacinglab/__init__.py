@@ -34,7 +34,7 @@ from .ingest import (
     parse_levels,
     unfold,
 )
-from .stats import KsResult, SpacingSample, ks_test, normalize
+from .stats import Classification, KsResult, SpacingSample, classify, ks_test, normalize
 
 __version__ = "0.1.0"
 
@@ -72,5 +72,7 @@ __all__ = [
     "normalize",
     "KsResult",
     "ks_test",
+    "Classification",
+    "classify",
     "__version__",
 ]

@@ -19,7 +19,6 @@ import argparse
 import functools
 import json
 import sys
-import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -291,19 +290,17 @@ def _parse_against(text: str) -> list[str]:
     requested = [curves.canonical_kind(tok) for tok in tokens if tok]
     if not requested:
         raise ValueError("selected no curves")
-    # keep the canonical order, drop duplicates
-    return [k for k in curves.CURVE_ORDER if k in requested]
+    return requested
 
 
-def build_report(source: str, n: int, ks_results: dict[str, stats.KsResult]) -> dict:
+def build_report(source: str, n: int, fit: stats.Classification) -> dict:
     """Assemble a RunReport dict; key order is part of the stable schema."""
-    best = min(ks_results, key=lambda k: (ks_results[k].d, curves.CURVE_ORDER.index(k)))
     return {
         "ensemble-or-source": source,
         "n": int(n),
         "seed": None,
-        "ks-results": {k: {"d": r.d, "p": r.p_value} for k, r in ks_results.items()},
-        "best-fit": best,
+        "ks-results": {k: {"d": r.d, "p": r.p_value} for k, r in fit.ks.items()},
+        "best-fit": fit.best_fit,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
 
@@ -320,19 +317,11 @@ def _emit_report(report: dict, mode: str) -> None:
     print(f"best-fit: {report['best-fit']}")
 
 
-def _compare_sample(sample: stats.SpacingSample, against: list[str]) -> dict[str, stats.KsResult]:
-    xs = sample.sorted_normalized  # sorted once here for every ks_test below
-    if xs[0] == xs[-1]:
-        warnings.warn("zero-variance sample: every spacing is identical", stacklevel=2)
-    return {k: stats.ks_test(sample, k) for k in against}
-
-
 def _cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     against = _checked(parser, "--against", _parse_against, args.against)
     raw = ingest.load_spacings(args.spacings)
     sample = stats.normalize(raw)
-    ks_results = _compare_sample(sample, against)
-    report = build_report(str(args.spacings), len(sample), ks_results)
+    report = build_report(str(args.spacings), len(sample), stats.classify(sample, against))
     _emit_report(report, args.report)
     return 0
 
@@ -341,9 +330,8 @@ def _cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     method = _checked(parser, "--unfold", ingest.parse_unfold_method, args.unfold)
     spectrum = ingest.load_spectrum(args.spectrum)
     sample = ingest.unfold(spectrum, method)
-    ks_results = _compare_sample(sample, list(curves.CURVE_ORDER))
     source = f"{spectrum.source_label} (unfold={args.unfold})"
-    report = build_report(source, len(sample), ks_results)
+    report = build_report(source, len(sample), stats.classify(sample))
     _emit_report(report, args.report)
     return 0
 

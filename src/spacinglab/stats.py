@@ -1,13 +1,14 @@
-"""Spacing post-processing and the goodness-of-fit test.
+"""Spacing post-processing, the goodness-of-fit test and classification.
 
-Unit-mean normalization of raw spacings and the one-sample
-Kolmogorov-Smirnov test against the analytic curves.  All functions are
-pure and operate on immutable inputs.
+Unit-mean normalization of raw spacings, the one-sample Kolmogorov-Smirnov
+test against the analytic curves, and the best fit among them.  All
+functions are pure and operate on immutable inputs.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,6 +21,8 @@ __all__ = [
     "normalize",
     "KsResult",
     "ks_test",
+    "Classification",
+    "classify",
 ]
 
 
@@ -179,3 +182,23 @@ def ks_test(sample: SpacingSample, kind: str) -> KsResult:
     d = float(d)
     return KsResult(d=d, n=n, p_value=float(special.kolmogorov(math.sqrt(n) * d)))
 
+
+@dataclass(frozen=True)
+class Classification:
+    """The KS result of each curve tested, in ``CURVE_ORDER``, and the best fit."""
+
+    ks: dict[str, KsResult]
+    best_fit: str
+
+
+def classify(sample: SpacingSample, against=curves.CURVE_ORDER) -> Classification:
+    """KS-test ``sample`` once against each named curve, results in ``CURVE_ORDER``.
+    The best fit has the least d, a tie going to the curve first in ``CURVE_ORDER``.
+    Warns on a zero-variance sample; raises ValueError when no curve is named."""
+    names = {curves.canonical_kind(k) for k in against}
+    if not names:
+        raise ValueError("selected no curves")
+    ks = {k: ks_test(sample, k) for k in curves.CURVE_ORDER if k in names}
+    if sample.sorted_normalized[0] == sample.sorted_normalized[-1]:  # sorted once, by ks_test
+        warnings.warn("zero-variance sample: every spacing is identical", stacklevel=2)
+    return Classification(ks=ks, best_fit=min(ks, key=lambda k: ks[k].d))  # first least d

@@ -124,13 +124,12 @@ def run_verification() -> list[CheckResult]:
     for tag in curves.CURVE_ORDER:
         kind = ensembles.EnsembleKind(tag)
         sample, _ = ensembles.sample_spacings(kind, MC_SAMPLE_SIZE, cfg)
-        res = {k: stats.ks_test(sample, k).d for k in curves.CURVE_ORDER}
-        best = min(curves.CURVE_ORDER, key=lambda k: res[k])
+        fit = stats.classify(sample)
         results.append(CheckResult(
             f"{tag} Monte Carlo vs analytic curve (n={MC_SAMPLE_SIZE})",
             f"d < {MC_KS_THRESHOLD} and best fit",
-            f"d={res[tag]:.4f}, best={best}",
-            res[tag] < MC_KS_THRESHOLD and best == tag,
+            f"d={fit.ks[tag].d:.4f}, best={fit.best_fit}",
+            fit.ks[tag].d < MC_KS_THRESHOLD and fit.best_fit == tag,
         ))
 
     xs = np.arange(0.05, 0.351, 0.05)

@@ -5,8 +5,8 @@ stated even though the two closest curve pairs sit at analytic sup-CDF
 distance 0.026 (GPOE-GPUE) and 0.037 (GOE-GPUE); those parameterized cases
 fail by construction of the curves themselves, not by a sampling defect
 (see README, "Known-red acceptance cases").  Best-fit classification is
-nevertheless exact for all five ensembles, which criterion 4's matching
-half and the verify suite demonstrate.
+nevertheless exact for all five ensembles, which
+``test_c04_best_fit_recovers_ensemble`` and the verify suite demonstrate.
 """
 
 import math
@@ -80,6 +80,15 @@ def test_c04_matching_curve(kind, mc_ks_matrix):
     d = mc_ks_matrix[kind][kind]
     ok = d < 0.01
     report(f"criterion 4: {kind} vs own curve d<0.01", ok, f"d={d:.4f}")
+    assert ok
+
+
+@pytest.mark.parametrize("kind", curves.CURVE_ORDER)
+def test_c04_best_fit_recovers_ensemble(kind, mc_ks_matrix):
+    row = mc_ks_matrix[kind]
+    best = min(row, key=lambda k: (row[k], curves.CURVE_ORDER.index(k)))
+    ok = best == kind
+    report(f"criterion 4: {kind} sample best fit is its own curve", ok, f"best={best}")
     assert ok
 
 

@@ -18,3 +18,10 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_classification_is_exported():
+    from spacinglab import stats
+
+    for module in (spacinglab, stats):
+        assert {"Classification", "classify"} <= set(module.__all__)

@@ -1,4 +1,4 @@
-"""Normalization and the KS test."""
+"""Normalization, the KS test and classification."""
 
 import math
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import kolmogorov as scipy_kolmogorov
 
 from spacinglab import curves, ensembles, stats
-from spacinglab.stats import ks_test, normalize
+from spacinglab.stats import classify, ks_test, normalize
 
 
 def goe_quantile(q):
@@ -182,6 +182,37 @@ class TestKsTest:
             for s in range(400)
         )
         assert rejected <= 4
+
+
+class TestClassify:
+    def test_all_tie_goes_to_the_first_curve_in_curve_order(self):
+        # sorted normalized spacings [0, 0, 3]: every curve has F(0) = 0, so d = 2/3 for all
+        sample = normalize([0.0, 0.0, 1.0])
+        fit = classify(sample)
+        assert {r.d for r in fit.ks.values()} == {2.0 / 3.0}
+        assert fit.best_fit == "GOE"
+        assert classify(sample, against=("GPUE", "GOE")).best_fit == "GOE"
+
+    def test_canonical_names_each_tested_once_in_curve_order(self):
+        fit = classify(normalize([0.5, 1.0, 2.0]), against=("gpue", "GOE", "goe"))
+        assert list(fit.ks) == ["GOE", "GPUE"]
+
+    def test_no_curve_is_an_error(self):
+        with pytest.raises(ValueError, match="selected no curves"):
+            classify(normalize([0.5, 1.0, 2.0]), against=())
+
+    def test_zero_variance_warns(self):
+        with pytest.warns(UserWarning, match="zero-variance"):
+            classify(normalize([2.5, 2.5, 2.5, 2.5]))
+
+    @pytest.mark.parametrize("n", [500, stats._KS_BOUND_MIN + 1])
+    def test_results_are_those_of_ks_test(self, n):
+        sample = _sample("GPUE", n)
+        fit = classify(sample)
+        assert list(fit.ks) == list(curves.CURVE_ORDER)
+        for kind, result in fit.ks.items():
+            assert result == ks_test(sample, kind)
+        assert fit.best_fit == min(fit.ks, key=lambda k: fit.ks[k].d)
 
 
 def _sample(tag, n, seed=3):
