@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import Union
 
@@ -83,48 +83,52 @@ class PolynomialStaircase:
 UnfoldMethod = Union[GlobalMean, LocalWindow, PolynomialStaircase]
 
 
-def _lines(text: str) -> Iterator[str]:
+def _lines(text: str) -> list[str]:
     """The lines of ``text`` by the input format's line rule, first to last.
 
     One leading byte-order mark is dropped and a line ends at \\n, \\r\\n or
-    \\r.  Past the first eight lines the text is split only once a reader gets
-    there, so a reader of the head of a long text does not split all of it.
+    \\r, as ``open()`` ends the lines of a file.
     """
     text = text.removeprefix("\ufeff")
     if "\r" in text:  # replace() scans the text even when it finds nothing
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    *head, rest = text.split("\n", 8)
-    return chain(head, chain.from_iterable(map(str.split, [rest], ["\n"])))
+    return text.split("\n")
 
 
-def _read_column(text: str, source: str, csv: bool, path: Path | None = None) -> np.ndarray:
+def _read_column(text: str | None, source: str, csv: bool, path: Path | None = None) -> np.ndarray:
     """The values of a spacing CSV (``csv``) or spectrum (module docstring format), in file
     order, read-only.
 
-    ``text`` is the text of the file at ``path``, if given.  The header and the
-    first data row are found in the head of ``_lines(text)``.  ``np.loadtxt``
-    then reads the file at ``path`` if it is a regular one (``open()`` ends its
-    lines as ``_lines`` does), else ``_lines(text)``.  Where it refuses a row or
-    reads a non-finite value, ``float()`` reads the lines one at a time and
-    names the bad line.
+    ``text`` is the text to read, or None to read the file at ``path``.  A
+    regular file is read once: its head through ``open()`` (which ends lines
+    as ``_lines`` does) for the header and the first data row, its values by
+    ``np.loadtxt``.  A text is cut into lines once, for both.  Where ``open()``
+    meets a byte that is not UTF-8, or ``np.loadtxt`` refuses a row or reads a
+    non-finite value, a file is read as text: ``_read_text`` names the line of
+    such a byte, else ``float()`` reads the lines one at a time and names the bad line.
     """
     noun = "spacing" if csv else "level"
     prefix = f"{source}: " if source else ""
+    if text is None and not path.is_file():  # a pipe cannot be read twice
+        text = _read_text(path, source)
+    rows = path if text is None else _lines(text)
     col = 0
-    data_lines = ((i, line) for i, line in enumerate(_lines(text)) if line.partition("#")[0].strip())
-    start, first = next(data_lines, (None, ""))
-    if csv and start is not None:
-        head = [tok.strip().lower() for tok in first.partition("#")[0].split(",")]
-        try:
-            float(head[0])
-        except ValueError:
-            col = head.index("raw_spacing") if "raw_spacing" in head else 0
-            start, _ = next(data_lines, (None, ""))
-    del data_lines  # and with it the copy of the text's tail that _lines holds
+    try:
+        with open(path, encoding="utf-8-sig") if text is None else nullcontext(rows) as lines:
+            data_lines = ((i, line) for i, line in enumerate(lines) if line.partition("#")[0].strip())
+            start, first = next(data_lines, (None, ""))
+            if csv and start is not None:
+                head = [tok.strip().lower() for tok in first.partition("#")[0].split(",")]
+                try:
+                    float(head[0])
+                except ValueError:
+                    col = head.index("raw_spacing") if "raw_spacing" in head else 0
+                    start, _ = next(data_lines, (None, ""))
+    except UnicodeDecodeError:
+        _read_text(path, source)  # raises, naming the line of the byte that is not UTF-8
+        raise
     if start is None:
         raise SpectrumParseError(f"{prefix}no {noun} rows")
-    # a pipe cannot be read twice, so only a regular file is read again by np.loadtxt
-    rows = path if path is not None and path.is_file() else _lines(text)
     try:
         # a spectrum reads every field, so a row "14,134725" has two and is refused below
         values = np.loadtxt(rows, skiprows=start, encoding="utf-8-sig", delimiter=",",
@@ -134,8 +138,9 @@ def _read_column(text: str, source: str, csv: bool, path: Path | None = None) ->
             return values[:, 0]
     except ValueError:
         pass
+    lines = _lines(_read_text(path, source)) if text is None else rows
     values = []
-    for lineno, line in enumerate(islice(_lines(text), start, None), start=start + 1):
+    for lineno, line in enumerate(islice(lines, start, None), start=start + 1):
         data = line.partition("#")[0].strip()
         if not data:
             continue
@@ -185,7 +190,7 @@ def _read_text(path: Path, source: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = sum(1 for _ in _lines(data[:exc.start].decode("utf-8")))
+        lineno = len(_lines(data[:exc.start].decode("utf-8")))
         raise SpectrumParseError(
             f"{source}: line {lineno}: not UTF-8 text ({exc.reason})") from None
 
@@ -196,7 +201,7 @@ def load_spectrum(path) -> SpectrumFile:
     The levels are sorted, deduplicated and counted as in ``parse_levels``.
     """
     path, source = Path(path), str(path)
-    return _spectrum(_read_column(_read_text(path, source), source, csv=False, path=path), source)
+    return _spectrum(_read_column(None, source, csv=False, path=path), source)
 
 
 def load_spacings(path) -> np.ndarray:
@@ -207,7 +212,7 @@ def load_spacings(path) -> np.ndarray:
     sample's ``raw`` without a copy.
     """
     path, source = Path(path), str(path)
-    return _read_column(_read_text(path, source), source, csv=True, path=path)
+    return _read_column(None, source, csv=True, path=path)
 
 
 def parse_unfold_method(text: str) -> UnfoldMethod:
@@ -330,4 +335,5 @@ def unfold(spectrum: SpectrumFile, method: UnfoldMethod) -> stats.SpacingSample:
             )
     else:
         raise TypeError(f"unknown unfolding method {method!r}")
+    out.flags.writeable = False  # so normalize keeps it without a copy
     return stats.normalize(out)

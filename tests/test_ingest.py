@@ -22,6 +22,7 @@ from spacinglab.ingest import (
     parse_unfold_method,
     unfold,
 )
+from test_ensembles import traced_peak
 
 ZETA_HEAD = "14.13\n21.02\n30.42\n37.58\n"
 
@@ -308,16 +309,12 @@ class TestFileFastPath:
 
     @pytest.fixture()
     def no_text_path(self, monkeypatch):
-        """Fails a read that cuts its text into lines twice: the head scan cuts it once."""
-        lines, calls = ingest._lines, []
+        """Fails a read that reads the file as text: a good file is read by ``open()`` and loadtxt."""
 
-        def head_scan_only(text):
-            calls.append(text)
-            if len(calls) > 1:
-                raise AssertionError("the line-by-line text path ran")
-            return lines(text)
+        def no_text(path, source):
+            raise AssertionError("the line-by-line text path ran")
 
-        monkeypatch.setattr(ingest, "_lines", head_scan_only)
+        monkeypatch.setattr(ingest, "_read_text", no_text)
 
     @pytest.mark.parametrize("comment", ["", "# \u00e9nergie (MeV)\n"], ids=["ascii", "non-ascii"])
     def test_sample_csv(self, tmp_path, no_text_path, comment):
@@ -343,6 +340,42 @@ class TestFileFastPath:
         path.write_text("1\n2\nabc\n")
         with pytest.raises(AssertionError, match="text path ran"):
             load_spectrum(path)
+
+
+class TestReaderMemory:
+    """A regular file is held once, as the values ``np.loadtxt`` reads, never as its text."""
+
+    N = 10**5
+
+    def test_load_spacings_peak(self, tmp_path):
+        path = tmp_path / "goe.csv"
+        assert cli.main(["sample", "--ensemble", "goe", "--n", str(self.N), "--seed", "3",
+                         "--out", str(path)]) == 0
+        assert traced_peak(lambda: load_spacings(path)) <= 12 * self.N + 256 * 1024
+
+    def test_load_spectrum_peak(self, tmp_path):
+        levels = np.cumsum(np.random.default_rng(3).exponential(size=self.N))
+        path = tmp_path / "levels.txt"
+        path.write_text("".join(f"{float(v)!r}\n" for v in levels))
+        assert traced_peak(lambda: load_spectrum(path)) <= 12 * self.N + 256 * 1024
+
+
+class TestErrorOrder:
+    """A byte that is not UTF-8 is reported before any other fault of a file."""
+
+    def test_comments_only_with_bad_byte(self, tmp_path):
+        path = tmp_path / "levels.txt"
+        path.write_bytes(b"# \xe9nergie\n# still a comment\n\n")
+        with pytest.raises(SpectrumParseError,
+                           match=rf"^{re.escape(str(path))}: line 1: not UTF-8 text"):
+            load_spectrum(path)
+
+    def test_bad_byte_after_bad_value(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"raw_spacing\nabc\n1.5\n2.5\n\xff3.5\n")
+        with pytest.raises(SpectrumParseError,
+                           match=rf"^{re.escape(str(path))}: line 5: not UTF-8 text"):
+            load_spacings(path)
 
 
 # a line of the property below: a number, or digits mixed with '.', ',', '#', blanks,
@@ -469,6 +502,14 @@ class TestMethodParsing:
 
 
 class TestUnfold:
+    def test_global_mean_keeps_its_spacings(self):
+        # the spacings, their unfolded copy and the normalized sample: normalize copies none
+        n = 10**5
+        levels = np.cumsum(np.random.default_rng(6).exponential(size=n))
+        levels.flags.writeable = False
+        spectrum = SpectrumFile(levels=levels)
+        assert traced_peak(lambda: unfold(spectrum, GlobalMean())) <= 28 * n
+
     def test_picket_fence_global(self):
         sp = parse_levels("\n".join(str(i) for i in range(1, 101)))
         out = unfold(sp, GlobalMean())
