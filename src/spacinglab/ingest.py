@@ -232,51 +232,50 @@ def parse_unfold_method(text: str) -> UnfoldMethod:
     raise ValueError(f"unknown unfolding method {text!r}; use global, local:w or poly:p")
 
 
-# the normal equations square the condition number of the least-squares problem,
-# so above this condition number of the Gram matrix the fit is left to lstsq
-_GRAM_COND_MAX = 1e8
+def _staircase_fit(levels: np.ndarray, degree: int) -> np.ndarray:
+    """The steps of the degree-``degree`` least-squares fit to the staircase N(E_i) = i.
 
-
-def _legendre_staircase(levels: np.ndarray, staircase: np.ndarray, degree: int) -> np.ndarray | None:
-    """The fitted staircase from the Legendre normal equations (see ``unfold``).
-
-    None where the Cholesky factorization of the Gram matrix fails or the
-    matrix's condition number exceeds ``_GRAM_COND_MAX``.  ``np.einsum`` is
-    called without ``optimize``, the setting under which it calls no BLAS.
+    The monic polynomials q_0 .. q_p orthogonal on u follow from q_(k+1) =
+    (u - a_k) q_k - b_k q_(k-1) (Forsythe, J. SIAM 5 (1957) 74-88), and each
+    q_k's projection on the staircase's residual moves from the residual to
+    the fit.  The rank rule is ``Polynomial.fit``'s: from u^k = sum_j t_kj q_j,
+    diag(|q_j|) t^T is the power-basis Vandermonde matrix's triangular factor,
+    and a fit whose column-scaled factor has sigma_min <= n eps sigma_max, or
+    where some |q_k|^2 underflows to 0, is refused.
     """
+    n = levels.size
+    rank_error = ValueError("degenerate staircase fit: the levels fix fewer "
+                            f"than {degree + 1} coefficients; lower the degree")
     lo, hi = levels[0], levels[-1]
     u = (levels - lo) / (hi - lo) * 2.0 - 1.0  # not 2x - (lo + hi): that sum can overflow
-    vander = np.polynomial.legendre.legvander(u, degree)
-    gram = np.einsum("ij,ik->jk", vander, vander)
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return None
-    if np.linalg.cond(gram) > _GRAM_COND_MAX:
-        return None
-    rhs = np.einsum("ij,i->j", vander, staircase)
-    coef = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-    return np.einsum("ij,j->i", vander, coef)
-
-
-def _lstsq_staircase(levels: np.ndarray, staircase: np.ndarray, degree: int) -> np.ndarray:
-    """The fitted staircase from ``Polynomial.fit`` (an SVD least-squares solve).
-
-    Refuses with a ValueError a fit of rank at most ``degree``, and one whose
-    mapping of the levels onto [-1, 1] overflows, as it does for a subnormal
-    span or where the sum of the first and last level overflows.
-    """
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            fit, (_, rank, _, _) = np.polynomial.Polynomial.fit(
-                levels, staircase, degree, full=True)
-            fitted = fit(levels)
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        raise ValueError(f"degenerate staircase fit: {exc}") from exc
-    if rank <= degree:
-        raise ValueError("degenerate staircase fit: the levels fix fewer "
-                         f"than {degree + 1} coefficients; lower the degree")
-    return fitted
+    resid, fit = np.arange(1.0, n + 1.0), np.zeros(n)
+    q, q_prev, work = np.ones(n), np.zeros(n), np.empty(n)
+    a, norms = np.zeros(degree + 1), np.zeros(degree + 1)  # a_k and |q_k|^2
+    for k in range(degree + 1):
+        norms[k] = np.einsum("i,i->", q, q)
+        if norms[k] == 0.0:
+            raise rank_error
+        fit += np.multiply(q, np.einsum("i,i->", resid, q) / norms[k], out=work)
+        resid -= work
+        if k < degree:  # q_prev becomes q_(k+1)
+            a[k] = np.einsum("i,i,i->", u, q, q) / norms[k]
+            q_prev *= -norms[k] / norms[k - 1] if k else 0.0
+            q_prev += np.multiply(np.subtract(u, a[k], out=work), q, out=work)
+            q, q_prev = q_prev, q
+    # t_kk = 1 (the q_k are monic), and u q_j = q_(j+1) + a_j q_j + b_j q_(j-1)
+    # gives row k + 1 of t from row k
+    t = np.eye(degree + 1)
+    b = norms[1:] / norms[:-1]
+    for k in range(degree):
+        t[k + 1, 1:] = t[k, :-1]
+        t[k + 1] += a * t[k]
+        t[k + 1, :-1] += b * t[k, 1:]
+    factor = t.T * np.sqrt(norms)[:, None]
+    factor /= np.sqrt(np.einsum("jk,jk->k", factor, factor))
+    sigma = np.linalg.svd(factor, compute_uv=False)
+    if sigma[-1] <= n * np.finfo(float).eps * sigma[0]:
+        raise rank_error
+    return np.diff(fit)
 
 
 def unfold(spectrum: SpectrumFile, method: UnfoldMethod) -> stats.SpacingSample:
@@ -290,15 +289,13 @@ def unfold(spectrum: SpectrumFile, method: UnfoldMethod) -> stats.SpacingSample:
     fitted values.  The output is renormalized to exact unit mean as a
     final step.
 
-    The staircase fit maps the levels onto u in [-1, 1] and solves the
-    (p + 1) x (p + 1) normal equations on the Legendre basis P_0(u) ..
-    P_p(u) by Cholesky.  Their products over the levels are ``np.einsum``
-    calls, which call no BLAS: a multithreaded BLAS spends longer starting
-    threads than on these thin products.  Where the Gram matrix is not
-    positive definite or its condition number exceeds 1e8 (the normal
-    equations square it), the fit falls back to the SVD least-squares
-    solve of ``np.polynomial.Polynomial.fit``, which refuses a
-    rank-deficient fit.  The two fits agree to rounding, not bit for bit.
+    The staircase fit maps the levels onto u in [-1, 1] and projects the
+    staircase on the polynomials orthogonal on them, with no n x (p + 1)
+    matrix.  Its sums over the levels are ``np.einsum`` calls without
+    ``optimize``, which call no BLAS: a threaded BLAS spends longer starting
+    threads than on these thin products, and its last bits change with the
+    thread count.  A fit the levels cannot determine is refused by
+    ``Polynomial.fit``'s rank rule; the two fits agree to rounding.
     """
     if not math.isfinite(float(spectrum.levels[-1]) - float(spectrum.levels[0])):
         raise ValueError("the spectrum's span overflows a float; rescale the levels")
@@ -324,11 +321,7 @@ def unfold(spectrum: SpectrumFile, method: UnfoldMethod) -> stats.SpacingSample:
         n = spectrum.levels.size
         if method.degree >= n:
             raise ValueError("polynomial degree must be below the number of levels")
-        staircase = np.arange(1, n + 1, dtype=float)
-        unfolded = _legendre_staircase(spectrum.levels, staircase, method.degree)
-        if unfolded is None:
-            unfolded = _lstsq_staircase(spectrum.levels, staircase, method.degree)
-        out = np.diff(unfolded)
+        out = _staircase_fit(spectrum.levels, method.degree)
         if np.any(out < 0):
             raise ValueError(
                 "fitted staircase is not increasing on the data; lower the degree"

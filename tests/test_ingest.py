@@ -1,8 +1,12 @@
 """Spectrum file parsing and unfolding."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -510,6 +514,14 @@ class TestUnfold:
         spectrum = SpectrumFile(levels=levels)
         assert traced_peak(lambda: unfold(spectrum, GlobalMean())) <= 28 * n
 
+    def test_poly_fit_forms_no_vandermonde_matrix(self):
+        # eight arrays of n floats, where an n x 8 matrix took 112 bytes a level
+        n = 10**5
+        levels = np.cumsum(np.random.default_rng(6).exponential(size=n))
+        levels.flags.writeable = False
+        spectrum = SpectrumFile(levels=levels)
+        assert traced_peak(lambda: unfold(spectrum, PolynomialStaircase(7))) <= 72 * n
+
     def test_picket_fence_global(self):
         sp = parse_levels("\n".join(str(i) for i in range(1, 101)))
         out = unfold(sp, GlobalMean())
@@ -617,13 +629,13 @@ class TestUnfoldProperties:
 
 
 def _lstsq_spacings(levels, degree):
-    """Differences of the ``Polynomial.fit`` staircase, the one fit ``unfold`` used to make."""
+    """Differences of the ``Polynomial.fit`` staircase: a reference, which ``unfold`` never calls."""
     fit = np.polynomial.Polynomial.fit(levels, np.arange(1.0, levels.size + 1), degree)
     return np.diff(fit(levels))
 
 
 def _raise_if_called(*args, **kwargs):
-    raise AssertionError("the Legendre staircase fit called lstsq")
+    raise AssertionError("the staircase fit called lstsq")
 
 
 def _stretched_spectrum():
@@ -661,21 +673,65 @@ class TestPolynomialStaircaseFit:
         for curve in curves.CURVE_ORDER:
             assert abs(stats.ks_test(got, curve).d - stats.ks_test(want, curve).d) <= 1e-10
 
-    def test_ill_conditioned_gram_falls_back_to_lstsq(self, monkeypatch):
-        want = _lstsq_spacings(_CLUSTERED, 2)
-        calls = []
-        fit = np.polynomial.Polynomial.fit
-        monkeypatch.setattr(np.polynomial.Polynomial, "fit",
-                            lambda *args, **kwargs: calls.append(args) or fit(*args, **kwargs))
-        got = unfold(SpectrumFile(levels=_CLUSTERED), PolynomialStaircase(2))
-        assert len(calls) == 1
-        assert np.array_equal(got.raw, want)
+    def test_clustered_fit_is_as_close_to_mpmath_as_lstsq(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            lo, hi = mpmath.mpf(_CLUSTERED[0]), mpmath.mpf(_CLUSTERED[-1])
+            u = [(mpmath.mpf(x) - lo) / (hi - lo) * 2 - 1 for x in _CLUSTERED]
+            powers = mpmath.matrix([[ui**k for k in range(3)] for ui in u])
+            gram = powers.T * powers
+            coef = mpmath.lu_solve(gram, powers.T * mpmath.matrix(list(range(1, len(u) + 1))))
+            fit = powers * coef
+            want = np.array([float(fit[i + 1] - fit[i]) for i in range(len(u) - 1)])
+        got = unfold(SpectrumFile(levels=_CLUSTERED), PolynomialStaircase(2)).raw
+        lstsq = _lstsq_spacings(_CLUSTERED, 2)
+        assert np.max(np.abs(got / want - 1.0)) <= np.max(np.abs(lstsq / want - 1.0))
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # a threaded BLAS changes the last bits of a 1-d ``u @ u``; np.einsum calls no BLAS
+        src = str(Path(ingest.__file__).resolve().parents[1])
+        code = ("import hashlib, numpy as np; from spacinglab import ingest; "
+                "levels = np.cumsum(np.random.default_rng(6).exponential(size=10**5)); "
+                "out = ingest.unfold(ingest.SpectrumFile(levels=levels), ingest.PolynomialStaircase(7)); "
+                "print(hashlib.sha256(out.normalized.tobytes()).hexdigest())")
+        digests = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                                  env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+                                  ).stdout for threads in ("1", "2")}
+        assert len(digests) == 1
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.floats(1e-6, 1e6), min_size=19, max_size=199), st.floats(-1e6, 1e6),
+           st.integers(1, 9))
+    def test_matches_lstsq_where_the_legendre_gram_is_well_conditioned(self, gaps, start, degree):
+        # the inputs on which the fit solved the Legendre normal equations
+        levels = start + np.cumsum(gaps)
+        assume(np.all(levels[1:] > levels[:-1]))
+        u = (levels - levels[0]) / (levels[-1] - levels[0]) * 2.0 - 1.0
+        vander = np.polynomial.legendre.legvander(u, degree)
+        assume(np.linalg.cond(vander.T @ vander) <= 1e8)
+        # Polynomial.fit is given unfold's own u: its map of the levels onto [-1, 1]
+        # loses the digits of a tight cluster, by up to 2e-7 in the spacings here
+        fit = np.polynomial.Polynomial.fit(u, np.arange(1.0, u.size + 1), degree, domain=[-1, 1])
+        want = np.diff(fit(u))
+        try:
+            got = unfold(SpectrumFile(levels=levels), PolynomialStaircase(degree)).normalized
+        except ValueError as exc:
+            assert str(exc).startswith("fitted staircase is not increasing")
+            assert want.min() <= 1e-9 * want.mean()
+        else:
+            assert np.max(np.abs(got - want / want.mean())) <= 1e-9
 
     @pytest.mark.parametrize("degree", [3, 7, 9])
     def test_rank_refusal_is_kept(self, degree):
         with pytest.raises(ValueError, match=f"^degenerate staircase fit: the levels fix fewer "
                                              f"than {degree + 1} coefficients; lower the degree$"):
             unfold(SpectrumFile(levels=_CLUSTERED), PolynomialStaircase(degree))
+
+    def test_underflowed_norm_is_refused(self):
+        # u is [-1, -1, -1, 1], on which q_2 is 0: refused before it divides 0 by 0
+        with pytest.raises(ValueError, match="^degenerate staircase fit: the levels fix fewer "
+                                             "than 4 coefficients; lower the degree$"):
+            unfold(SpectrumFile(levels=np.array([0.0, 1.0, 2.0, 7.2e16])), PolynomialStaircase(3))
 
     @pytest.mark.parametrize("levels", [
         [0.0, 1.0, 8.99e307],
