@@ -39,14 +39,15 @@ pseudo-Hermitian, eta H eta^-1 = H^dagger, and those terms enter D with a
 minus sign.  QH3/QH4 dress the off-diagonal: H[0,1] / eps, H[1,0] * eps.
 
 A parameter vector is (a, b, c, ...) in the order of the table, with exactly
-``kind.n_params`` entries: :func:`eigenvalues`, :func:`realize_matrix` and
-:func:`pseudo_hermiticity_residual` refuse any other length, and any
+``kind.n_params`` entries.  :func:`realize_matrix` and
+:func:`pseudo_hermiticity_residual` take a stack of them, shape (..., n_params),
+and :func:`eigenvalues` exactly one; all three refuse any other length, and any
 non-finite entry, with a ValueError naming the kind.
 
-``_FAMILIES`` is where a family is described: its generators, the first
-parameter kappa shrinks, the exact probability of real eigenvalues (1/2 for
-GPOE, 1 - 1/sqrt2 for GPUE's cone) and the reference curve; everything else
-about a family, the signs in D included, is derived from its row.
+``_FAMILIES`` describes each family: its generators (the identity first), the
+first parameter kappa shrinks, the exact probability of real eigenvalues (1/2
+for GPOE, 1 - 1/sqrt2 for GPUE's cone) and the reference curve; everything
+else about a family, the signs in D included, is derived from its row.
 
 Reproducibility: spacing generation is split into fixed-size logical
 blocks (streams).  Block ``i`` owns a private generator seeded by
@@ -115,28 +116,26 @@ _I_SY = np.array([[0, 1], [-1, 0]], dtype=complex)
 
 
 class _Family(NamedTuple):
-    generators: tuple[np.ndarray, ...]  # G_b, G_c, ... in H = a 1 + b G_b + c G_c + ...
+    generators: np.ndarray  # stack of 1, G_b, G_c, ... in H = a 1 + b G_b + c G_c + ...
     shrink: int | None  # first parameter kappa shrinks, or None
     acceptance: float  # exact probability that a draw has real eigenvalues
     curve: str  # analytic reference curve
 
 
 _FAMILIES = {
-    "GOE": _Family((_SZ, _SX), None, 1.0, "GOE"),
-    "GUE": _Family((_SZ, _SX, _MINUS_SY), None, 1.0, "GUE"),
-    "GSE": _Family(
-        (np.kron(_SZ, _I2), np.kron(_SX, _I2), np.kron(_SY, _SZ), np.kron(_SY, _SY),
-         np.kron(_SY, _SX)),
-        None, 1.0, "GSE",
-    ),
-    "GPOE": _Family((_SZ, _I_SX), None, 0.5, "GPOE"),
-    "GPUE": _Family((_SZ, _I_SX, _I_SY), None, 1.0 - 1.0 / math.sqrt(2.0), "GPUE"),
-    "QH3": _Family((_SX, _MINUS_SY), 1, 1.0, "GOE"),
-    "QH4": _Family((_SZ, _SX, _MINUS_SY), 2, 1.0, "GUE"),
+    "GOE": _Family(np.array((_I2, _SZ, _SX)), None, 1.0, "GOE"),
+    "GUE": _Family(np.array((_I2, _SZ, _SX, _MINUS_SY)), None, 1.0, "GUE"),
+    "GSE": _Family(np.array((np.kron(_I2, _I2), np.kron(_SZ, _I2), np.kron(_SX, _I2),
+                             np.kron(_SY, _SZ), np.kron(_SY, _SY), np.kron(_SY, _SX))),
+                   None, 1.0, "GSE"),
+    "GPOE": _Family(np.array((_I2, _SZ, _I_SX)), None, 0.5, "GPOE"),
+    "GPUE": _Family(np.array((_I2, _SZ, _I_SX, _I_SY)), None, 1 - 1 / math.sqrt(2), "GPUE"),
+    "QH3": _Family(np.array((_I2, _SX, _MINUS_SY)), 1, 1.0, "GOE"),
+    "QH4": _Family(np.array((_I2, _SZ, _SX, _MINUS_SY)), 2, 1.0, "GUE"),
 }
 ENSEMBLE_ORDER = tuple(_FAMILIES)
 
-# signs of b^2, c^2, ... in D: G^2 = +1 for a Hermitian generator, -1 for an anti-Hermitian one
+# sign of p_j^2 in D (a's unused): G_j^2 = +1 if G_j is Hermitian, -1 if anti-Hermitian
 _SIGNS = {
     tag: tuple(1 if np.array_equal(g, g.conj().T) else -1 for g in family.generators)
     for tag, family in _FAMILIES.items()
@@ -175,7 +174,7 @@ class EnsembleKind:
 
     @property
     def n_params(self) -> int:
-        return 1 + len(_FAMILIES[self.tag].generators)
+        return len(_FAMILIES[self.tag].generators)
 
     @property
     def acceptance(self) -> float:
@@ -277,13 +276,13 @@ def _active(kind: EnsembleKind, p) -> np.ndarray:
     try:
         if arr.dtype.kind not in "biufO":  # complex, text or dates
             raise TypeError
-        arr = arr.astype(float, copy=False).ravel()
+        arr = np.atleast_1d(arr.astype(float, copy=False))
     except (TypeError, ValueError):  # or an object entry float() refuses, such as 1j
         raise ValueError(f"{kind.tag} parameters must be real numbers, got {p!r}") from None
-    if arr.size != kind.n_params:
-        raise ValueError(f"{kind.tag} needs exactly {kind.n_params} parameters, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{kind.tag} parameters must be finite, got {arr.tolist()}")
+    if (got := arr.shape[-1]) != kind.n_params:
+        raise ValueError(f"{kind.tag} needs exactly {kind.n_params} parameters, got {got}")
+    if (bad := ~np.isfinite(arr).all(axis=-1)).any():  # arr[bad][0]: the first bad vector
+        raise ValueError(f"{kind.tag} parameters must be finite, got {arr[bad][0].tolist()}")
     return arr
 
 
@@ -312,24 +311,23 @@ def _discriminants(
 
     disc = term(1, out)  # every family's first generator is Hermitian: D starts at +b^2
     tmp = None
-    for sign, j in zip(_SIGNS[kind.tag][1:], range(2, len(cols))):
+    for j in range(2, len(cols)):
         tmp = term(j, tmp)
-        if sign > 0:
-            disc += tmp
-        else:
-            disc -= tmp
+        (np.add if _SIGNS[kind.tag][j] > 0 else np.subtract)(disc, tmp, out=disc)
     return disc
 
 
 def eigenvalues(kind: EnsembleKind, p) -> tuple[float, float] | None:
     """Closed-form eigenvalues (e1, e2) with e1 >= e2, or None outside the real sector.
 
-    ``p`` holds the kind's ``n_params`` parameters (a, b, c, ...).
+    ``p`` is one parameter vector; a stack is refused.
     The reality predicate for GPOE/GPUE is exact (b^2 >= c^2 [+ d^2], no
     tolerance).  GSE's doubly degenerate 4x4 spectrum is reported as its
     two distinct values.  Only real eigenvalues define a spacing, e1 - e2.
     """
     row = _active(kind, p)
+    if row.ndim != 1:
+        raise ValueError(f"{kind.tag} eigenvalues take one parameter vector, got {row.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         disc = float(_discriminants(kind, row[None, :])[0])
     if not math.isfinite(disc):
@@ -513,23 +511,20 @@ def spectral_to_params(kind: EnsembleKind, sp: SpectralParams) -> np.ndarray:
 
 
 def realize_matrix(kind: EnsembleKind, p) -> np.ndarray:
-    """Explicit complex matrix a 1 + sum_j p_j G_j (2x2; 4x4 for GSE), QH-dressed.
+    """Explicit complex matrices a 1 + sum_j p_j G_j (2x2; 4x4 for GSE), QH-dressed.
 
-    ``p`` holds the kind's ``n_params`` parameters.  Refuses parameters whose
-    matrix entries overflow with a ValueError naming the kind.
+    ``p`` of shape (..., n_params) gives H of shape (..., m, m).  Refuses
+    parameters whose matrix entries overflow with a ValueError naming the kind.
     """
-    row = _active(kind, p)
-    generators = _FAMILIES[kind.tag].generators
+    params = _active(kind, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        H = row[0] * np.eye(len(generators[0]), dtype=complex)
-        for coeff, g in zip(row[1:], generators):
-            H = H + coeff * g
+        H = np.einsum("...j,jkl->...kl", params, _FAMILIES[kind.tag].generators)
         if kind.kappa is not None:
             eps = math.exp(-kind.kappa)
-            H[0, 1] /= eps
-            H[1, 0] *= eps
-    if not np.isfinite(H).all():
-        raise ValueError(f"{kind.tag} matrix overflows for parameters {row.tolist()}")
+            H[..., 0, 1] /= eps
+            H[..., 1, 0] *= eps
+    if (bad := ~np.isfinite(H).all(axis=(-2, -1))).any():
+        raise ValueError(f"{kind.tag} matrix overflows for parameters {params[bad][0].tolist()}")
     return H
 
 
@@ -544,19 +539,24 @@ def metric(kind: EnsembleKind) -> np.ndarray:
     if kind.kappa is not None:
         eps = math.exp(-kind.kappa)
         return np.diag([eps, 1.0 / eps]).astype(complex)
-    return np.eye(len(_FAMILIES[kind.tag].generators[0]), dtype=complex)
+    return _FAMILIES[kind.tag].generators[0].copy()  # the identity
 
 
-def matrix_metric_residual(H: np.ndarray, eta: np.ndarray) -> float:
-    """Max-abs-entry norm of eta H eta^-1 - H^dagger."""
+def matrix_metric_residual(H: np.ndarray, eta: np.ndarray) -> float | np.ndarray:
+    """Max-abs-entry norm of eta H eta^-1 - H^dagger, one per matrix of the stack ``H``.
+
+    ``eta`` must be an invertible diagonal matrix, as every :func:`metric` is, or a
+    ValueError is raised; entry (i, j) is then H_ij eta_i / eta_j - conj(H_ji).
+    """
     H = np.asarray(H, dtype=complex)
-    eta = np.asarray(eta, dtype=complex)
-    lhs = eta @ H @ np.linalg.inv(eta)
-    return float(np.max(np.abs(lhs - H.conj().T)))
+    diag = np.diagonal(eta)
+    if not (np.array_equal(eta, np.diag(diag)) and diag.all()):
+        raise ValueError("the metric must be an invertible diagonal matrix")
+    return np.max(np.abs(H * (diag[:, None] / diag) - H.conj().swapaxes(-2, -1)), axis=(-2, -1))
 
 
-def pseudo_hermiticity_residual(kind: EnsembleKind, p) -> float:
-    """Residual of eta H eta^-1 = H^dagger with eta = :func:`metric` (kind).
+def pseudo_hermiticity_residual(kind: EnsembleKind, p) -> float | np.ndarray:
+    """Residual of eta H eta^-1 = H^dagger with eta = :func:`metric` (kind), one per vector.
 
     Exactly 0 for GOE, GUE and GSE; for the other four kinds zero by
     construction up to rounding (<= 1e-12 for any sampled matrix).

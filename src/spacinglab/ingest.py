@@ -299,11 +299,12 @@ def unfold(spectrum: SpectrumFile, method: UnfoldMethod) -> stats.SpacingSample:
     """
     if not math.isfinite(float(spectrum.levels[-1]) - float(spectrum.levels[0])):
         raise ValueError("the spectrum's span overflows a float; rescale the levels")
-    spacings = np.diff(spectrum.levels)
-    m = spacings.size
     if isinstance(method, GlobalMean):
+        spacings = np.diff(spectrum.levels)
         out = spacings / spacings.mean()
     elif isinstance(method, LocalWindow):
+        spacings = np.diff(spectrum.levels)
+        m = spacings.size
         if method.window >= m:
             raise ValueError(
                 f"window {method.window} must be smaller than the number of spacings {m}"

@@ -97,16 +97,17 @@ class TestKinds:
         assert ensembles.ENSEMBLE_ORDER == ("GOE", "GUE", "GSE", "GPOE", "GPUE", "QH3", "QH4")
 
     def test_generator_algebra(self):
-        # G^2 = sign * 1 with the signs of D written out; pairwise anticommuting
+        # the stack starts with the identity (a's generator); the traceless G_b, G_c, ...
+        # square to sign * 1 with the signs of D written out and anticommute pairwise
         oracle = {
             "GOE": (1, 1), "GUE": (1, 1, 1), "GSE": (1,) * 5, "GPOE": (1, -1),
             "GPUE": (1, -1, -1), "QH3": (1, 1), "QH4": (1, 1, 1),
         }
         eta = np.diag([1.0, -1.0])
         for tag, signs in oracle.items():
-            gens = ensembles._FAMILIES[tag].generators
-            assert ensembles._SIGNS[tag] == signs and len(gens) == len(signs)
-            one = np.eye(len(gens[0]))
+            one, *gens = ensembles._FAMILIES[tag].generators
+            assert np.array_equal(one, np.eye(len(one)))
+            assert ensembles._SIGNS[tag] == (1, *signs) and len(gens) == len(signs)
             for i, g in enumerate(gens):
                 assert np.array_equal(g @ g, signs[i] * one)
                 for h in gens[i + 1:]:
@@ -200,18 +201,18 @@ class TestEigenvalues:
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
     def test_closed_form_matches_numeric_eigensolve(self, kind):
-        for i in range(25):
-            p = first_row(kind, 11, i)
-            out = eigenvalues(kind, p)
-            H = realize_matrix(kind, p)
-            if out is None:
-                assert np.max(np.abs(np.linalg.eigvals(H).imag)) > 0.0
-                continue
-            e1, e2 = out
-            assert e1 >= e2
-            numeric = np.sort(np.linalg.eigvals(H).real)
-            expected = np.repeat([e2, e1], len(H) // 2)
-            assert np.max(np.abs(numeric - expected)) < 1e-10
+        # one eigensolve of a 20,000-draw stack against a +- sqrt(D), the closed form
+        # eigenvalues() returns: a complex pair where D < 0, else each value m/2 times
+        block = ensembles._draw_block(kind, ensembles._stream_rng(17, 0), 20_000)
+        numeric = np.linalg.eigvals(realize_matrix(kind, block))
+        disc = ensembles._discriminants(kind, block)
+        real = disc >= 0.0
+        assert np.all(np.max(np.abs(numeric[~real].imag), axis=-1) > 0.0)
+        a, root = block[real, 0], np.sqrt(disc[real])
+        expected = np.repeat(np.stack([a - root, a + root], axis=-1), numeric.shape[-1] // 2, -1)
+        assert np.max(np.abs(np.sort(numeric[real].real, axis=-1) - expected)) < 1e-10
+        first = eigenvalues(kind, block[0])
+        assert first == ((a[0] + root[0], a[0] - root[0]) if real[0] else None)
 
     @pytest.mark.parametrize("fn,kind,p,why", [
         (eigenvalues, GOE, [math.inf, 1.0, 1.0], "parameters must be finite"),
@@ -232,11 +233,20 @@ class TestEigenvalues:
         (eigenvalues, GOE, ["a", 1.0, 2.0], "parameters must be real numbers"),
         (realize_matrix, qh3(0.5), ["a", 1.0, 2.0], "parameters must be real numbers"),
         (pseudo_hermiticity_residual, GPOE, [0.0, "a", 1.0], "parameters must be real numbers"),
+        # a stack names its first bad vector; eigenvalues takes no stack at all
+        (realize_matrix, GOE, [[0.0, 1.0, 2.0], [0.0, math.nan, 1.0], [math.inf, 0.0, 0.0]],
+         r"parameters must be finite, got \[0.0, nan, 1.0\]$"),
+        (pseudo_hermiticity_residual, qh3(100.0), [[0.0, 1.0, 1.0], [0.0, 1e300, 1e300]],
+         r"matrix overflows for parameters \[0.0, 1e\+300, 1e\+300\]$"),
+        (eigenvalues, GOE, [[0.0, 1.0, 2.0]],
+         r"eigenvalues take one parameter vector, got \(1, 3\)$"),
+        (eigenvalues, GUE, np.zeros((2, 5, 4)), "eigenvalues take one parameter vector"),
     ], ids=["goe-inf", "goe-nan", "gue-overflow", "gpue-residual-nan", "goe-matrix-overflow",
             "qh3-dressing-overflow", "qh3-residual-overflow", "qh4-dressing-overflow",
             "qh4-residual-overflow", "goe-none", "goe-matrix-none", "gpoe-residual-none",
             "goe-complex", "gue-matrix-complex", "gpue-residual-complex", "goe-string",
-            "qh3-matrix-string", "gpoe-residual-string"])
+            "qh3-matrix-string", "gpoe-residual-string", "goe-matrix-stack-nan",
+            "qh3-residual-stack-overflow", "goe-one-row-stack", "gue-stack"])
     def test_non_finite_input_refused(self, fn, kind, p, why):
         # one ValueError naming the kind and the fault, and no numpy warning (warnings
         # are errors here)
@@ -248,11 +258,14 @@ class TestEigenvalues:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
     def test_wrong_length_refused(self, fn, kind):
         # a vector is exactly n_params long; a short one, a long one (which used to lose
-        # its tail without a word) and the six entries GSE takes are all refused
+        # its tail without a word) and the six entries GSE takes are all refused, and so
+        # is a stack of short or long vectors
         values = [0.0, 3.0, 4.0, 100.0, -2.0, 0.5, 7.0]
-        for size in sorted({0, kind.n_params - 1, kind.n_params + 1, 6} - {kind.n_params}):
+        sizes = sorted({0, kind.n_params - 1, kind.n_params + 1, 6} - {kind.n_params})
+        stacks = [[values[:size]] * 3 for size in (kind.n_params - 1, kind.n_params + 1)]
+        for p in [values[:size] for size in sizes] + stacks:
             with pytest.raises(ValueError, match=f"{kind.tag} needs exactly {kind.n_params}"):
-                fn(kind, values[:size])
+                fn(kind, p)
 
     def test_gse_numeric_degeneracy(self):
         p = [0.3, 0.5, -0.2, 0.9, 0.1, -0.4]
@@ -608,6 +621,10 @@ class TestSpectralMap:
         with pytest.raises(ValueError, match=f"{kind.tag} parameters overflow"):
             spectral_to_params(kind, SpectralParams(t=0.0, s=s, theta=theta, phi=0.7))
 
+    def test_negative_s_refused(self):
+        with pytest.raises(ValueError, match="^SpectralParams requires s >= 0$"):
+            SpectralParams(0.0, -1.0, 0.0)
+
     def test_largest_theta_accepted(self):
         # cosh(710) is still finite
         p = spectral_to_params(GPOE, SpectralParams(t=0.0, s=1e-300, theta=355.0))
@@ -700,6 +717,28 @@ class TestRealizeMatrix:
             assert np.max(np.abs(evs - [e2, e1])) < 1e-10
 
 
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+    def test_stack_is_its_rows_and_the_generator_sum(self, kind):
+        # a (4, 6) stack has the bits of its 24 one-vector calls, and each H the values of
+        # the sum a 1 + b G_b + ... added one term at a time, then QH-dressed
+        block = ensembles._draw_block(kind, ensembles._stream_rng(17, 0), 24).reshape(4, 6, -1)
+        H = realize_matrix(kind, block)
+        res = pseudo_hermiticity_residual(kind, block)
+        assert res.shape == (4, 6) and H.shape[:2] == (4, 6)
+        gens = ensembles._FAMILIES[kind.tag].generators
+        for idx in np.ndindex(4, 6):
+            p = block[idx]
+            assert realize_matrix(kind, p).tobytes() == H[idx].tobytes()
+            assert pseudo_hermiticity_residual(kind, p) == res[idx]
+            ref = p[0] * gens[0]
+            for coeff, g in zip(p[1:], gens[1:]):
+                ref = ref + coeff * g
+            if kind.kappa is not None:
+                ref[0, 1] /= math.exp(-kind.kappa)
+                ref[1, 0] *= math.exp(-kind.kappa)
+            assert np.array_equal(ref, H[idx])
+
+
 @pytest.mark.parametrize("tag", ensembles.ENSEMBLE_ORDER)
 @settings(max_examples=30, database=None)
 @given(
@@ -738,13 +777,20 @@ class TestResiduals:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
     def test_pseudo_residual_vanishes(self, kind):
         # GOE, GUE and GSE are the eta = 1 case: H = H^dagger exactly
-        for i in range(10):
-            p = first_row(kind, 6, i)
-            res = pseudo_hermiticity_residual(kind, p)
-            if kind in (GOE, GUE, GSE):
-                assert res == 0.0
-            else:
-                assert res <= 1e-12
+        block = ensembles._draw_block(kind, ensembles._stream_rng(17, 0), 20_000)
+        res = pseudo_hermiticity_residual(kind, block)
+        assert res.shape == (20_000,)
+        if kind in (GOE, GUE, GSE):
+            assert np.all(res == 0.0)
+        else:
+            assert res.max() <= 1e-12
+
+    @pytest.mark.parametrize("eta", [[[1.0, 0.5], [0.0, -1.0]], np.diag([1.0, 0.0])],
+                             ids=["off-diagonal", "singular"])
+    def test_metric_must_be_an_invertible_diagonal(self, eta):
+        H = realize_matrix(GPOE, [0.0, 5.0, 3.0])
+        with pytest.raises(ValueError, match="^the metric must be an invertible diagonal matrix$"):
+            matrix_metric_residual(H, eta)
 
     def test_perturbed_off_diagonal_residual(self):
         # perturbing the upper off-diagonal c -> c + 0.1 leaves

@@ -515,12 +515,17 @@ class TestUnfold:
         assert traced_peak(lambda: unfold(spectrum, GlobalMean())) <= 28 * n
 
     def test_poly_fit_forms_no_vandermonde_matrix(self):
-        # eight arrays of n floats, where an n x 8 matrix took 112 bytes a level
+        # seven arrays of n floats, where an n x 8 matrix took 112 bytes a level and the
+        # spacings, which the fit never reads, an eighth array
         n = 10**5
         levels = np.cumsum(np.random.default_rng(6).exponential(size=n))
         levels.flags.writeable = False
         spectrum = SpectrumFile(levels=levels)
-        assert traced_peak(lambda: unfold(spectrum, PolynomialStaircase(7))) <= 72 * n
+        assert traced_peak(lambda: unfold(spectrum, PolynomialStaircase(7))) <= 60 * n
+
+    def test_unknown_method_refused(self):
+        with pytest.raises(TypeError, match="^unknown unfolding method 'global'$"):
+            unfold(parse_levels("1\n2\n3\n"), "global")
 
     def test_picket_fence_global(self):
         sp = parse_levels("\n".join(str(i) for i in range(1, 101)))
@@ -587,6 +592,10 @@ class TestUnfold:
         sp = parse_levels("1\n2\n3\n")
         with pytest.raises(ValueError):
             unfold(sp, LocalWindow(5))  # only 2 spacings
+        # the first spacing swamps the cumulative sum, so the later windows' sums cancel
+        tiny = SpectrumFile(levels=np.array([-1e20, 0.0, 1e-300, 2e-300, 3e-300, 4e-300]))
+        with pytest.raises(ValueError, match="^a local mean spacing rounds to zero"):
+            unfold(tiny, LocalWindow(3))
         # sizes follow the package's integer rule: refused at construction, not truncated
         with pytest.raises(ValueError, match="LocalWindow width must be an integer"):
             LocalWindow(21.7)

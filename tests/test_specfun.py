@@ -180,3 +180,8 @@ class TestIntegrate:
     def test_doubly_infinite_rejected(self):
         with pytest.raises(ValueError):
             integrate(lambda t: math.exp(-t * t), -math.inf, math.inf)
+
+    @pytest.mark.parametrize("lo,hi", [(math.nan, 1.0), (0.0, math.nan)])
+    def test_nan_bound_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="^integration bounds must not be NaN$"):
+            integrate(lambda t: 1.0, lo, hi)

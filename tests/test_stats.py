@@ -311,6 +311,12 @@ class TestKsBoundedSearch:
         with pytest.raises(ValueError, match="^spacing argument must be nonnegative, not NaN$"):
             ks_test(sample, kind)
 
+    def test_refuses_an_empty_sample(self):
+        # normalize() refuses no spacings, so the sample is built by hand
+        empty = stats.SpacingSample(raw=np.empty(0), mean=1.0, normalized=np.empty(0))
+        with pytest.raises(ValueError, match="^ks_test requires a nonempty sample$"):
+            ks_test(empty, "GOE")
+
     @pytest.mark.parametrize("kind", curves.CURVE_ORDER)
     def test_cdf_drop_between_close_floats_within_half_the_slack(self, kind):
         # a skipped block is safe only if F, evaluated on nearby floats, never
