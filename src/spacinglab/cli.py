@@ -29,10 +29,10 @@ _ENSEMBLE_CHOICES = tuple(tag.lower() for tag in ensembles.ENSEMBLE_ORDER)
 _CURVE_CHOICES = tuple(tag.lower() for tag in curves.CURVE_ORDER)
 # Rows per formatted CSV block.  Each block pays a fixed cost of some fifty
 # numpy calls, so larger blocks write faster, but the workspace they are
-# formatted in grows with them (_Workspace, 91 bytes a value), and so do the
+# formatted in grows with them (_Workspace, 90 bytes a value), and so do the
 # Python strings of a block's one ``%`` call when many of its values are off
 # the fast path.  At 4096 rows the traced peak of a 1e5-row two-column write
-# is about 930 KiB, and about 1.5 MiB when every value takes ``%``, under the
+# is about 920 KiB, and about 1.5 MiB when every value takes ``%``, under the
 # 1.2 and 1.7 MiB allowed to them; 8192 rows would take 1.8 and 2.9 MiB.
 _CSV_BLOCK_ROWS = 4096
 # Bytes per value in a block's text buffer (see _csv_tables for the layout).
@@ -104,20 +104,20 @@ class _Workspace:
     """The buffers ``_block_text`` formats a file's blocks in, allocated once per file.
 
     Sized for blocks of up to ``rows`` rows of ``columns`` values: the stacked
-    block, three rows of per-value flags (the fast flag and two test results),
+    block, two rows of per-value flags (the fast flag and a test result),
     the exponents, and three uint64 arrays of _SLOT bytes a value: the slots
     the text is built in, their copy one byte later, and the gather buffer
     that takes each class-table lookup.  The slots are a view of the
     bytearray ``text``, which ``_write_csv`` writes less its 0 bytes.  Until
     the digits are in the slots, the gather buffer holds the three float
     scratch rows and the shifted copy the three int scratch rows, so the
-    workspace takes 91 bytes a value.
+    workspace takes 90 bytes a value.
     """
 
     def __init__(self, rows: int, columns: int):
         n = rows * columns
         self.block = np.empty((rows, columns))
-        self.flags = np.empty((3, n), bool)
+        self.flags = np.empty((2, n), bool)
         self.e = np.empty(n, np.intp)
         self.text = bytearray(n * _SLOT)
         self.slots = np.frombuffer(self.text, np.uint64).reshape(n, _SLOT // 8)
@@ -137,14 +137,15 @@ def _block_text(block: np.ndarray, ws: _Workspace) -> np.ndarray:
     ``block`` is the leading rows of ``ws.block``, and every step writes into
     the workspace ``ws``.  Numpy builds the text of each value it can round
     exactly (see ``_write_csv``); ``_exact_text`` then writes the text of
-    every other value of the block over that value's slot, in one call.
+    every other value of the block over that value's slot, in one call,
+    among them each value whose significand m misses [1e11, 1e12).
     Returns the block's uint8 text buffer of shape (rows, columns, _SLOT), a
     view of ``ws.slots`` with 0 for every byte to drop and the separators
     not yet set.
     """
     n = block.size
     x = block.reshape(n)
-    ok, test, more = ws.flags[:, :n]
+    ok, test = ws.flags[:, :n]
     np.greater_equal(x, 1e-33, out=ok)
     ok &= np.less(x, 1e12, out=test)
     digits, zeros, p1, p2, keep_a, keep_b, text = _csv_tables()
@@ -153,27 +154,18 @@ def _block_text(block: np.ndarray, ws: _Workspace) -> np.ndarray:
     np.copyto(xs, 1.0, where=np.logical_not(ok, out=test))
     e = ws.e[:n]
     np.copyto(e, np.floor(np.log10(xs, out=f), out=f), casting="unsafe")
-    np.clip(e, -33, 11, out=e)  # keep 10**(11 - e) in the table; m decides below
     np.subtract(11, e, out=k)
     np.multiply(xs, np.take(p1, k, out=m, mode="clip"), out=m)
     m *= np.take(p2, k, out=f, mode="clip")
-    np.less(m, 1e11, out=test)
-    test |= np.greater_equal(m, 1e12, out=more)
-    off = np.flatnonzero(test)
-    if off.size:  # log10 rounded across a power of ten: move e once
-        eo = e[off] + (m[off] >= 1e12) - (m[off] < 1e11)
-        ok[off] &= (eo >= -33) & (eo <= 11)
-        e[off] = eo = np.clip(eo, -33, 11)
-        m[off] = xs[off] * p1.take(11 - eo) * p2.take(11 - eo)
+    ok &= np.greater_equal(m, 1e11, out=test)  # else log10 rounded across a power of ten
+    ok &= np.less(m, 1e12, out=test)
     big = np.rint(m, out=f)
     ok &= np.less(np.abs(np.subtract(m, big, out=m), out=m), 0.499, out=test)
-    ok &= np.greater_equal(big, 1e11, out=test)
-    ok &= np.less_equal(big, 1e12, out=test)
     carry = np.flatnonzero(np.equal(big, 1e12, out=test))
     if carry.size:  # 0.99999999999996 rounds to 1: 1e11 at e + 1
         big[carry] = 1e11
-        ok[carry] &= e[carry] < 11
-        e[carry] = np.minimum(e[carry] + 1, 11)
+        e[carry] += 1
+        ok[carry] &= e[carry] <= 11
     lo = k
     np.copyto(lo, big, casting="unsafe")
     np.floor_divide(lo, 100_000_000, out=hi)
@@ -209,14 +201,15 @@ def _write_csv(path, header: str, *columns) -> None:
 
     The text is the same, byte for byte, as ``"%.12g" % x`` (and ``_fmt``)
     for every value.  Numpy formats a value when it can prove the digits:
-    for 1e-33 <= x < 1e12 it takes e = floor(log10 x), moved once by one if
-    the scaled value misses [1e11, 1e12), and m = x * 10**(11 - e) with at
-    most two multiplies by exact powers of ten, so |m - exact| <= 2.3e-4.
-    If m lies more than 1e-3 from a .5 tie (|m - rint(m)| < 0.499), rint(m)
-    is the rounded 12-digit significand (1e12 carries to 1e11 at e + 1).
-    Every other value (0, -0.0, negatives, NaN, inf, subnormals, near-ties,
-    x >= 1e12 or below 1e-33) is formatted by Python's own ``%`` into its
-    own slot, by ``_exact_text``; the rest of its row keeps numpy's text.
+    for 1e-33 <= x < 1e12 it takes e = floor(log10 x) and m = x * 10**(11 - e)
+    with at most two multiplies by exact powers of ten, so |m - exact| <=
+    2.3e-4.  If m lies in [1e11, 1e12) and more than 1e-3 from a .5 tie
+    (|m - rint(m)| < 0.499), rint(m) is the rounded 12-digit significand
+    (1e12 carries to 1e11 at e + 1, up to e + 1 = 11).  Every other value (0,
+    -0.0, negatives, NaN, inf, subnormals, near-ties, x >= 1e12 or below
+    1e-33, and an x whose log10 rounds across a power of ten, so that m
+    misses [1e11, 1e12)) is formatted by Python's own ``%`` into its own
+    slot, by ``_exact_text``; the rest of its row keeps numpy's text.
 
     The columns are copied block by block into one ``_Workspace``, allocated
     for the call and sized to one block, and ``_block_text`` formats each

@@ -545,14 +545,23 @@ def metric(kind: EnsembleKind) -> np.ndarray:
 def matrix_metric_residual(H: np.ndarray, eta: np.ndarray) -> float | np.ndarray:
     """Max-abs-entry norm of eta H eta^-1 - H^dagger, one per matrix of the stack ``H``.
 
-    ``eta`` must be an invertible diagonal matrix, as every :func:`metric` is, or a
+    ``eta`` must be an invertible diagonal matrix, as every :func:`metric` is,
+    whose ratios eta_i / eta_j are finite, and ``H`` must be finite, or a
     ValueError is raised; entry (i, j) is then H_ij eta_i / eta_j - conj(H_ji).
+    A residual beyond the float range is inf.
     """
     H = np.asarray(H, dtype=complex)
     diag = np.diagonal(eta)
     if not (np.array_equal(eta, np.diag(diag)) and diag.all()):
         raise ValueError("the metric must be an invertible diagonal matrix")
-    return np.max(np.abs(H * (diag[:, None] / diag) - H.conj().swapaxes(-2, -1)), axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = diag[:, None] / diag
+    if not np.isfinite(ratios).all():
+        raise ValueError("the metric's ratios eta_i / eta_j must be finite")
+    if not np.isfinite(H).all():
+        raise ValueError("the matrix must be finite")
+    with np.errstate(over="ignore"):
+        return np.max(np.abs(H * ratios - H.conj().swapaxes(-2, -1)), axis=(-2, -1))
 
 
 def pseudo_hermiticity_residual(kind: EnsembleKind, p) -> float | np.ndarray:

@@ -241,7 +241,9 @@ def _staircase_fit(levels: np.ndarray, degree: int) -> np.ndarray:
     the fit.  The rank rule is ``Polynomial.fit``'s: from u^k = sum_j t_kj q_j,
     diag(|q_j|) t^T is the power-basis Vandermonde matrix's triangular factor,
     and a fit whose column-scaled factor has sigma_min <= n eps sigma_max, or
-    where some |q_k|^2 underflows to 0, is refused.
+    where some |q_k|^2 underflows to 0, is refused.  So is a fit with a
+    negative step, and one where the map onto u, which rounds to 1.1e-16,
+    costs some step more than 1e-8 of the mean step.
     """
     n = levels.size
     rank_error = ValueError("degenerate staircase fit: the levels fix fewer "
@@ -275,7 +277,26 @@ def _staircase_fit(levels: np.ndarray, degree: int) -> np.ndarray:
     sigma = np.linalg.svd(factor, compute_uv=False)
     if sigma[-1] <= n * np.finfo(float).eps * sigma[0]:
         raise rank_error
-    return np.diff(fit)
+    steps = np.diff(fit)
+    if steps.min() < 0:
+        raise ValueError("fitted staircase is not increasing on the data; lower the degree")
+    # each step carries the map's relative error on its gap of u, |du - du_exact|
+    # / du_exact with du_exact = diff(levels) 2 / (hi - lo), taken in the fit's
+    # buffers; a non-finite error is refused
+    du, exact = work[1:], q[1:]
+    with np.errstate(all="ignore"):
+        np.subtract(u[1:], u[:-1], out=du)
+        np.divide(np.subtract(levels[1:], levels[:-1], out=exact), hi - lo, out=exact)
+        exact *= 2.0
+        du -= exact
+        np.abs(du, out=du)
+        du /= exact
+        du *= steps
+        worst = du.max()
+    if not worst <= 1e-8 * (fit[-1] - fit[0]) / (n - 1):
+        raise ValueError("the map of the levels onto [-1, 1] rounds away their spacings; "
+                         "use local:w or global unfolding")
+    return steps
 
 
 def unfold(spectrum: SpectrumFile, method: UnfoldMethod) -> stats.SpacingSample:
@@ -295,7 +316,9 @@ def unfold(spectrum: SpectrumFile, method: UnfoldMethod) -> stats.SpacingSample:
     ``optimize``, which call no BLAS: a threaded BLAS spends longer starting
     threads than on these thin products, and its last bits change with the
     thread count.  A fit the levels cannot determine is refused by
-    ``Polynomial.fit``'s rank rule; the two fits agree to rounding.
+    ``Polynomial.fit``'s rank rule; the two fits agree to rounding.  A fit
+    whose map onto [-1, 1] rounds away the spacings of a tight cluster is
+    refused too.
     """
     if not math.isfinite(float(spectrum.levels[-1]) - float(spectrum.levels[0])):
         raise ValueError("the spectrum's span overflows a float; rescale the levels")
@@ -323,10 +346,6 @@ def unfold(spectrum: SpectrumFile, method: UnfoldMethod) -> stats.SpacingSample:
         if method.degree >= n:
             raise ValueError("polynomial degree must be below the number of levels")
         out = _staircase_fit(spectrum.levels, method.degree)
-        if np.any(out < 0):
-            raise ValueError(
-                "fitted staircase is not increasing on the data; lower the degree"
-            )
     else:
         raise TypeError(f"unknown unfolding method {method!r}")
     out.flags.writeable = False  # so normalize keeps it without a copy

@@ -512,6 +512,24 @@ class TestCsvFastPath:
         np.testing.assert_array_equal(exact_values[0], [0.0, math.nan])
         np.testing.assert_array_equal(exact_values[1], [123456789012.5])
 
+    def test_power_of_ten_predecessors_take_percent(self, tmp_path, exact_values):
+        """1-3 ulps below 10**j, log10 can round up to j; the significand
+        x * 10**(11 - floor(log10 x)) then misses [1e11, 1e12), and the value
+        leaves through ``_exact_text``, in the block's one ``%`` call."""
+        below, values = [], np.array([10.0**j for j in range(-33, 12)])
+        for _ in range(3):
+            values = np.nextafter(values, 0)
+            below.append(values)
+        values = np.concatenate(below)
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, "v", values)
+        assert path.read_text() == "v\n" + "".join(f"{v:.12g}\n" for v in values)
+        _, _, p1, p2, *_ = cli._csv_tables()
+        k = np.clip(11 - np.floor(np.log10(values)).astype(int), 0, 44)
+        m = values * p1[k] * p2[k]
+        assert len(exact_values) == 1
+        np.testing.assert_array_equal(exact_values[0], values[(m < 1e11) | (m >= 1e12) | (values < 1e-33)])
+
     def test_only_values_off_the_path_are_formatted_by_percent(self, tmp_path, exact_values):
         path = tmp_path / "t.csv"
         cli._write_csv(path, "v", np.array([0.0, math.nan, 999999999999.5, 1.5]))
@@ -541,6 +559,50 @@ def test_sample_csv_golden_hash(tmp_path, ensemble, workers):
     assert run(["sample", "--ensemble", ensemble, *kappa, "--n", "40000", "--seed", "42",
                 "--workers", workers, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SAMPLE_SHA256[ensemble]
+
+
+# SHA-256 of `curve --points 100000` at the benchmark's --xmax 4 and at 50.
+GOLDEN_CURVE_SHA256 = {
+    ("goe", "4"): "5edc25103b62d299a90e95bb8966c2da429f2f5501cb2eabe9dd466bcba937fb",
+    ("gue", "4"): "06a80e053f10795c41a49c7ecfe1c915c883ca876034db7ff1b00a47d31afdaf",
+    ("gse", "4"): "a476aeef692c7648849f598988bd1091b0228425d1f5a46b6fcd4a0b681a0a86",
+    ("gpoe", "4"): "25ccd9c490f3a6cb30791e36f06745dc61b38661fa109fd7dda290f786d01df3",
+    ("gpue", "4"): "840809474e2c2311039ff98cd7dfd7e234ca3dced1aa23d99c62c5bbabd62300",
+    ("goe", "50"): "2e14824c54cc78380272a17152b0629317f42e0d9497d8e413fc98495028cb5d",
+    ("gue", "50"): "77ede6cea1337800f4fe8f8001283ed901af1578cea9d1ecf3c0cfe0f1e7e0ea",
+    ("gse", "50"): "cd00bb725d72cf4b7b6b4fe2c0d4ac8665c3f10f03634577798431788f6a7477",
+    ("gpoe", "50"): "b272c2bfe39880079258e815e7e7435a0c8a78c4f70c6c1308c0b96d79f1dc3f",
+    ("gpue", "50"): "0514d31492122e5b811b33ce2dacd7b99a6b5944e73acd133340ce8d3b84e0ab",
+}
+
+
+@pytest.mark.parametrize("curve, xmax", sorted(GOLDEN_CURVE_SHA256))
+def test_curve_csv_golden_hash(tmp_path, curve, xmax):
+    out = tmp_path / "c.csv"
+    assert run(["curve", "--curve", curve, "--xmax", xmax, "--points", "100000", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CURVE_SHA256[curve, xmax]
+
+
+# SHA-256 of `analyze --spectrum spectrum.txt --report json` less its timestamp
+# line, on 2e4 levels of GOE 2 x 2 spacings whose density falls along the spectrum.
+GOLDEN_ANALYZE_SHA256 = {
+    "global": "03f4f83bc9633ef3ea84b9c6714042fa718f4d2a32cd3ac3928632495d8f5aba",
+    "local:51": "02390ddd221d4dc2712abe517d9d81d16cadbf8e64738ca85411c534ebe0af59",
+    "poly:7": "366b917389219072bba651c54e93ffb9ab120cde8430f61ab07696846939a06f",
+}
+
+
+@pytest.mark.parametrize("unfold", sorted(GOLDEN_ANALYZE_SHA256))
+def test_analyze_json_golden_hash(tmp_path, monkeypatch, capsys, unfold):
+    a, d, b = np.random.default_rng(30).standard_normal((3, 20000))
+    t = np.cumsum(np.sqrt((a - d) ** 2 + 4.0 * b * b))
+    levels = t + t * t / (4.0 * t[-1])
+    monkeypatch.chdir(tmp_path)
+    Path("spectrum.txt").write_text("\n".join(map(repr, levels.tolist())) + "\n")
+    assert run(["analyze", "--spectrum", "spectrum.txt", "--unfold", unfold, "--report", "json"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    text = "".join(line for line in lines if not line.startswith('  "timestamp": '))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ANALYZE_SHA256[unfold]
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -648,6 +710,15 @@ class TestAnalyze:
                     "--report", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["best-fit"] == "GUE"
+
+    def test_poly_map_that_rounds_away_the_spacings_is_refused(self, tmp_path, capsys):
+        spec = tmp_path / "cluster.txt"
+        spec.write_text("\n".join(repr(float(v)) for v in [*range(173), 7.8e13]) + "\n")
+        assert run(["analyze", "--spectrum", str(spec), "--unfold", "poly:2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: the map of the levels onto [-1, 1] rounds away their spacings; "
+                       "use local:w or global unfolding\n")
 
     def test_parse_error_surfaces_line(self, tmp_path, capsys):
         spec = tmp_path / "bad.txt"

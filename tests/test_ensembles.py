@@ -785,12 +785,25 @@ class TestResiduals:
         else:
             assert res.max() <= 1e-12
 
-    @pytest.mark.parametrize("eta", [[[1.0, 0.5], [0.0, -1.0]], np.diag([1.0, 0.0])],
-                             ids=["off-diagonal", "singular"])
-    def test_metric_must_be_an_invertible_diagonal(self, eta):
+    @pytest.mark.parametrize("eta, entry, message", [
+        ([[1.0, 0.5], [0.0, -1.0]], None, "the metric must be an invertible diagonal matrix"),
+        (np.diag([1.0, 0.0]), None, "the metric must be an invertible diagonal matrix"),
+        (np.diag([math.inf, 1.0]), None, "the metric's ratios eta_i / eta_j must be finite"),
+        (np.diag([1e300, 1e-300]), None, "the metric's ratios eta_i / eta_j must be finite"),
+        (np.diag([1.0, -1.0]), math.inf, "the matrix must be finite"),
+        (np.diag([1.0, -1.0]), math.nan, "the matrix must be finite"),
+    ], ids=["off-diagonal", "singular", "inf-metric", "ratio-overflows", "inf-matrix", "nan-matrix"])
+    def test_metric_must_be_an_invertible_diagonal(self, eta, entry, message):
         H = realize_matrix(GPOE, [0.0, 5.0, 3.0])
-        with pytest.raises(ValueError, match="^the metric must be an invertible diagonal matrix$"):
+        if entry is not None:
+            H[0, 1] = entry
+        with pytest.raises(ValueError, match=f"^{message}$"):
             matrix_metric_residual(H, eta)
+
+    def test_residual_beyond_the_float_range_is_inf(self):
+        H = realize_matrix(GPOE, [0.0, 5.0, 3.0])
+        H[0, 1] = 1e300
+        assert matrix_metric_residual(H, np.diag([1e10, 1.0])) == math.inf
 
     def test_perturbed_off_diagonal_residual(self):
         # perturbing the upper off-diagonal c -> c + 0.1 leaves

@@ -663,11 +663,15 @@ _SPECTRA = {
     "goe-matrix": _goe_matrix_spectrum,
     "stretched": _stretched_spectrum,
 }
+# 173 unit-spaced levels and one at 7.8e13, refused by poly:2
+_ROUNDED_AWAY = np.append(np.arange(173.0), 7.8e13)
+_ROUNDED_MAP = ("the map of the levels onto [-1, 1] rounds away their spacings; "
+                "use local:w or global unfolding")
 # 1000 unit-spaced levels and one far out: the Gram matrix's condition number is
 # 2e12 at degree 2 and the Cholesky factorization fails from degree 7
 _CLUSTERED = np.append(np.arange(1000.0), 1e9)
 _UNFOLD_ERRORS = ("degenerate staircase fit: ", "fitted staircase is not increasing",
-                  "the spectrum's span overflows a float")
+                  "the spectrum's span overflows a float", _ROUNDED_MAP)
 
 
 class TestPolynomialStaircaseFit:
@@ -683,18 +687,29 @@ class TestPolynomialStaircaseFit:
             assert abs(stats.ks_test(got, curve).d - stats.ks_test(want, curve).d) <= 1e-10
 
     def test_clustered_fit_is_as_close_to_mpmath_as_lstsq(self):
+        # the cluster's far level at 1e7, not _CLUSTERED's 1e9: there the map
+        # onto [-1, 1] costs the steps 5.6e-8 and the fit is refused
         mpmath = pytest.importorskip("mpmath")
+        levels = np.append(np.arange(1000.0), 1e7)
         with mpmath.workdps(60):
-            lo, hi = mpmath.mpf(_CLUSTERED[0]), mpmath.mpf(_CLUSTERED[-1])
-            u = [(mpmath.mpf(x) - lo) / (hi - lo) * 2 - 1 for x in _CLUSTERED]
+            lo, hi = mpmath.mpf(levels[0]), mpmath.mpf(levels[-1])
+            u = [(mpmath.mpf(x) - lo) / (hi - lo) * 2 - 1 for x in levels]
             powers = mpmath.matrix([[ui**k for k in range(3)] for ui in u])
             gram = powers.T * powers
             coef = mpmath.lu_solve(gram, powers.T * mpmath.matrix(list(range(1, len(u) + 1))))
             fit = powers * coef
             want = np.array([float(fit[i + 1] - fit[i]) for i in range(len(u) - 1)])
-        got = unfold(SpectrumFile(levels=_CLUSTERED), PolynomialStaircase(2)).raw
-        lstsq = _lstsq_spacings(_CLUSTERED, 2)
+        got = unfold(SpectrumFile(levels=levels), PolynomialStaircase(2)).raw
+        lstsq = _lstsq_spacings(levels, 2)
         assert np.max(np.abs(got / want - 1.0)) <= np.max(np.abs(lstsq / want - 1.0))
+
+    @pytest.mark.parametrize("levels", [_ROUNDED_AWAY, _CLUSTERED], ids=["173-and-7.8e13", "clustered"])
+    def test_map_that_rounds_away_the_spacings_is_refused(self, levels):
+        # u = (x - lo) / (hi - lo) * 2 - 1 rounds to 1.1e-16 absolute, and the
+        # cluster's gaps of u are 2.6e-14 (2e-9 for _CLUSTERED): its normalized
+        # steps would be 4.3e-3 (5.6e-8) away from a 60-digit fit
+        with pytest.raises(ValueError, match=f"^{re.escape(_ROUNDED_MAP)}$"):
+            unfold(SpectrumFile(levels=levels), PolynomialStaircase(2))
 
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
         # a threaded BLAS changes the last bits of a 1-d ``u @ u``; np.einsum calls no BLAS
