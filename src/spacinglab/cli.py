@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -344,31 +345,32 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="sample spacings from an ensemble into a CSV")
-    p.add_argument("--ensemble", required=True, choices=_ENSEMBLE_CHOICES)
+    p.add_argument("--ensemble", required=True, choices=_ENSEMBLE_CHOICES, help="family to sample")
     p.add_argument("--kappa", type=float, default=None, help="qh3/qh4 non-Hermiticity parameter")
     p.add_argument("--n", required=True, type=int, help="number of accepted spacings")
-    p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", required=True)
+    p.add_argument("--seed", required=True, type=int, help="master seed, 0 to 2**64 - 1")
+    p.add_argument("--workers", type=int, default=1, help="threads to sample on; the output bytes "
+                   "do not depend on it, and at most min(workers, streams, cores) threads run")
+    p.add_argument("--out", required=True, help="CSV file to write")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("curve", help="tabulate an analytic curve (x, pdf, cdf)")
-    p.add_argument("--curve", required=True, choices=_CURVE_CHOICES)
-    p.add_argument("--xmax", required=True, type=float)
-    p.add_argument("--points", required=True, type=int)
-    p.add_argument("--out", required=True)
+    p.add_argument("--curve", required=True, choices=_CURVE_CHOICES, help="curve to tabulate")
+    p.add_argument("--xmax", required=True, type=float, help="grid end; the grid starts at 0")
+    p.add_argument("--points", required=True, type=int, help="number of grid points, at least 2")
+    p.add_argument("--out", required=True, help="CSV file to write")
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("compare", help="KS-test a spacing CSV against analytic curves")
-    p.add_argument("--spacings", required=True)
+    p.add_argument("--spacings", required=True, help="spacing CSV; its raw_spacing or first column")
     p.add_argument("--against", default="all", help="comma list of curves, or 'all'")
-    p.add_argument("--report", choices=("json", "text"), default="text")
+    p.add_argument("--report", choices=("json", "text"), default="text", help="output format")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("analyze", help="parse, unfold and classify a raw spectrum")
-    p.add_argument("--spectrum", required=True)
+    p.add_argument("--spectrum", required=True, help="text file of levels, one a row")
     p.add_argument("--unfold", default="local:51", help="global, local:w or poly:p")
-    p.add_argument("--report", choices=("json", "text"), default="text")
+    p.add_argument("--report", choices=("json", "text"), default="text", help="output format")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("verify", help="run the built-in verification suite")
@@ -379,11 +381,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # a warning shows as one line; which warnings show, or raise, is left to the filters
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(parser, args)
     except (ValueError, OSError, RuntimeError, MemoryError, Warning) as exc:  # Warning: under -W error
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

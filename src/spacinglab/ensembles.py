@@ -61,13 +61,12 @@ bit-identical for fixed (kind, n, seed).
 The output array is allocated once, before any draw, so an ``n`` that
 cannot be held is refused at once; each stream then fills its own slice of
 it in place.  A stream reads its draws in chunks through one draws buffer
-of at most ``_CHUNK_VALUES`` floats (128 KiB) and, for the rejecting kinds,
-one D buffer of one float per row, so each worker's working memory is a
-constant, whatever ``n``.  The filled array goes to :func:`stats.normalize`
-read-only, which keeps it as the sample's ``raw`` without a copy.  The
-draws stay unscaled: each term of D scales its own column,
-fl(fl(p_j s_j)^2), which are the bits D has for scaled parameters, and the
-``a`` column is drawn but never scaled.
+of at most ``_CHUNK_VALUES`` floats (128 KiB) and one D buffer of one
+float per row, so each worker's working memory is a constant, whatever
+``n``.  The filled array goes to :func:`stats.normalize` read-only, which
+keeps it as the sample's ``raw`` without a copy.  The draws stay unscaled:
+each term of D scales its own column, fl(fl(p_j s_j)^2), which are the bits
+D has for scaled parameters, and the ``a`` column is drawn but never scaled.
 """
 
 from __future__ import annotations
@@ -348,25 +347,10 @@ def _batch_rows(need: int, p: float) -> int:
     return math.ceil((need + 4.0 * math.sqrt(need * (1.0 - p))) / p)
 
 
-def _draws_buffer(kind: EnsembleKind, first_rows: int) -> np.ndarray:
-    """One stream's draws buffer: min(first_rows, _CHUNK_VALUES // n_params) rows."""
-    return np.empty((min(first_rows, _CHUNK_VALUES // kind.n_params), kind.n_params))
-
-
-def _read_chunk(
-    kind: EnsembleKind,
-    stds: np.ndarray,
-    rng: np.random.Generator,
-    draws: np.ndarray,
-    disc: np.ndarray,
-) -> np.ndarray:
-    """D of the stream's next ``disc.size`` draws, written to ``disc`` and returned.
-
-    The draws go unscaled into the first ``disc.size`` rows of ``draws``.
-    ``standard_normal`` fills in sequence, so the chunk sizes never show in
-    the draws, and D is computed row by row, so never in D either.
-    """
-    return _discriminants(kind, rng.standard_normal(out=draws[:disc.size]), stds, out=disc)
+def _buffers(kind: EnsembleKind, first_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """One stream's draws buffer and D buffer: min(first_rows, _CHUNK_VALUES // n_params) rows."""
+    rows = min(first_rows, _CHUNK_VALUES // kind.n_params)
+    return np.empty((rows, kind.n_params)), np.empty(rows)
 
 
 def _fill_stream(
@@ -377,27 +361,22 @@ def _fill_stream(
     Raw draws are consumed in stream order up to and including the draw that
     yields the last acceptance, which makes the reported acceptance rate
     reproducible.  Each chunk holds ``_batch_rows`` (need) draws, at most the
-    rows of one draws buffer, which is allocated once per stream and never
-    exceeds its first batch; the rejecting kinds write D to one D buffer of
-    as many rows and take the accepted values from it, the always-real kinds
-    write D straight into ``out``.
+    rows of the draws buffer and D buffer, which are allocated once per stream
+    and never exceed its first batch; the values whose D is non-negative are
+    taken from the D buffer.  At acceptance 1 a batch is ``need`` rows and
+    every draw is kept.
     """
     rng = _stream_rng(seed, stream_index)
     p = kind.acceptance
-    draws = _draws_buffer(kind, _batch_rows(out.size, p))  # the first batch is the largest
-    disc = None if p == 1.0 else np.empty(len(draws))
+    draws, disc = _buffers(kind, _batch_rows(out.size, p))  # the first batch is the largest
     raws = filled = 0
     while (need := out.size - filled) > 0:
         rows = min(_batch_rows(need, p), len(draws))
-        if p == 1.0:  # every draw is real and rows <= need
-            dest = _read_chunk(kind, stds, rng, draws, out[filled:filled + rows])
-            used = rows
-        else:
-            chunk = _read_chunk(kind, stds, rng, draws, disc[:rows])
-            ok = np.flatnonzero(chunk >= 0.0)[:need]
-            # ok is always in range; mode="raise" would buffer out and copy it back
-            dest = np.take(chunk, ok, out=out[filled:filled + ok.size], mode="clip")
-            used = int(ok[-1]) + 1 if ok.size == need else rows
+        chunk = _discriminants(kind, rng.standard_normal(out=draws[:rows]), stds, out=disc[:rows])
+        ok = np.flatnonzero(chunk >= 0.0)[:need]
+        # ok is always in range; mode="raise" would buffer out and copy it back
+        dest = np.take(chunk, ok, out=out[filled:filled + ok.size], mode="clip")
+        used = int(ok[-1]) + 1 if ok.size == need else rows
         np.sqrt(dest, out=dest)
         dest *= 2.0
         raws += used
@@ -455,14 +434,15 @@ def acceptance_rate(kind: EnsembleKind, n_raw: int, config: SamplerConfig) -> fl
     """
     n_raw = _checks.count(n_raw, "n_raw", 1)
     stds = _param_stds(kind)
-    draws = _draws_buffer(kind, min(BLOCK_QUOTA, n_raw))  # stream 0 is the longest
-    disc = np.empty(len(draws))
+    draws, disc = _buffers(kind, min(BLOCK_QUOTA, n_raw))  # stream 0 is the longest
     accepted = 0
     for i in range(_stream_count(n_raw)):
         quota = min(BLOCK_QUOTA, n_raw - i * BLOCK_QUOTA)
         rng = _stream_rng(config.seed, i)
-        for start in range(0, quota, disc.size):
-            chunk = _read_chunk(kind, stds, rng, draws, disc[:quota - start])
+        for start in range(0, quota, len(disc)):
+            rows = min(len(disc), quota - start)
+            chunk = _discriminants(kind, rng.standard_normal(out=draws[:rows]), stds,
+                                   out=disc[:rows])
             accepted += int(np.count_nonzero(chunk >= 0.0))
     return accepted / n_raw
 

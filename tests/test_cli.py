@@ -1,6 +1,9 @@
 """Command-line interface: flags, CSV/JSON formats, exit codes, determinism."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -346,6 +349,23 @@ def test_warning_raised_as_error_is_one_error_line(tmp_path, argv, body, message
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, body, message", [
+    (["compare", "--spacings"], "2.5\n2.5\n2.5\n2.5\n",
+     "zero-variance sample: every spacing is identical"),
+    (["analyze", "--unfold", "global", "--spectrum"], "1\n2\n2\n3\n4.5\n", "duplicate levels removed"),
+    (["analyze", "--unfold", "global", "--spectrum"], "3\n1\n2\n4.5\n",
+     "levels were not monotone increasing; sorting"),
+], ids=["compare-zero-variance", "analyze-duplicate", "analyze-unsorted"])
+def test_warning_is_one_line(tmp_path, argv, body, message):
+    path = tmp_path / "input.txt"
+    path.write_text(body)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "spacinglab", *argv, str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == f"warning: {message}\n"
+
+
 _WRITER_SPECIALS = [0.0, -0.0, 5e-324, 1e-5, 9.99999999999e-5, 1e16, 123456789012.5,
                     float(np.nextafter(1e-4, 0)), 9.999999999995e-05, 999999999999.5,
                     float(np.nextafter(1e-33, 0)), math.nan, math.inf, -1.5]
@@ -662,6 +682,55 @@ class TestCsvReaderProperties:
             ingest.load_spacings(path)
 
 
+# what an input file is drawn from: number pieces, separators, line ends and bad bytes
+_INPUT_TOKENS = [*(str(i).encode() for i in range(10)), b"+", b"-", b"e", b".", b",", b"#",
+                 b" ", b"\t", b"\xef\xbb\xbf", b"\xff", b"\0", b"nan", b"inf", b"1e308",
+                 b"1e-320", b"raw_spacing"]
+_LINE_ENDS = [b"\n", b"\r\n", b"\r"]
+
+
+@st.composite
+def _input_bytes(draw):
+    # each file draws its own few tokens, so that some files hold only numbers
+    token = st.sampled_from(draw(st.lists(st.sampled_from(_INPUT_TOKENS), min_size=1,
+                                          max_size=8, unique=True)))
+    rows = draw(st.lists(st.tuples(st.lists(token, max_size=6), st.sampled_from(_LINE_ENDS)),
+                         max_size=200))
+    return b"".join(b"".join(tokens) + end for tokens, end in rows)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"JSON holds {name}")
+
+
+class TestInputBytesProperty:
+    """Whatever the bytes of an input file, a run ends in exit 0 with JSON that holds
+    only finite numbers, or in exit 1 with one ``error:`` line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--spacings"],
+        ["analyze", "--unfold", "global", "--spectrum"],
+        ["analyze", "--unfold", "local:3", "--spectrum"],
+        ["analyze", "--unfold", "poly:2", "--spectrum"],
+    ], ids=["compare", "analyze-global", "analyze-local3", "analyze-poly2"])
+    @settings(max_examples=150)
+    @given(body=_input_bytes())
+    def test_exit_0_with_finite_json_or_one_error_line(self, tmp_path_factory, argv, body):
+        path = tmp_path_factory.mktemp("input") / "input.txt"
+        path.write_bytes(body)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")  # a warning does not end the run, as without -W error
+            rc = run([*argv, str(path), "--report", "json"])
+        if rc == 0:
+            json.loads(out.getvalue(), parse_constant=_refuse_constant)
+        else:
+            assert rc == 1
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 # spectrum file body -> the error it ends with, after the file name
 _SPECTRUM_ERRORS = {
     "1\n2\n14,134725\n": "line 3: cannot read a level",
@@ -780,6 +849,14 @@ class TestUsageErrors:
         assert "usage:" not in err
         assert caught == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["levels.txt"]
+
+
+def test_every_option_has_help():
+    (commands,) = [a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    for name, parser in commands.choices.items():
+        for action in parser._actions:
+            assert action.help, f"{name} {'/'.join(action.option_strings)} has no help"
 
 
 class TestParserCache:
