@@ -251,16 +251,16 @@ def _checked(parser: argparse.ArgumentParser, flag: str | None, make, *args):
 
 
 def _cmd_sample(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.ensemble in ("qh3", "qh4") and args.kappa is None:
-        print(f"note: --kappa not given for {args.ensemble}; defaulting to kappa=0",
-              file=sys.stderr)
-        args.kappa = 0.0
-    kind = _checked(parser, "--kappa", ensembles.EnsembleKind, args.ensemble.upper(), args.kappa)
+    default_kappa = args.ensemble in ("qh3", "qh4") and args.kappa is None
+    kappa = 0.0 if default_kappa else args.kappa
+    kind = _checked(parser, "--kappa", ensembles.EnsembleKind, args.ensemble.upper(), kappa)
     config = _checked(parser, None, ensembles.SamplerConfig, args.seed, args.workers)
     if args.n < 1:
         parser.error("--n: must be at least 1")
     sample, rate = ensembles.sample_spacings(kind, args.n, config)
     _write_csv(args.out, "raw_spacing,normalized_spacing", sample.raw, sample.normalized)
+    if default_kappa:  # a failed run ends in its one error line alone
+        print(f"note: --kappa not given for {args.ensemble}; defaulting to kappa=0", file=sys.stderr)
     print(f"acceptance-rate {_fmt(rate)}")
     return 0
 
@@ -270,6 +270,8 @@ def _cmd_curve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         parser.error(f"--xmax: must be positive and finite, not {args.xmax:g}")
     if args.points < 2:
         parser.error("--points: must be at least 2")
+    if args.points > np.iinfo(np.intp).max // 8:  # np.linspace fails near 2**63 with an IndexError
+        raise MemoryError(f"--points: {args.points} float64 values exceed the largest possible array")
     xs = np.linspace(0.0, args.xmax, args.points)
     ps = curves.pdf(args.curve, xs)
     cs = curves.cdf(args.curve, xs)

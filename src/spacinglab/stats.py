@@ -59,9 +59,6 @@ class SpacingSample:
         return steps
 
 
-_FLOAT_MAX = float(np.finfo(float).max)
-
-
 def normalize(raw) -> SpacingSample:
     """Scale spacings to unit mean.  Rejects empty or all-zero input, and
     finite spacings whose sum overflows a float.
@@ -83,17 +80,16 @@ def normalize(raw) -> SpacingSample:
         arr = np.array(raw, dtype=float).ravel()  # a private copy
     if arr.size == 0:
         raise ValueError("cannot normalize an empty spacing list")
-    top = arr.max()
-    if not (arr.min() >= 0.0 and top < math.inf):  # False on NaN too
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(arr.sum())  # arr.mean()'s bits, divided below, without its Python wrapper
+    if not (arr.min() >= 0.0 and total < math.inf):  # False on NaN too
         if not np.all(np.isfinite(arr)):
             raise ValueError("spacings must be finite")
-        raise ValueError("spacings must be nonnegative")
-    if top > _FLOAT_MAX / arr.size:  # only then can the sum overflow
-        with np.errstate(over="ignore"):
-            if arr.sum() == math.inf:
-                raise ValueError("cannot normalize: the sum of the spacings overflows a float; "
-                                 "rescale the spacings")
-    mean = float(arr.sum()) / arr.size  # arr.mean()'s bits without its Python wrapper
+        if arr.min() < 0.0:
+            raise ValueError("spacings must be nonnegative")
+        raise ValueError("cannot normalize: the sum of the spacings overflows a float; "
+                         "rescale the spacings")
+    mean = total / arr.size
     if mean <= 0.0:
         raise ValueError("cannot normalize: mean spacing is zero")
     arr.flags.writeable = False

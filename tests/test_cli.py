@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spacinglab import cli, curves, ingest
@@ -185,6 +185,17 @@ class TestCurve:
         # 10**18 float64 points are 6.9 EiB, more than any address space: refused at once
         out = tmp_path / "c.csv"
         assert run(["curve", "--curve", "goe", "--xmax", "4", "--points", str(10**18),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points", [2**62, 2**63 - 1, 2**63, 2**64],
+                             ids=["2**62", "2**63-1", "2**63", "2**64"])
+    def test_grid_past_any_array_is_runtime_error(self, tmp_path, capsys, points):
+        # np.linspace itself ends in an IndexError from 2**63 - 512 to 2**63 + 1024
+        out = tmp_path / "c.csv"
+        assert run(["curve", "--curve", "goe", "--xmax", "4", "--points", str(points),
                     "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
@@ -849,6 +860,93 @@ class TestUsageErrors:
         assert "usage:" not in err
         assert caught == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["levels.txt"]
+
+
+# Each flag takes one of its valid values (None: left out) five times in six,
+# else it is left out or takes one of its own boundary values or of _EDGE.
+# Sizes stay at most 1e4, or are one of _HUGE, which is refused before
+# anything is allocated.  File flags name files in a per-module folder: an
+# edge value v names the input file that holds v among its rows, or the
+# output file v ("" is the folder itself).
+_EDGE = ("0", "-1", "-0", "nan", "inf", "1e308", "1_0", "abc", "")
+_HUGE = tuple(str(n) for n in (2**62, 2**63 - 1, 2**63, 2**64))
+_OUT = (("out.csv",), ("missing/out.csv",))
+_REPORT = (("json", "text"), ())
+_COMMANDS = {  # flag: (valid values, boundary values)
+    "sample": {"--ensemble": (cli._ENSEMBLE_CHOICES, ()), "--kappa": ((None,), ("0.5", "100", "400")),
+               "--n": (("1", "2", "50", "10000"), _HUGE), "--seed": (("0", "1", str(2**64 - 1)), ()),
+               "--workers": ((None, "1", "2", "4"), ()), "--out": _OUT},
+    "curve": {"--curve": (cli._CURVE_CHOICES, ()), "--xmax": (("0.5", "4", "40"), ()),
+              "--points": (("2", "5", "10000"), _HUGE), "--out": _OUT},
+    "compare": {"--spacings": (("spacings.csv", "levels.txt"), ("missing.csv",)),
+                "--against": ((None, "all", "goe", "gpoe,gpue", "GUE, gse"), ()), "--report": _REPORT},
+    "analyze": {"--spectrum": (("levels.txt",), ("spacings.csv", "missing.txt")),
+                "--unfold": ((None, "global", "local:5", "poly:3"), ()), "--report": _REPORT},
+    "verify": {},
+}
+
+
+@pytest.fixture(scope="module")
+def cli_folders(tmp_path_factory):
+    """The input folder, holding a spacing CSV, a spectrum and one file per edge value, and
+    an empty output folder."""
+    inputs, outputs = tmp_path_factory.mktemp("inputs"), tmp_path_factory.mktemp("outputs")
+    levels = np.cumsum(np.random.default_rng(5).rayleigh(size=300))
+    (inputs / "levels.txt").write_text("\n".join(map(repr, levels.tolist())) + "\n")
+    (inputs / "spacings.csv").write_text("raw_spacing\n" + "\n".join(map(repr, np.diff(levels).tolist())) + "\n")
+    for v in filter(None, _EDGE):
+        rows = [str(i) for i in range(1, 61)]
+        rows[30:32] = [v, v]
+        (inputs / v).write_text("\n".join(rows) + "\n")
+    return inputs, outputs
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    for flag, (valid, boundary) in _COMMANDS[command].items():
+        edge = tuple(v for v in _EDGE if v != "1_0") if flag == "--workers" else _EDGE
+        value = draw(st.sampled_from(draw(st.sampled_from([valid] * 5 + [(None, *boundary, *edge)]))))
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+class TestCommandProperty:
+    """Whatever the command and its flags, a run exits 0, 1 or 2 with no numpy warning;
+    only a usage error leaves ``main`` (as SystemExit(2)), a failed run prints one
+    ``error:`` line and nothing else to stderr, and a JSON report holds only finite numbers."""
+
+    @settings(max_examples=300)
+    @given(argv=_command_lines())
+    # runs that once broke this: the --kappa note before a usage error, a kappa whose
+    # cosh(2 kappa) overflows, spacings whose sum overflows, a grid np.linspace cannot make
+    @example(argv=["sample", "--ensemble", "qh3", "--n", "0", "--seed", "1", "--out", "out.csv"])
+    @example(argv=["sample", "--ensemble", "qh4", "--kappa", "400", "--n", "5", "--seed", "1",
+                   "--out", "out.csv"])
+    @example(argv=["compare", "--spacings", "1e308", "--report", "json"])
+    @example(argv=["curve", "--curve", "goe", "--xmax", "4", "--points", _HUGE[2], "--out", "out.csv"])
+    def test_exit_code_and_one_error_line(self, cli_folders, argv):
+        inputs, outputs = cli_folders
+        folders = {"--out": outputs, "--spacings": inputs, "--spectrum": inputs}
+        argv = [str(folders[flag] / v) if flag in folders else v for flag, v in zip(["", *argv], argv)]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")  # a warning does not end the run, as without -W error
+            try:
+                rc = run(argv)
+            except SystemExit as exc:
+                assert exc.code == 2
+                rc = 2
+        assert [w.message for w in caught if w.category is not UserWarning] == []
+        assert rc in (0, 1, 2)
+        if rc:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        elif "json" in argv:
+            json.loads(out.getvalue(), parse_constant=_refuse_constant)
 
 
 def test_every_option_has_help():

@@ -25,3 +25,13 @@ def test_classification_is_exported():
 
     for module in (spacinglab, stats):
         assert {"Classification", "classify"} <= set(module.__all__)
+
+
+def test_root_exports_each_library_module_once():
+    modules = [importlib.import_module(f"spacinglab.{m}") for m in ("curves", "ensembles", "ingest", "stats")]
+    names = [name for module in modules for name in module.__all__]
+    assert spacinglab.__all__ == [*names, "__version__"]
+    assert len(set(spacinglab.__all__)) == len(spacinglab.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(spacinglab, name) is getattr(module, name)

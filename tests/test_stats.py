@@ -104,14 +104,16 @@ class TestNormalize:
         assert s.raw.tolist() == [1.0, 3.0, 2.0, 2.0] and s.mean == 2.0
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            normalize([])
-        with pytest.raises(ValueError):
-            normalize([0.0, 0.0])
-        with pytest.raises(ValueError):
-            normalize([1.0, -0.5])
-        with pytest.raises(ValueError):
-            normalize([1.0, math.inf])
+        # the negative value is reported before the sum that overflows
+        for raw, message in [([], "^cannot normalize an empty spacing list$"),
+                             ([0.0, 0.0], "^cannot normalize: mean spacing is zero$"),
+                             ([1.0, -0.5], "^spacings must be nonnegative$"),
+                             ([-1.0, 1e308, 1e308], "^spacings must be nonnegative$"),
+                             ([math.nan, 1e308, 1e308], "^spacings must be finite$"),
+                             ([-1.0, math.inf], "^spacings must be finite$"),
+                             ([1.0, math.inf], "^spacings must be finite$")]:
+            with pytest.raises(ValueError, match=message):
+                normalize(raw)
 
 
 class TestKsTest:
