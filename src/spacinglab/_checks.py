@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import operator
 
+import numpy as np
+
+# the most float64 values one array can hold: numpy refuses a size whose byte count overflows intp
+_MAX_FLOAT64S = np.iinfo(np.intp).max // 8
+
 
 def count(value, name: str, lowest: int | None = None) -> int:
     """``value`` as an int (>= ``lowest`` if given); a float or other non-integral type is a ValueError.
@@ -16,4 +21,13 @@ def count(value, name: str, lowest: int | None = None) -> int:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
     if lowest is not None and value < lowest:
         raise ValueError(f"{name} must be >= {lowest}")
+    return value
+
+
+def float64_count(value, name: str, lowest: int | None = None) -> int:
+    """:func:`count` for the length of a float64 array: a MemoryError, before anything
+    is allocated, when no array can hold that many float64 values."""
+    value = count(value, name, lowest)
+    if value > _MAX_FLOAT64S:
+        raise MemoryError(f"{name}: {value} float64 values exceed the largest possible array")
     return value

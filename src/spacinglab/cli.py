@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import curves, ensembles, ingest, stats, verify
+from . import _checks, curves, ensembles, ingest, stats, verify
 
 _ENSEMBLE_CHOICES = tuple(tag.lower() for tag in ensembles.ENSEMBLE_ORDER)
 _CURVE_CHOICES = tuple(tag.lower() for tag in curves.CURVE_ORDER)
@@ -257,6 +257,7 @@ def _cmd_sample(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     config = _checked(parser, None, ensembles.SamplerConfig, args.seed, args.workers)
     if args.n < 1:
         parser.error("--n: must be at least 1")
+    _checks.float64_count(args.n, "--n")
     sample, rate = ensembles.sample_spacings(kind, args.n, config)
     _write_csv(args.out, "raw_spacing,normalized_spacing", sample.raw, sample.normalized)
     if default_kappa:  # a failed run ends in its one error line alone
@@ -270,8 +271,7 @@ def _cmd_curve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         parser.error(f"--xmax: must be positive and finite, not {args.xmax:g}")
     if args.points < 2:
         parser.error("--points: must be at least 2")
-    if args.points > np.iinfo(np.intp).max // 8:  # np.linspace fails near 2**63 with an IndexError
-        raise MemoryError(f"--points: {args.points} float64 values exceed the largest possible array")
+    _checks.float64_count(args.points, "--points")
     xs = np.linspace(0.0, args.xmax, args.points)
     ps = curves.pdf(args.curve, xs)
     cs = curves.cdf(args.curve, xs)

@@ -401,7 +401,7 @@ def sample_spacings(
     An ``n_accepted`` whose output cannot be allocated raises MemoryError
     before any draw.
     """
-    n_accepted = _checks.count(n_accepted, "n_accepted", 1)
+    n_accepted = _checks.float64_count(n_accepted, "n_accepted", 1)
     out = np.empty(n_accepted)
     streams = range(_stream_count(n_accepted))
     stds = _param_stds(kind)

@@ -190,15 +190,18 @@ class TestCurve:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("points", [2**62, 2**63 - 1, 2**63, 2**64],
-                             ids=["2**62", "2**63-1", "2**63", "2**64"])
-    def test_grid_past_any_array_is_runtime_error(self, tmp_path, capsys, points):
-        # np.linspace itself ends in an IndexError from 2**63 - 512 to 2**63 + 1024
+    @pytest.mark.parametrize("command, flag, size", [
+        (command, flag, size) for command, flag in [(["curve", "--curve", "goe", "--xmax", "4"], "--points"),
+                                                    (["sample", "--ensemble", "gpoe", "--seed", "1"], "--n")]
+        for size in (2**62, 2**63 - 1, 2**63, 2**64)
+    ], ids=[prefix + size for prefix in ("", "sample-") for size in ("2**62", "2**63-1", "2**63", "2**64")])
+    def test_grid_past_any_array_is_runtime_error(self, tmp_path, capsys, command, flag, size):
+        # unchecked, np.linspace ends in an IndexError from 2**63 - 512 to 2**63 + 1024,
+        # and np.empty in a ValueError from 2**60 on; neither names the flag
         out = tmp_path / "c.csv"
-        assert run(["curve", "--curve", "goe", "--xmax", "4", "--points", str(points),
-                    "--out", str(out)]) == 1
+        assert run([*command, flag, str(size), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert err == [f"error: {flag}: {size} float64 values exceed the largest possible array"]
         assert not out.exists()
 
     @pytest.mark.parametrize("xmax", ["0", "-1", "inf", "nan"])
@@ -916,18 +919,24 @@ def _command_lines(draw):
 class TestCommandProperty:
     """Whatever the command and its flags, a run exits 0, 1 or 2 with no numpy warning;
     only a usage error leaves ``main`` (as SystemExit(2)), a failed run prints one
-    ``error:`` line and nothing else to stderr, and a JSON report holds only finite numbers."""
+    ``error:`` line and nothing else to stderr, that line names the flag when a _HUGE size
+    is the one value drawn off the valid ones, and a JSON report holds only finite numbers."""
 
     @settings(max_examples=300)
     @given(argv=_command_lines())
     # runs that once broke this: the --kappa note before a usage error, a kappa whose
-    # cosh(2 kappa) overflows, spacings whose sum overflows, a grid np.linspace cannot make
+    # cosh(2 kappa) overflows, spacings whose sum overflows, a grid np.linspace cannot make,
+    # a sample np.empty refuses without naming --n
     @example(argv=["sample", "--ensemble", "qh3", "--n", "0", "--seed", "1", "--out", "out.csv"])
     @example(argv=["sample", "--ensemble", "qh4", "--kappa", "400", "--n", "5", "--seed", "1",
                    "--out", "out.csv"])
     @example(argv=["compare", "--spacings", "1e308", "--report", "json"])
     @example(argv=["curve", "--curve", "goe", "--xmax", "4", "--points", _HUGE[2], "--out", "out.csv"])
+    @example(argv=["sample", "--ensemble", "goe", "--n", _HUGE[0], "--seed", "1", "--out", "out.csv"])
     def test_exit_code_and_one_error_line(self, cli_folders, argv):
+        drawn = dict(zip(argv[1::2], argv[2::2]))
+        off_valid = [(flag, drawn.get(flag)) for flag, (valid, _) in _COMMANDS[argv[0]].items()
+                     if drawn.get(flag) not in valid]
         inputs, outputs = cli_folders
         folders = {"--out": outputs, "--spacings": inputs, "--spectrum": inputs}
         argv = [str(folders[flag] / v) if flag in folders else v for flag, v in zip(["", *argv], argv)]
@@ -945,6 +954,8 @@ class TestCommandProperty:
         if rc:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            if len(off_valid) == 1 and off_valid[0][1] in _HUGE:  # a size no array can hold
+                assert lines[0].startswith(f"error: {off_valid[0][0]}: "), lines
         elif "json" in argv:
             json.loads(out.getvalue(), parse_constant=_refuse_constant)
 

@@ -348,6 +348,20 @@ class TestSampleSpacings:
         with pytest.raises(ValueError, match="n_accepted must be an integer"):
             sample_spacings(kind, n, SamplerConfig(seed=1))
 
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+    @pytest.mark.parametrize("n", [2**60, 2**62, 2**63 - 1, 2**63, 2**64],
+                             ids=["2**60", "2**62", "2**63-1", "2**63", "2**64"])
+    def test_n_past_any_array_is_memory_error(self, kind, n):
+        # from 2**60 on, n * 8 bytes overflow intp, and np.empty's own refusal is a ValueError
+        with pytest.raises(MemoryError, match=f"^n_accepted: {n} float64 values exceed"):
+            sample_spacings(kind, n, SamplerConfig())
+
+    def test_largest_array_passes_the_size_rule(self):
+        # 2**60 - 1 values are 8 EiB: numpy's allocation, not the size rule, refuses them
+        with pytest.raises(MemoryError) as exc:
+            sample_spacings(GOE, 2**60 - 1, SamplerConfig())
+        assert not str(exc.value).startswith("n_accepted")
+
     def test_numpy_integer_n_accepted(self):
         a, ra = sample_spacings(GPOE, np.int64(1000), SamplerConfig(seed=1))
         b, rb = sample_spacings(GPOE, 1000, SamplerConfig(seed=1))
