@@ -258,7 +258,10 @@ def _cmd_sample(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     if args.n < 1:
         parser.error("--n: must be at least 1")
     _checks.float64_count(args.n, "--n")
-    sample, rate = ensembles.sample_spacings(kind, args.n, config)
+    try:
+        sample, rate = ensembles.sample_spacings(kind, args.n, config)
+    except MemoryError as exc:  # a size no allocation can take
+        raise MemoryError(f"--n: {exc}") from None
     _write_csv(args.out, "raw_spacing,normalized_spacing", sample.raw, sample.normalized)
     if default_kappa:  # a failed run ends in its one error line alone
         print(f"note: --kappa not given for {args.ensemble}; defaulting to kappa=0", file=sys.stderr)
@@ -272,21 +275,19 @@ def _cmd_curve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     if args.points < 2:
         parser.error("--points: must be at least 2")
     _checks.float64_count(args.points, "--points")
-    xs = np.linspace(0.0, args.xmax, args.points)
-    ps = curves.pdf(args.curve, xs)
-    cs = curves.cdf(args.curve, xs)
+    try:  # a size no allocation can take: numpy's MemoryError, or np.arange's ValueError near 2**60
+        xs = np.linspace(0.0, args.xmax, args.points)
+        ps, cs = curves.pdf(args.curve, xs), curves.cdf(args.curve, xs)
+    except (MemoryError, ValueError) as exc:  # pdf and cdf raise no ValueError on this grid
+        raise MemoryError(f"--points: {exc}") from None
     _write_csv(args.out, "x,pdf,cdf", xs, ps, cs)
     return 0
 
 
-def _parse_against(text: str) -> list[str]:
+def _parse_against(text: str) -> tuple[str, ...]:
     if text.strip().lower() == "all":
-        return list(curves.CURVE_ORDER)
-    tokens = (tok.strip() for tok in text.split(","))
-    requested = [curves.canonical_kind(tok) for tok in tokens if tok]
-    if not requested:
-        raise ValueError("selected no curves")
-    return requested
+        return curves.CURVE_ORDER
+    return curves._select([tok.strip() for tok in text.split(",") if tok.strip()])
 
 
 def build_report(source: str, n: int, fit: stats.Classification) -> dict:

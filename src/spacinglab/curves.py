@@ -43,6 +43,8 @@ The moments M_k = int_0^inf x^k pdf(x) dx, k = 0..4, are closed forms too:
 
 GPOE uses int_0^inf t^(mu-1) K0(t) dt = 2^(mu-2) Gamma(mu/2)^2 and GPUE
 uses gamma^2 = 2 beta; all 25 agree with adaptive quadrature to 1e-15.
+pdf and cdf share one argument check (_evaluate), and one rule (_select)
+picks the curves a list names, for stats.classify and the CLI's --against.
 """
 
 from __future__ import annotations
@@ -109,6 +111,14 @@ def canonical_kind(kind: str) -> str:
     return tag
 
 
+def _select(names) -> tuple[str, ...]:
+    """The canonical tags of the curves ``names`` names, in ``CURVE_ORDER``; none is a ValueError."""
+    chosen = {canonical_kind(name) for name in names}
+    if not chosen:
+        raise ValueError("selected no curves")
+    return tuple(k for k in CURVE_ORDER if k in chosen)
+
+
 @dataclass(frozen=True)
 class CurveConstants:
     """Closed-form constants of one curve.
@@ -153,52 +163,19 @@ def constants(kind: str) -> CurveConstants:
 _NEGATIVE_OR_NAN = "spacing argument must be nonnegative, not NaN"
 
 
-def _check_nonnegative(x: np.ndarray) -> None:
-    if not (x >= 0.0).all():  # also rejects NaN
+def _evaluate(kernel, kind: str, x):
+    """The one argument check of pdf and cdf, then ``kernel`` on the tag and x as a >= 1-d array."""
+    kind = canonical_kind(kind)
+    arr = np.asarray(x, dtype=float)
+    if not (arr >= 0.0).all():  # also rejects NaN
         raise ValueError(_NEGATIVE_OR_NAN)
+    out = kernel(kind, np.atleast_1d(arr))
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def pdf(kind: str, x):
     """Probability density of the curve at x >= 0 (scalar or array); 0 at infinity."""
-    import scipy.special as special
-
-    kind = canonical_kind(kind)
-    arr = np.asarray(x, dtype=float)
-    _check_nonnegative(arr)
-    arr = np.minimum(arr, _X_SAT)
-    c = constants(kind)
-    if kind == "GOE":
-        out = c.alpha * arr * np.exp(-c.beta * arr * arr)
-    elif kind == "GUE":
-        out = c.alpha * arr * arr * np.exp(-c.beta * arr * arr)
-    elif kind == "GSE":
-        out = c.alpha * arr**4 * np.exp(-c.beta * arr * arr)
-    elif kind == "GPOE":
-        out = _gpoe_pdf(np.atleast_1d(arr), c.alpha, c.beta).reshape(arr.shape)
-    else:  # GPUE; erfcx form avoids exp overflow: e^{b x^2} erfc(g x)
-        # = erfcx(g x) e^{(b - g^2) x^2} with g^2 = 2b
-        out = c.alpha * arr * special.erfcx(c.gamma * arr) * np.exp(
-            (c.beta - c.gamma * c.gamma) * arr * arr
-        )
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def _gpoe_pdf(arr: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """alpha x K0(beta x^2) with the x -> 0 limit (value 0) built in."""
-    import scipy.special as special
-
-    out = np.zeros(arr.shape)
-    arg = beta * arr * arr
-    body = arg > 0.0  # x small enough to underflow beta x^2 contributes ~0
-    out[body] = alpha * arr[body] * special.k0(arg[body])
-    tiny = (~body) & (arr > 0.0)
-    if np.any(tiny):
-        # K0(z) ~ -ln(z/2) - euler_gamma for z -> 0+
-        xt = arr[tiny]
-        out[tiny] = alpha * xt * (
-            -(math.log(beta / 2.0) + 2.0 * np.log(xt)) - np.euler_gamma
-        )
-    return out
+    return _evaluate(_pdf, kind, x)
 
 
 def cdf(kind: str, x):
@@ -209,11 +186,35 @@ def cdf(kind: str, x):
     of two floats a few ulps apart, the larger can come out lower by less
     than the accuracy stated in the module docstring.
     """
-    kind = canonical_kind(kind)
-    arr = np.asarray(x, dtype=float)
-    _check_nonnegative(arr)
-    out = _cdf(kind, np.atleast_1d(arr))
-    return float(out[0]) if np.ndim(x) == 0 else out
+    return _evaluate(_cdf, kind, x)
+
+
+def _pdf(kind: str, x: np.ndarray) -> np.ndarray:
+    """The closed forms behind :func:`pdf`, on the inputs :func:`_cdf` takes."""
+    import scipy.special as special
+
+    c = constants(kind)
+    xs = np.minimum(x, _X_SAT)
+    if kind == "GOE":
+        out = c.alpha * xs * np.exp(-c.beta * xs * xs)
+    elif kind == "GUE":
+        out = c.alpha * xs * xs * np.exp(-c.beta * xs * xs)
+    elif kind == "GSE":
+        out = c.alpha * xs**4 * np.exp(-c.beta * xs * xs)
+    elif kind == "GPOE":  # alpha x K0(beta x^2) with the x -> 0 limit (value 0) built in
+        out = np.zeros(xs.shape)
+        arg = c.beta * xs * xs
+        body = arg > 0.0  # x small enough to underflow beta x^2 contributes ~0
+        out[body] = c.alpha * xs[body] * special.k0(arg[body])
+        tiny = (~body) & (xs > 0.0)
+        if np.any(tiny):
+            # K0(z) ~ -ln(z/2) - euler_gamma for z -> 0+
+            xt = xs[tiny]
+            out[tiny] = c.alpha * xt * (-(math.log(c.beta / 2.0) + 2.0 * np.log(xt)) - np.euler_gamma)
+    else:  # GPUE; erfcx form avoids exp overflow: e^{b x^2} erfc(g x)
+        # = erfcx(g x) e^{(b - g^2) x^2} with g^2 = 2b
+        out = c.alpha * xs * special.erfcx(c.gamma * xs) * np.exp((c.beta - c.gamma * c.gamma) * xs * xs)
+    return out
 
 
 def _cdf(kind: str, x: np.ndarray) -> np.ndarray:

@@ -191,10 +191,7 @@ def classify(sample: SpacingSample, against=curves.CURVE_ORDER) -> Classificatio
     """KS-test ``sample`` once against each named curve, results in ``CURVE_ORDER``.
     The best fit has the least d, a tie going to the curve first in ``CURVE_ORDER``.
     Warns on a zero-variance sample; raises ValueError when no curve is named."""
-    names = {curves.canonical_kind(k) for k in against}
-    if not names:
-        raise ValueError("selected no curves")
-    ks = {k: ks_test(sample, k) for k in curves.CURVE_ORDER if k in names}
+    ks = {k: ks_test(sample, k) for k in curves._select(against)}
     if sample.sorted_normalized[0] == sample.sorted_normalized[-1]:  # sorted once, by ks_test
         warnings.warn("zero-variance sample: every spacing is identical", stacklevel=2)
     return Classification(ks=ks, best_fit=min(ks, key=lambda k: ks[k].d))  # first least d

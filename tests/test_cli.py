@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spacinglab import cli, curves, ingest
+from spacinglab import cli, curves, ingest, stats
 from test_ensembles import traced_peak
 
 
@@ -131,13 +131,15 @@ class TestSample:
             columns[kappa] = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
         np.testing.assert_allclose(columns["100"], columns["0"], rtol=1e-12)
 
-    def test_unallocatable_n_is_runtime_error(self, tmp_path, capsys):
-        # 10**18 spacings are 6.9 EiB: the output array is refused before any draw
+    @pytest.mark.parametrize("size", [10**18, 2**60 - 1], ids=["10**18", "2**60-1"])
+    def test_unallocatable_n_is_runtime_error(self, tmp_path, capsys, size):
+        # 10**18 spacings are 6.9 EiB and 2**60 - 1 are 8 EiB: the output array is
+        # refused before any draw, and the one error line names the flag
         out = tmp_path / "s.csv"
-        assert run(["sample", "--ensemble", "gpue", "--n", str(10**18), "--seed", "1",
+        assert run(["sample", "--ensemble", "gpue", "--n", str(size), "--seed", "1",
                     "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert len(err) == 1 and err[0].startswith("error: --n: ")
         assert not out.exists()
 
     def test_headerless_scientific_notation_column(self, tmp_path, capsys):
@@ -181,13 +183,15 @@ class TestCurve:
         last = out.read_text().splitlines()[-1].split(",")
         assert float(last[2]) >= 0.9999999
 
-    def test_unallocatable_grid_is_runtime_error(self, tmp_path, capsys):
-        # 10**18 float64 points are 6.9 EiB, more than any address space: refused at once
+    @pytest.mark.parametrize("size", [10**18, 2**60 - 1], ids=["10**18", "2**60-1"])
+    def test_unallocatable_grid_is_runtime_error(self, tmp_path, capsys, size):
+        # 10**18 float64 points are 6.9 EiB and 2**60 - 1 are 8 EiB, more than any
+        # address space: refused at once, and the one error line names the flag
         out = tmp_path / "c.csv"
-        assert run(["curve", "--curve", "goe", "--xmax", "4", "--points", str(10**18),
+        assert run(["curve", "--curve", "goe", "--xmax", "4", "--points", str(size),
                     "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert len(err) == 1 and err[0].startswith("error: --points: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, size", [
@@ -243,6 +247,18 @@ class TestCompare:
                     "--against", " GOE , gpue ", "--report", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert list(report["ks-results"]) == ["GOE", "GPUE"]
+
+    @pytest.mark.parametrize("against", ["poisson", ",", " , ", "goe,poisson"])
+    def test_bad_against_is_the_classify_refusal(self, tmp_path, capsys, against):
+        # one rule selects curves for classify and --against; the flag is refused
+        # before the (here missing) spacing file is read
+        tokens = [tok.strip() for tok in against.split(",") if tok.strip()]
+        with pytest.raises(ValueError) as refusal:
+            stats.classify(stats.normalize([0.5, 1.0, 1.5]), tokens)
+        with pytest.raises(SystemExit) as exc:
+            run(["compare", "--spacings", str(tmp_path / "missing.csv"), "--against", against])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: --against: {refusal.value}\n"
 
     def test_rescaled_column_same_best_fit(self, goe_csv, tmp_path, capsys):
         raw = [float(ln.split(",")[0]) for ln in goe_csv.read_text().splitlines()[1:]]

@@ -124,12 +124,17 @@ class TestPdf:
         vals = pdf("GPUE", np.array([20.0, 40.0, 1000.0]))
         assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
 
-    def test_vectorized_matches_scalar(self):
-        xs = np.linspace(0.0, 4.0, 9)
+    @pytest.mark.parametrize("fn", [pdf, cdf], ids=["pdf", "cdf"])
+    def test_vectorized_matches_scalar(self, fn):
+        # 5e-324 and 1e-200 underflow beta x^2, so GPOE's pdf takes its K0 limit there
+        xs = np.append(np.linspace(0.0, 4.0, 9), [5e-324, 1e-200])
         for kind in curves.CURVE_ORDER:
-            vec = pdf(kind, xs)
+            vec = fn(kind, xs)
             assert vec.shape == xs.shape
-            assert all(vec[i] == pdf(kind, float(x)) for i, x in enumerate(xs))
+            for i, x in enumerate(xs):
+                for scalar in (float(x), np.float64(x), np.array(x)):
+                    value = fn(kind, scalar)
+                    assert type(value) is float and value == vec[i]
 
     def test_repulsion_exponents(self):
         # pdf/x^r approaches a positive constant; ratio stable to 1% at 1e-3 vs 1e-4
@@ -228,6 +233,7 @@ def test_cdf_nondecreasing_within_unit_interval(kind, xs):
     assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
+@pytest.mark.parametrize("fn", [cdf, pdf], ids=["cdf", "pdf"])
 @pytest.mark.parametrize("kind", curves.CURVE_ORDER)
 @settings(max_examples=30)
 @given(
@@ -235,12 +241,13 @@ def test_cdf_nondecreasing_within_unit_interval(kind, xs):
     bad=st.one_of(st.just(math.nan), st.floats(max_value=-5e-324)),
     where=st.integers(0, 10),
 )
-def test_cdf_refuses_nan_and_negative(kind, xs, bad, where):
+def test_cdf_refuses_nan_and_negative(fn, kind, xs, bad, where):
+    # pdf and cdf share one argument check
     xs.insert(where, bad)
-    with pytest.raises(ValueError):
-        cdf(kind, np.array(xs))
-    with pytest.raises(ValueError):
-        cdf(kind, bad)
+    with pytest.raises(ValueError, match=curves._NEGATIVE_OR_NAN):
+        fn(kind, np.array(xs))
+    with pytest.raises(ValueError, match=curves._NEGATIVE_OR_NAN):
+        fn(kind, bad)
 
 
 @pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.integrate", "scipy.special"])
