@@ -1,4 +1,4 @@
-"""The one integer rule for counts, sizes and orders across the package."""
+"""The package's input rules: one for counts, sizes and orders, and one for real arrays."""
 
 from __future__ import annotations
 
@@ -11,11 +11,13 @@ _MAX_FLOAT64S = np.iinfo(np.intp).max // 8
 
 
 def count(value, name: str, lowest: int | None = None) -> int:
-    """``value`` as an int (>= ``lowest`` if given); a float or other non-integral type is a ValueError.
+    """``value`` as an int (>= ``lowest`` if given); a bool, float or other non-integral type is a ValueError.
 
     numpy integers pass; 2.5 and 2.0 alike are refused rather than truncated.
     """
     try:
+        if isinstance(value, bool):  # numpy's bool_ has no __index__ and fails below
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
@@ -31,3 +33,15 @@ def float64_count(value, name: str, lowest: int | None = None) -> int:
     if value > _MAX_FLOAT64S:
         raise MemoryError(f"{name}: {value} float64 values exceed the largest possible array")
     return value
+
+
+def real_array(x, name: str) -> np.ndarray:
+    """``x``, of any shape, as a float64 ndarray (``x`` itself if it is one); a ValueError for a bool,
+    complex, str, bytes, date, time or void dtype, an object entry numpy cannot cast, or ragged lists."""
+    try:
+        arr = np.asarray(x)
+        if arr.dtype.kind not in "iufO":
+            raise TypeError
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be real numbers, got {x!r}") from None

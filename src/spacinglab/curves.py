@@ -43,8 +43,10 @@ The moments M_k = int_0^inf x^k pdf(x) dx, k = 0..4, are closed forms too:
 
 GPOE uses int_0^inf t^(mu-1) K0(t) dt = 2^(mu-2) Gamma(mu/2)^2 and GPUE
 uses gamma^2 = 2 beta; all 25 agree with adaptive quadrature to 1e-15.
-pdf and cdf share one argument check (_evaluate), and one rule (_select)
-picks the curves a list names, for stats.classify and the CLI's --against.
+pdf, cdf and small_x_approx share one argument check (_evaluate): x is a
+scalar or an array of any shape that _checks.real_array takes (no bool,
+complex, text, date or void dtype).  One rule (_select) picks the curves a
+list names, for stats.classify and the CLI's --against.
 """
 
 from __future__ import annotations
@@ -164,13 +166,13 @@ _NEGATIVE_OR_NAN = "spacing argument must be nonnegative, not NaN"
 
 
 def _evaluate(kernel, kind: str, x):
-    """The one argument check of pdf and cdf, then ``kernel`` on the tag and x as a >= 1-d array."""
+    """The one argument check of pdf, cdf and small_x_approx; then ``kernel`` on the tag and x, >= 1-d."""
     kind = canonical_kind(kind)
-    arr = np.asarray(x, dtype=float)
+    arr = _checks.real_array(x, "spacing argument")
     if not (arr >= 0.0).all():  # also rejects NaN
         raise ValueError(_NEGATIVE_OR_NAN)
     out = kernel(kind, np.atleast_1d(arr))
-    return float(out[0]) if np.ndim(x) == 0 else out
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def pdf(kind: str, x):
@@ -289,14 +291,12 @@ def small_x_approx(kind: str, x):
     GPOE: (0.5 - 1.2 ln x) x;  GPUE: 2.5 x (1 - 0.95 x).  Domain (0, 0.5),
     exclusive; provided for plots and regression-tested against pdf().
     """
-    kind = canonical_kind(kind)
-    if kind not in ("GPOE", "GPUE"):
+    if canonical_kind(kind) not in ("GPOE", "GPUE"):
         raise ValueError("small-x approximants exist for GPOE and GPUE only")
-    arr = np.asarray(x, dtype=float)
-    if not np.all((arr > 0.0) & (arr < 0.5)):
+    return _evaluate(_small_x, kind, x)
+
+
+def _small_x(kind: str, x: np.ndarray) -> np.ndarray:
+    if not np.all((x > 0.0) & (x < 0.5)):
         raise ValueError("small_x_approx domain is 0 < x < 0.5")
-    if kind == "GPOE":
-        out = (0.5 - 1.2 * np.log(arr)) * arr
-    else:
-        out = 2.5 * arr * (1.0 - 0.95 * arr)
-    return float(out) if np.ndim(x) == 0 else out
+    return (0.5 - 1.2 * np.log(x)) * x if kind == "GPOE" else 2.5 * x * (1.0 - 0.95 * x)

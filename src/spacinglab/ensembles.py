@@ -41,8 +41,8 @@ minus sign.  QH3/QH4 dress the off-diagonal: H[0,1] / eps, H[1,0] * eps.
 A parameter vector is (a, b, c, ...) in the order of the table, with exactly
 ``kind.n_params`` entries.  :func:`realize_matrix` and
 :func:`pseudo_hermiticity_residual` take a stack of them, shape (..., n_params),
-and :func:`eigenvalues` exactly one; all three refuse any other length, and any
-non-finite entry, with a ValueError naming the kind.
+and :func:`eigenvalues` exactly one; all three refuse any other length, any non-finite
+entry and what ``_checks.real_array`` refuses, with a ValueError naming the kind.
 
 ``_FAMILIES`` describes each family: its generators (the identity first), the
 first parameter kappa shrinks, the exact probability of real eigenvalues (1/2
@@ -160,9 +160,7 @@ class EnsembleKind:
         if _FAMILIES[self.tag].shrink is not None:
             if self.kappa is None:
                 raise ValueError(f"{self.tag} requires kappa >= 0")
-            if isinstance(self.kappa, (str, bytes)) or np.iscomplexobj(self.kappa):
-                raise ValueError(f"kappa must be a real number, not {self.kappa!r}")
-            kappa = float(self.kappa)
+            kappa = float(_checks.real_array(self.kappa, "kappa"))
             object.__setattr__(self, "kappa", kappa)
             # at 100 the shrunk variance, 1/(2 cosh 200) = 1.4e-87, is still far from
             # subnormal; beyond 100, kappa changes normalized spacings by < 1e-15 anyway
@@ -257,27 +255,10 @@ def _stream_rng(seed: int, stream_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _draw_block(kind: EnsembleKind, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw ``count`` parameter rows (count, n_params) from one stream, scaled.
-
-    The sampler draws the same rows unscaled, in chunks, and scales inside D instead.
-    """
-    # standard_normal gives the bits of normal(0, 1), which computes 0 + 1 * z
-    block = rng.standard_normal(size=(count, kind.n_params))
-    block *= _param_stds(kind)
-    return block
-
-
 def _active(kind: EnsembleKind, p) -> np.ndarray:
     if p is None:
         raise ValueError(f"{kind.tag} got no parameter vector")
-    arr = np.asarray(p)
-    try:
-        if arr.dtype.kind not in "biufO":  # complex, text or dates
-            raise TypeError
-        arr = np.atleast_1d(arr.astype(float, copy=False))
-    except (TypeError, ValueError):  # or an object entry float() refuses, such as 1j
-        raise ValueError(f"{kind.tag} parameters must be real numbers, got {p!r}") from None
+    arr = np.atleast_1d(_checks.real_array(p, f"{kind.tag} parameters"))
     if (got := arr.shape[-1]) != kind.n_params:
         raise ValueError(f"{kind.tag} needs exactly {kind.n_params} parameters, got {got}")
     if (bad := ~np.isfinite(arr).all(axis=-1)).any():  # arr[bad][0]: the first bad vector

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import curves
+from . import _checks, curves
 
 __all__ = [
     "SpacingSample",
@@ -60,8 +60,10 @@ class SpacingSample:
 
 
 def normalize(raw) -> SpacingSample:
-    """Scale spacings to unit mean.  Rejects empty or all-zero input, and
-    finite spacings whose sum overflows a float.
+    """Scale spacings to unit mean.  Rejects empty or all-zero input, finite
+    spacings whose sum overflows a float, any input ``_checks.real_array``
+    refuses (a bool, complex, text, date or void dtype), and, rather than
+    flattening it, an input of two or more dimensions such as a sample table.
 
     A read-only 1-d float64 ndarray that owns its data, such as the array
     :func:`~spacinglab.ensembles.sample_spacings` fills, or that is a view of
@@ -77,7 +79,10 @@ def normalize(raw) -> SpacingSample:
             and owner.flags.owndata and not owner.flags.writeable):
         arr = raw
     else:
-        arr = np.array(raw, dtype=float).ravel()  # a private copy
+        arr = _checks.real_array(raw, "spacings")
+        if arr.ndim > 1:
+            raise ValueError(f"spacings must be one-dimensional, got shape {arr.shape}")
+        arr = arr.flatten()  # a private 1-d copy
     if arr.size == 0:
         raise ValueError("cannot normalize an empty spacing list")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -250,3 +250,18 @@ def test_c12_riemann_zeros_unfolded_by_counting_function(name):
     report(f"criterion 12, {name} unfolded by theta/pi: classified as GUE", ok,
            " ".join(f"{k}={r.d:.4f}" for k, r in fit.ks.items()))
     assert ok
+
+
+@pytest.mark.parametrize("name", ["riemann_zeros.txt", "riemann_zeros_t1e6.txt"])
+def test_c12_riemann_zeros_reject_every_curve(name):
+    # GUE is the nearest curve, but none of the five fits: they are 2x2 surmises, and
+    # the zeros follow the large-N GUE law with finite-height corrections (Bogomolny
+    # et al., J. Phys. A 39 (2006) 10743), which KS resolves at n ~ 1e4.  The printed p
+    # is conservative, as the spacings are scaled to their own mean (see
+    # stats.ks_test), so p < 0.01 rejects a curve at the 1 % level.
+    sample = ingest.unfold(ingest.load_spectrum(DATA / name), ingest.LocalWindow(51))
+    fit = stats.classify(sample)
+    ok = all(r.p_value < 0.01 for r in fit.ks.values())
+    report(f"criterion 12, {name}: KS rejects every curve at 1 %", ok,
+           " ".join(f"{k}={r.p_value:.3g}" for k, r in fit.ks.items()))
+    assert ok

@@ -33,9 +33,20 @@ from spacinglab.ensembles import (
 ALL_KINDS = [GOE, GUE, GSE, GPOE, GPUE, qh3(0.35), qh4(1.2)]
 
 
+def draw_block(kind, rng, count):
+    """``count`` parameter rows (count, n_params) from one stream, scaled.
+
+    The sampler draws the same rows unscaled, in chunks, and scales inside D instead.
+    standard_normal gives the bits of normal(0, 1), which computes 0 + 1 * z.
+    """
+    block = rng.standard_normal(size=(count, kind.n_params))
+    block *= ensembles._param_stds(kind)
+    return block
+
+
 def first_row(kind, seed, stream_index):
     """First parameter vector the sampler's stream ``stream_index`` consumes."""
-    return ensembles._draw_block(kind, ensembles._stream_rng(seed, stream_index), 1)[0]
+    return draw_block(kind, ensembles._stream_rng(seed, stream_index), 1)[0]
 
 
 class TestKinds:
@@ -60,14 +71,16 @@ class TestKinds:
             with pytest.raises(ValueError, match="kappa"):
                 EnsembleKind(tag, kappa)
 
-    @pytest.mark.parametrize("kappa", ["0.5", b"0.5", 1 + 0j, np.complex64(0.5), np.complex128(0.5)],
-                             ids=["str", "bytes", "complex", "complex64", "complex128"])
+    @pytest.mark.parametrize("kappa", ["0.5", b"0.5", 1 + 0j, np.complex64(0.5), np.complex128(0.5),
+                                       True, np.True_],
+                             ids=["str", "bytes", "complex", "complex64", "complex128", "bool",
+                                  "numpy-bool"])
     def test_kappa_must_be_a_real_number(self, kappa):
         for tag in ("QH3", "QH4"):
-            with pytest.raises(ValueError, match="^kappa must be a real number"):
+            with pytest.raises(ValueError, match="^kappa must be real numbers"):
                 EnsembleKind(tag, kappa)
         for make in (qh3, qh4):
-            with pytest.raises(ValueError, match="^kappa must be a real number"):
+            with pytest.raises(ValueError, match="^kappa must be real numbers"):
                 make(kappa)
 
     def test_kappa_is_stored_as_a_float(self):
@@ -191,7 +204,7 @@ class TestEigenvalues:
             "GPOE": lambda q: q[:, 1] - q[:, 2],
             "GPUE": lambda q: q[:, 1] - q[:, 2] - q[:, 3],
         }[kind.tag]
-        params = ensembles._draw_block(kind, ensembles._stream_rng(17, 0), 20_000)
+        params = draw_block(kind, ensembles._stream_rng(17, 0), 20_000)
         assert np.array_equal(ensembles._discriminants(kind, params), reference(params * params))
 
     def test_qh3_kappa_cancels(self):
@@ -203,7 +216,7 @@ class TestEigenvalues:
     def test_closed_form_matches_numeric_eigensolve(self, kind):
         # one eigensolve of a 20,000-draw stack against a +- sqrt(D), the closed form
         # eigenvalues() returns: a complex pair where D < 0, else each value m/2 times
-        block = ensembles._draw_block(kind, ensembles._stream_rng(17, 0), 20_000)
+        block = draw_block(kind, ensembles._stream_rng(17, 0), 20_000)
         numeric = np.linalg.eigvals(realize_matrix(kind, block))
         disc = ensembles._discriminants(kind, block)
         real = disc >= 0.0
@@ -285,14 +298,14 @@ class TestDrawParams:
     def test_gpoe_variances(self):
         # active parameters are N(0, 1/2); 1e6 draws, 1% tolerance
         rng = ensembles._stream_rng(5, 0)
-        block = ensembles._draw_block(GPOE, rng, 1_000_000)
+        block = draw_block(GPOE, rng, 1_000_000)
         for j in range(3):
             assert abs(block[:, j].var() - 0.5) / 0.5 < 0.01
 
     def test_qh_variances(self):
         kappa = 0.8
         rng = ensembles._stream_rng(5, 0)
-        block = ensembles._draw_block(qh4(kappa), rng, 1_000_000)
+        block = draw_block(qh4(kappa), rng, 1_000_000)
         shrunk = 1.0 / (2.0 * math.cosh(2.0 * kappa))
         assert abs(block[:, 0].var() - 0.5) / 0.5 < 0.01
         assert abs(block[:, 2].var() - shrunk) / shrunk < 0.02
@@ -455,7 +468,7 @@ def sample_reference(kind, n, seed):
         need = min(ensembles.BLOCK_QUOTA, n - i * ensembles.BLOCK_QUOTA)
         while need > 0:
             batch = math.ceil((need + 4.0 * math.sqrt(need * (1.0 - p))) / p)
-            disc = ensembles._discriminants(kind, ensembles._draw_block(kind, rng, batch))
+            disc = ensembles._discriminants(kind, draw_block(kind, rng, batch))
             ok = np.flatnonzero(disc >= 0.0)[:need]
             raws += int(ok[-1]) + 1 if ok.size == need else batch
             pieces.append(2.0 * np.sqrt(disc[ok]))
@@ -468,7 +481,7 @@ def acceptance_reference(kind, n_raw, seed):
     accepted = 0
     for i in range(-(-n_raw // ensembles.BLOCK_QUOTA)):
         quota = min(ensembles.BLOCK_QUOTA, n_raw - i * ensembles.BLOCK_QUOTA)
-        block = ensembles._draw_block(kind, ensembles._stream_rng(seed, i), quota)
+        block = draw_block(kind, ensembles._stream_rng(seed, i), quota)
         accepted += int(np.count_nonzero(ensembles._discriminants(kind, block) >= 0.0))
     return accepted / n_raw
 
@@ -488,7 +501,7 @@ class TestFoldedScaling:
         before = draws.copy()
         stds = ensembles._param_stds(kind)
         folded = ensembles._discriminants(kind, draws, stds)
-        scaled = ensembles._discriminants(kind, ensembles._draw_block(kind, rng_b, 20_000))
+        scaled = ensembles._discriminants(kind, draw_block(kind, rng_b, 20_000))
         assert folded.tobytes() == scaled.tobytes()
         assert np.array_equal(draws, before)  # the draws, column a included, stay unscaled
         out = np.empty(20_000)
@@ -503,7 +516,7 @@ class TestFoldedScaling:
         ns = [2 * ensembles.BLOCK_QUOTA + 7, rows - 1, rows, rows + 1]
         if kind.has_rejection:
             # at n = k the quota-th acceptance is the first chunk's last one; at k + 1, past it
-            first = ensembles._draw_block(kind, ensembles._stream_rng(seed, 0), rows)
+            first = draw_block(kind, ensembles._stream_rng(seed, 0), rows)
             k = int(np.count_nonzero(ensembles._discriminants(kind, first) >= 0.0))
             ns += [k, k + 1]
         for n in ns:
@@ -735,7 +748,7 @@ class TestRealizeMatrix:
     def test_stack_is_its_rows_and_the_generator_sum(self, kind):
         # a (4, 6) stack has the bits of its 24 one-vector calls, and each H the values of
         # the sum a 1 + b G_b + ... added one term at a time, then QH-dressed
-        block = ensembles._draw_block(kind, ensembles._stream_rng(17, 0), 24).reshape(4, 6, -1)
+        block = draw_block(kind, ensembles._stream_rng(17, 0), 24).reshape(4, 6, -1)
         H = realize_matrix(kind, block)
         res = pseudo_hermiticity_residual(kind, block)
         assert res.shape == (4, 6) and H.shape[:2] == (4, 6)
@@ -791,7 +804,7 @@ class TestResiduals:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
     def test_pseudo_residual_vanishes(self, kind):
         # GOE, GUE and GSE are the eta = 1 case: H = H^dagger exactly
-        block = ensembles._draw_block(kind, ensembles._stream_rng(17, 0), 20_000)
+        block = draw_block(kind, ensembles._stream_rng(17, 0), 20_000)
         res = pseudo_hermiticity_residual(kind, block)
         assert res.shape == (20_000,)
         if kind in (GOE, GUE, GSE):
