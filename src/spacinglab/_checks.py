@@ -1,4 +1,4 @@
-"""The package's input rules: one for counts, sizes and orders, and one for real arrays."""
+"""The package's input rules: one for counts, sizes and orders; one for real numbers, by dtype and entries."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import operator
 
 import numpy as np
 
+_NOT_REAL = frozenset({bool, np.bool_, str, np.str_, bytes, np.bytes_, type(None)})
 # the most float64 values one array can hold: numpy refuses a size whose byte count overflows intp
 _MAX_FLOAT64S = np.iinfo(np.intp).max // 8
 
@@ -35,13 +36,21 @@ def float64_count(value, name: str, lowest: int | None = None) -> int:
     return value
 
 
-def real_array(x, name: str) -> np.ndarray:
-    """``x``, of any shape, as a float64 ndarray (``x`` itself if it is one); a ValueError for a bool,
-    complex, str, bytes, date, time or void dtype, an object entry numpy cannot cast, or ragged lists."""
+def real_array(x, name: str, dtype: type = float) -> np.ndarray:
+    """``x``, of any shape, as a float64 ndarray (``x`` itself if it is one), or complex128 if ``dtype`` is
+    complex; a ValueError for a dtype not int, float, object (or complex), ragged lists, an object entry
+    numpy cannot cast, or, unless ``x`` is a non-object ndarray, a _NOT_REAL or refused 0-d array entry."""
     try:
         arr = np.asarray(x)
-        if arr.dtype.kind not in "iufO":
+        if arr.dtype.kind == "O" or not isinstance(x, np.ndarray):  # numpy casts True, "1", None
+            types = set(map(type, entries := np.asarray(x, dtype=object).ravel()))
+            if np.ndarray in types:  # numpy keeps a 0-d array in a list whole: it is judged alone
+                for entry in filter(lambda v: type(v) is np.ndarray, entries):
+                    real_array(entry, name, dtype)
+            if not _NOT_REAL.isdisjoint(types):
+                raise TypeError
+        if arr.dtype.kind not in ("iufcO" if dtype is complex else "iufO"):
             raise TypeError
-        return arr.astype(float, copy=False)
+        return arr.astype(dtype, copy=False)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be real numbers, got {x!r}") from None
+        raise ValueError(f"{name} must be {'' if dtype is complex else 'real '}numbers, got {x!r}") from None

@@ -394,7 +394,3 @@ def main(argv=None) -> int:
         return 1
     finally:
         warnings.formatwarning = formatwarning
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -45,7 +45,7 @@ GPOE uses int_0^inf t^(mu-1) K0(t) dt = 2^(mu-2) Gamma(mu/2)^2 and GPUE
 uses gamma^2 = 2 beta; all 25 agree with adaptive quadrature to 1e-15.
 pdf, cdf and small_x_approx share one argument check (_evaluate): x is a
 scalar or an array of any shape that _checks.real_array takes (no bool,
-complex, text, date or void dtype).  One rule (_select) picks the curves a
+complex, text, None, date or void).  One rule (_select) picks the curves a
 list names, for stats.classify and the CLI's --against.
 """
 

@@ -158,14 +158,11 @@ class EnsembleKind:
         if self.tag not in _FAMILIES:
             raise ValueError(f"unknown ensemble tag {self.tag!r}")
         if _FAMILIES[self.tag].shrink is not None:
-            if self.kappa is None:
-                raise ValueError(f"{self.tag} requires kappa >= 0")
-            kappa = float(_checks.real_array(self.kappa, "kappa"))
-            object.__setattr__(self, "kappa", kappa)
             # at 100 the shrunk variance, 1/(2 cosh 200) = 1.4e-87, is still far from
             # subnormal; beyond 100, kappa changes normalized spacings by < 1e-15 anyway
-            if not (0.0 <= kappa <= 100.0):
-                raise ValueError(f"kappa must be in [0, 100], not {kappa:g}")
+            if (kappa := _checks.real_array(self.kappa, "kappa")).ndim or not (0.0 <= kappa <= 100.0):
+                raise ValueError(f"kappa must be one number in [0, 100], not {self.kappa!r}")
+            object.__setattr__(self, "kappa", float(kappa))
         elif self.kappa is not None:
             raise ValueError(f"kappa is only meaningful for QH3/QH4, not {self.tag}")
 
@@ -223,10 +220,8 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class SpectralParams:
-    """Spectral coordinates (t, s, theta[, phi]) of the pseudo families.
-
-    t = e1 + e2, s = e1 - e2 >= 0; phi is used by GPUE only.
-    """
+    """Spectral coordinates (t, s, theta[, phi]) of the pseudo families, each one finite real number
+    by ``_checks.real_array``'s rule: t = e1 + e2, s = e1 - e2 >= 0; phi is used by GPUE only."""
 
     t: float
     s: float
@@ -234,9 +229,10 @@ class SpectralParams:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.t, self.s, self.theta, self.phi))):
-            raise ValueError(f"SpectralParams requires finite t, s, theta and phi, got {self}")
-        if self.s < 0.0:
+        coords = _checks.real_array((self.t, self.s, self.theta, self.phi), "SpectralParams coordinates")
+        if coords.shape != (4,) or not np.isfinite(coords).all():
+            raise ValueError(f"SpectralParams requires one finite number each for t, s, theta, phi: {self}")
+        if coords[1] < 0.0:
             raise ValueError("SpectralParams requires s >= 0")
 
 
@@ -256,8 +252,6 @@ def _stream_rng(seed: int, stream_index: int) -> np.random.Generator:
 
 
 def _active(kind: EnsembleKind, p) -> np.ndarray:
-    if p is None:
-        raise ValueError(f"{kind.tag} got no parameter vector")
     arr = np.atleast_1d(_checks.real_array(p, f"{kind.tag} parameters"))
     if (got := arr.shape[-1]) != kind.n_params:
         raise ValueError(f"{kind.tag} needs exactly {kind.n_params} parameters, got {got}")
@@ -506,12 +500,11 @@ def metric(kind: EnsembleKind) -> np.ndarray:
 def matrix_metric_residual(H: np.ndarray, eta: np.ndarray) -> float | np.ndarray:
     """Max-abs-entry norm of eta H eta^-1 - H^dagger, one per matrix of the stack ``H``.
 
-    ``eta`` must be an invertible diagonal matrix, as every :func:`metric` is,
-    whose ratios eta_i / eta_j are finite, and ``H`` must be finite, or a
-    ValueError is raised; entry (i, j) is then H_ij eta_i / eta_j - conj(H_ji).
-    A residual beyond the float range is inf.
+    ``eta`` must be an invertible diagonal m x m matrix, as every :func:`metric` is,
+    whose ratios eta_i / eta_j are finite, and ``H`` finite numbers, complex allowed, of
+    shape (..., m, m), or a ValueError is raised; entry (i, j) is then
+    H_ij eta_i / eta_j - conj(H_ji).  A residual beyond the float range is inf.
     """
-    H = np.asarray(H, dtype=complex)
     diag = np.diagonal(eta)
     if not (np.array_equal(eta, np.diag(diag)) and diag.all()):
         raise ValueError("the metric must be an invertible diagonal matrix")
@@ -519,6 +512,8 @@ def matrix_metric_residual(H: np.ndarray, eta: np.ndarray) -> float | np.ndarray
         ratios = diag[:, None] / diag
     if not np.isfinite(ratios).all():
         raise ValueError("the metric's ratios eta_i / eta_j must be finite")
+    if (H := _checks.real_array(H, "the matrix", complex)).shape[-2:] != diag.shape * 2:
+        raise ValueError(f"the matrix must have shape (..., {len(diag)}, {len(diag)}), got {H.shape}")
     if not np.isfinite(H).all():
         raise ValueError("the matrix must be finite")
     with np.errstate(over="ignore"):

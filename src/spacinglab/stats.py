@@ -62,7 +62,7 @@ class SpacingSample:
 def normalize(raw) -> SpacingSample:
     """Scale spacings to unit mean.  Rejects empty or all-zero input, finite
     spacings whose sum overflows a float, any input ``_checks.real_array``
-    refuses (a bool, complex, text, date or void dtype), and, rather than
+    refuses (a bool, complex, text, None, date or void), and, rather than
     flattening it, an input of two or more dimensions such as a sample table.
 
     A read-only 1-d float64 ndarray that owns its data, such as the array

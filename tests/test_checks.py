@@ -1,11 +1,13 @@
-"""The package's input rules: counts refuse bools, and every array input is real.
+"""The package's input rules: counts refuse bools, and every number input is real.
 
-``_checks.real_array`` decides what counts as a real array for ``pdf``,
-``cdf``, ``small_x_approx``, ``normalize`` and the matrix builders; each
-caller then checks shape and domain itself.
+``_checks.real_array`` decides what counts as a real number for ``pdf``,
+``cdf``, ``small_x_approx``, ``normalize``, the matrix builders, kappa and
+``SpectralParams``, and what counts as a number for ``matrix_metric_residual``;
+each caller then checks shape and domain itself.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -21,13 +23,18 @@ from spacinglab.ensembles import (
     GPUE,
     GSE,
     GUE,
+    EnsembleKind,
     SamplerConfig,
+    SpectralParams,
     eigenvalues,
+    matrix_metric_residual,
+    metric,
     pseudo_hermiticity_residual,
     qh3,
     qh4,
     realize_matrix,
     sample_spacings,
+    spectral_to_params,
 )
 from spacinglab.stats import normalize
 
@@ -58,6 +65,42 @@ REFUSED = [
     (lambda: SamplerConfig(seed=True), "^seed must be an integer, not True$"),
     (lambda: moment("GOE", True), "^moment order must be an integer, not True$"),
     (lambda: sample_spacings(GOE, True, SamplerConfig()), "^n_accepted must be an integer"),
+    # entries numpy casts to float: True as 1.0, "1" as 1.0, None as NaN
+    (lambda: pdf("GOE", [True, 0.5]), r"^spacing argument must be real numbers, got \[True, 0.5\]$"),
+    (lambda: normalize([True, 2.0]), "^spacings must be real numbers"),
+    (lambda: eigenvalues(GOE, [True, 0.0, 1.0]), "^GOE parameters must be real numbers"),
+    (lambda: realize_matrix(GPOE, [0.0, np.True_, 1.0]), "^GPOE parameters must be real numbers"),
+    (lambda: pdf("GOE", np.array(["1"], dtype=object)), "^spacing argument must be real numbers"),
+    (lambda: cdf("GOE", np.array([0.5, b"1"], dtype=object)), "^spacing argument must be real numbers"),
+    (lambda: pdf("GOE", None), "^spacing argument must be real numbers, got None$"),
+    (lambda: normalize([1.0, None]), "^spacings must be real numbers"),
+    (lambda: pseudo_hermiticity_residual(GPUE, np.array([0.0, 1.0, None, 2.0])),
+     "^GPUE parameters must be real numbers"),
+    # numpy keeps a 0-d array in a list whole, and casts it
+    (lambda: pdf("GOE", [np.array(True), 0.5]), "^spacing argument must be real numbers"),
+    (lambda: SpectralParams(t=0.0, s=np.array(1, "datetime64[D]"), theta=0.0),
+     "^SpectralParams coordinates must be real numbers"),
+    # kappa, the spectral coordinates and the metric relation's matrix: TypeError, AxisError,
+    # a DeprecationWarning or a bool read as 1.0 before the rule reached them
+    (lambda: EnsembleKind("QH3", [0.5, 1.0]), r"^kappa must be one number in \[0, 100\], not \[0.5, 1.0\]$"),
+    (lambda: qh4([0.5]), r"^kappa must be one number in \[0, 100\], not \[0.5\]$"),
+    (lambda: qh3(np.array([0.5], dtype=object)), r"^kappa must be one number"),
+    (lambda: EnsembleKind("QH4"), "^kappa must be real numbers, got None$"),
+    (lambda: SpectralParams(t=1j, s=1.0, theta=0.0), "^SpectralParams coordinates must be real numbers"),
+    (lambda: SpectralParams(t="1", s=1.0, theta=0.0), "^SpectralParams coordinates must be real numbers"),
+    (lambda: SpectralParams(t=True, s=1.0, theta=0.0), "^SpectralParams coordinates must be real numbers"),
+    (lambda: SpectralParams(t=0.0, s=1.0, theta=None), "^SpectralParams coordinates must be real numbers"),
+    (lambda: SpectralParams(t=[0.0, 1.0], s=1.0, theta=0.0),
+     "^SpectralParams coordinates must be real numbers"),
+    (lambda: SpectralParams(t=[0.5], s=[1.0], theta=[0.0], phi=[0.0]),
+     "^SpectralParams requires one finite number each for t, s, theta, phi: "),
+    (lambda: matrix_metric_residual(True, metric(GPOE)), "^the matrix must be numbers, got True$"),
+    (lambda: matrix_metric_residual("ab", metric(GPOE)), "^the matrix must be numbers"),
+    (lambda: matrix_metric_residual([[1.0, True], [0.0, 1.0]], metric(GPOE)), "^the matrix must be numbers"),
+    (lambda: matrix_metric_residual(np.ones((3, 3)), metric(GPOE)),
+     r"^the matrix must have shape \(\.\.\., 2, 2\), got \(3, 3\)$"),
+    (lambda: matrix_metric_residual(np.ones((2, 2, 1)), metric(GPOE)),
+     r"^the matrix must have shape \(\.\.\., 2, 2\), got \(2, 2, 1\)$"),
 ]
 
 
@@ -65,7 +108,13 @@ REFUSED = [
     "cdf-complex-array", "cdf-datetime", "pdf-complex", "pdf-str", "pdf-bool",
     "small-x-complex", "normalize-complex", "normalize-str", "normalize-2-d",
     "eigenvalues-bool", "local-window-bool", "poly-degree-bool", "seed-bool",
-    "moment-bool", "n-accepted-bool"])
+    "moment-bool", "n-accepted-bool", "pdf-list-bool", "normalize-list-bool",
+    "eigenvalues-list-bool", "matrix-numpy-bool", "pdf-object-str", "cdf-object-bytes", "pdf-none",
+    "normalize-none", "residual-object-none", "pdf-0-d-bool-in-list", "spectral-0-d-datetime",
+    "kappa-list", "kappa-one-entry-list", "kappa-object-array", "kappa-none", "spectral-complex",
+    "spectral-str", "spectral-bool", "spectral-none", "spectral-list", "spectral-all-lists",
+    "metric-residual-bool", "metric-residual-str",
+    "metric-residual-bool-entry", "metric-residual-3x3", "metric-residual-2x2x1"])
 def test_refused_with_one_value_error_and_no_warning(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -89,22 +138,43 @@ def test_a_float64_array_is_not_copied():
     assert _checks.real_array(arr, "x") is arr
     out = _checks.real_array([1, 2], "x")
     assert out.dtype == np.float64 and out.tolist() == [1.0, 2.0]
+    H = np.eye(2, dtype=complex)
+    assert _checks.real_array(H, "the matrix", complex) is H
 
 
-# The property draws inputs of seven dtypes: half hold real numbers (float, int,
-# object), and half have a dtype that is refused whatever the values or shape.
-# Two thirds of the inputs take their values from SMALL or FINITE alone, so that
-# every function also meets inputs it takes; SMALL lies in every domain,
-# small_x_approx's 0 < x < 0.5 included.
+def test_real_entries_pass():
+    # numpy scalars, 0-d arrays in a list and object arrays of numbers are real numbers
+    xs = [np.float32(0.25), np.array(0.5), np.array(1, dtype=object), 2]
+    assert _checks.real_array(xs, "x").tolist() == [0.25, 0.5, 1.0, 2.0]
+    assert _checks.real_array(np.array(xs, dtype=object), "x").tolist() == [0.25, 0.5, 1.0, 2.0]
+    assert pdf("GOE", xs).tolist() == pdf("GOE", [0.25, 0.5, 1.0, 2.0]).tolist()
+    sp = SpectralParams(t=np.array(0.5), s=np.int64(2), theta=np.float32(0.25), phi=1)
+    assert spectral_to_params(GPUE, sp).tolist() == spectral_to_params(
+        GPUE, SpectralParams(0.5, 2.0, 0.25, 1.0)).tolist()
+    assert qh3(np.array(0.5)) == qh3(np.array(0.5, dtype=object)) == qh3(0.5)
+    assert matrix_metric_residual([[1, 2j], [2j, 3]], metric(GPOE)) == 0.0
+
+
+# The property draws inputs of nine kinds.  Three hold real numbers (float, int,
+# object).  Six are refused whatever the values or shape: four by their dtype
+# (bool, complex, str, datetime64) and two by one entry that numpy would cast to
+# float (a Python list that mixes a bool with floats, an object array holding
+# text or None).  Two thirds of the inputs take their values from SMALL or FINITE
+# alone, so that every function also meets inputs it takes; SMALL lies in every
+# domain, small_x_approx's 0 < x < 0.5 and kappa's [0, 100] included.
 SMALL = [0.125, 0.25]
 FINITE = SMALL + [0.0, -0.0, 1.0, 2.5, 1e308]
 FLOATS = FINITE + [-1.0, math.nan, math.inf, -math.inf]
 INTS = [0, 1, 3, -1, 2**62]
 REAL_DTYPES = ("float", "int", "object")
-REFUSED_DTYPES = ("bool", "complex", "str", "datetime64")
+REFUSED_DTYPES = ("bool", "complex", "str", "datetime64", "bool-in-list", "text-or-none")
 
 
-def build(dtype, values, shape):
+def build(dtype, values, shape, odd):
+    """The input of ``dtype``, ``values`` and ``shape``: an ndarray, or a list for bool-in-list.
+
+    ``odd`` is the text or None that a text-or-none array holds in its first entry.
+    """
     if dtype == "float":
         arr = np.array(values, dtype=float)
     elif dtype == "int":
@@ -117,6 +187,10 @@ def build(dtype, values, shape):
         arr = np.array([repr(v) for v in values])
     elif dtype == "datetime64":
         arr = np.arange(len(values)).astype("datetime64[D]")
+    elif dtype == "bool-in-list":  # numpy reads this list as floats; at 0-d it is one bool
+        return np.array([values[0] > 0.5, *values[1:]], dtype=object).reshape(shape).tolist()
+    elif dtype == "text-or-none":
+        arr = np.array([odd, *values[1:]], dtype=object)
     else:
         arr = np.array(values, dtype=object)
     return arr.reshape(shape)
@@ -124,7 +198,8 @@ def build(dtype, values, shape):
 
 @st.composite
 def inputs(draw, n_params):
-    """(dtype, shape, x): x an ndarray, or its tolist(), which is a Python scalar at 0-d."""
+    """(dtype, shape, x): x as :func:`build` makes it or, unless it is a text-or-none object
+    array, that ndarray's tolist(), which is a Python scalar at 0-d."""
     ndim = draw(st.sampled_from([0, 1, 2]))
     shape = (draw(st.sampled_from([1, 2, 3])),) * (ndim - 1)
     shape += (draw(st.sampled_from([1, 2, n_params])),) * (ndim > 0)
@@ -132,12 +207,20 @@ def inputs(draw, n_params):
     values = draw(st.lists(st.sampled_from(pool), min_size=math.prod(shape),
                            max_size=math.prod(shape)))
     dtype = draw(st.sampled_from(REAL_DTYPES if draw(st.booleans()) else REFUSED_DTYPES))
-    arr = build(dtype, values, shape)
-    return dtype, shape, draw(st.sampled_from([arr, arr.tolist()]))
+    x = build(dtype, values, shape, draw(st.sampled_from(["0.5", b"0.5", None])))
+    if isinstance(x, np.ndarray) and dtype != "text-or-none":
+        x = draw(st.sampled_from([x, x.tolist()]))
+    return dtype, shape, x
+
+
+def takes(name, dtype):
+    """Whether ``name`` takes numbers of ``dtype``: real ones, and complex ones for the matrix."""
+    return dtype in REAL_DTYPES or (dtype == "complex" and name == "matrix_metric_residual")
 
 
 def check_result(name, shape, kind, out):
     """``out`` is a finite result of the shape the function documents for an input of ``shape``."""
+    m = 4 if kind.tag == "GSE" else 2
     if name in ("pdf", "cdf", "small_x_approx"):
         if shape == ():
             assert type(out) is float and math.isfinite(out)
@@ -152,9 +235,16 @@ def check_result(name, shape, kind, out):
         assert shape == (kind.n_params,)
         assert out is None or (len(out) == 2 and all(map(math.isfinite, out)) and out[0] >= out[1])
     elif name == "realize_matrix":
-        m = 4 if kind.tag == "GSE" else 2
         assert shape[-1] == kind.n_params and out.shape == shape[:-1] + (m, m)
         assert np.isfinite(out).all()
+    elif name == "spectral_to_params":
+        assert shape == () and out.shape == (4 if kind.n_params == 4 else 3,)
+        assert np.isfinite(out).all()
+    elif name == "kappa":
+        assert shape == () and type(out.kappa) is float and 0.0 <= out.kappa <= 100.0
+    elif name == "matrix_metric_residual":
+        assert shape[-2:] == (m, m) and np.shape(out) == shape[:-2]
+        assert (np.asarray(out) >= 0.0).all()  # inf beyond the float range, never NaN
     else:
         assert shape[-1] == kind.n_params and np.shape(out) == shape[:-1]
         assert np.isfinite(out).all()
@@ -168,6 +258,11 @@ CALLS = {
     "eigenvalues": eigenvalues,
     "realize_matrix": realize_matrix,
     "pseudo_hermiticity_residual": pseudo_hermiticity_residual,
+    # x is the coordinate s
+    "spectral_to_params": lambda kind, x: spectral_to_params(
+        GPUE if kind.n_params == 4 else GPOE, SpectralParams(t=0.5, s=x, theta=0.25, phi=0.125)),
+    "kappa": lambda kind, x: (qh4 if kind.n_params == 4 else qh3)(x),
+    "matrix_metric_residual": lambda kind, x: matrix_metric_residual(x, metric(kind)),
 }
 
 
@@ -181,8 +276,8 @@ def test_array_inputs_give_a_finite_result_or_one_value_error(name, kind, data):
         try:
             out = CALLS[name](kind, x)
         except ValueError as err:
-            if dtype not in REAL_DTYPES:  # refused by the dtype rule, before any shape check
-                assert "must be real numbers" in str(err)
+            if not takes(name, dtype):  # refused by the number rule, before any shape check
+                assert re.search("must be (real )?numbers, got ", str(err))
             return
-    assert dtype in REAL_DTYPES, f"{name} took a {dtype} input"
+    assert takes(name, dtype), f"{name} took a {dtype} input"
     check_result(name, shape, kind, out)

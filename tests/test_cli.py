@@ -396,6 +396,24 @@ def test_warning_is_one_line(tmp_path, argv, body, message):
     assert proc.stderr == f"warning: {message}\n"
 
 
+def test_module_entry_point(tmp_path):
+    # `python -m spacinglab` writes what cli.main writes, and a usage error is exit 2
+    # with one error line
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = ["curve", "--curve", "gpue", "--xmax", "3", "--points", "7", "--out"]
+    proc = subprocess.run([sys.executable, "-m", "spacinglab", *argv, str(tmp_path / "module.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == proc.stderr == ""
+    assert run([*argv, str(tmp_path / "main.csv")]) == 0
+    assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+    proc = subprocess.run([sys.executable, "-m", "spacinglab", "sample", "--ensemble", "goe",
+                           "--n", "0", "--seed", "1", "--out", str(tmp_path / "x.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: --n: ") and proc.stderr.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 _WRITER_SPECIALS = [0.0, -0.0, 5e-324, 1e-5, 9.99999999999e-5, 1e16, 123456789012.5,
                     float(np.nextafter(1e-4, 0)), 9.999999999995e-05, 999999999999.5,
                     float(np.nextafter(1e-33, 0)), math.nan, math.inf, -1.5]

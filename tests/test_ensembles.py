@@ -237,9 +237,9 @@ class TestEigenvalues:
         (pseudo_hermiticity_residual, qh3(100.0), [0.0, 1e300, 1e300], "matrix overflows"),
         (realize_matrix, qh4(100.0), [0.0, 0.0, 1e300, 1e300], "matrix overflows"),
         (pseudo_hermiticity_residual, qh4(100.0), [0.0, 0.0, 1e300, 1e300], "matrix overflows"),
-        (eigenvalues, GOE, None, "got no parameter vector"),  # not a 0-d NaN of size 1
-        (realize_matrix, GOE, None, "got no parameter vector"),
-        (pseudo_hermiticity_residual, GPOE, None, "got no parameter vector"),
+        (eigenvalues, GOE, None, "parameters must be real numbers, got None"),  # not a 0-d NaN
+        (realize_matrix, GOE, None, "parameters must be real numbers, got None"),
+        (pseudo_hermiticity_residual, GPOE, None, "parameters must be real numbers, got None"),
         (eigenvalues, GOE, [1j, 2.0, 3.0], "parameters must be real numbers"),
         (realize_matrix, GUE, [0.0, 1j, 2.0, 3.0], "parameters must be real numbers"),
         (pseudo_hermiticity_residual, GPUE, [0.0, 1.0, 2.0, 1j], "parameters must be real numbers"),
