@@ -36,21 +36,21 @@ def float64_count(value, name: str, lowest: int | None = None) -> int:
     return value
 
 
-def real_array(x, name: str, dtype: type = float) -> np.ndarray:
-    """``x``, of any shape, as a float64 ndarray (``x`` itself if it is one), or complex128 if ``dtype`` is
-    complex; a ValueError for a dtype not int, float, object (or complex), ragged lists, an object entry
-    numpy cannot cast, or, unless ``x`` is a non-object ndarray, a _NOT_REAL or refused 0-d array entry."""
+def real_array(x, name: str) -> np.ndarray:
+    """``x``, of any shape, as a float64 ndarray (``x`` itself if it is one); a ValueError for a
+    dtype not int, float or object, ragged lists, an object entry numpy cannot cast to float, or,
+    unless ``x`` is a non-object ndarray, a _NOT_REAL or refused 0-d array entry."""
     try:
         arr = np.asarray(x)
         if arr.dtype.kind == "O" or not isinstance(x, np.ndarray):  # numpy casts True, "1", None
             types = set(map(type, entries := np.asarray(x, dtype=object).ravel()))
             if np.ndarray in types:  # numpy keeps a 0-d array in a list whole: it is judged alone
                 for entry in filter(lambda v: type(v) is np.ndarray, entries):
-                    real_array(entry, name, dtype)
+                    real_array(entry, name)
             if not _NOT_REAL.isdisjoint(types):
                 raise TypeError
-        if arr.dtype.kind not in ("iufcO" if dtype is complex else "iufO"):
+        if arr.dtype.kind not in "iufO":
             raise TypeError
-        return arr.astype(dtype, copy=False)
+        return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be {'' if dtype is complex else 'real '}numbers, got {x!r}") from None
+        raise ValueError(f"{name} must be real numbers, got {x!r}") from None

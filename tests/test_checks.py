@@ -2,8 +2,7 @@
 
 ``_checks.real_array`` decides what counts as a real number for ``pdf``,
 ``cdf``, ``small_x_approx``, ``normalize``, the matrix builders, kappa and
-``SpectralParams``, and what counts as a number for ``matrix_metric_residual``;
-each caller then checks shape and domain itself.
+``SpectralParams``; each caller then checks shape and domain itself.
 """
 
 import math
@@ -27,8 +26,6 @@ from spacinglab.ensembles import (
     SamplerConfig,
     SpectralParams,
     eigenvalues,
-    matrix_metric_residual,
-    metric,
     pseudo_hermiticity_residual,
     qh3,
     qh4,
@@ -80,8 +77,8 @@ REFUSED = [
     (lambda: pdf("GOE", [np.array(True), 0.5]), "^spacing argument must be real numbers"),
     (lambda: SpectralParams(t=0.0, s=np.array(1, "datetime64[D]"), theta=0.0),
      "^SpectralParams coordinates must be real numbers"),
-    # kappa, the spectral coordinates and the metric relation's matrix: TypeError, AxisError,
-    # a DeprecationWarning or a bool read as 1.0 before the rule reached them
+    # kappa and the spectral coordinates: TypeError, a DeprecationWarning or a bool
+    # read as 1.0 before the rule reached them
     (lambda: EnsembleKind("QH3", [0.5, 1.0]), r"^kappa must be one number in \[0, 100\], not \[0.5, 1.0\]$"),
     (lambda: qh4([0.5]), r"^kappa must be one number in \[0, 100\], not \[0.5\]$"),
     (lambda: qh3(np.array([0.5], dtype=object)), r"^kappa must be one number"),
@@ -94,13 +91,6 @@ REFUSED = [
      "^SpectralParams coordinates must be real numbers"),
     (lambda: SpectralParams(t=[0.5], s=[1.0], theta=[0.0], phi=[0.0]),
      "^SpectralParams requires one finite number each for t, s, theta, phi: "),
-    (lambda: matrix_metric_residual(True, metric(GPOE)), "^the matrix must be numbers, got True$"),
-    (lambda: matrix_metric_residual("ab", metric(GPOE)), "^the matrix must be numbers"),
-    (lambda: matrix_metric_residual([[1.0, True], [0.0, 1.0]], metric(GPOE)), "^the matrix must be numbers"),
-    (lambda: matrix_metric_residual(np.ones((3, 3)), metric(GPOE)),
-     r"^the matrix must have shape \(\.\.\., 2, 2\), got \(3, 3\)$"),
-    (lambda: matrix_metric_residual(np.ones((2, 2, 1)), metric(GPOE)),
-     r"^the matrix must have shape \(\.\.\., 2, 2\), got \(2, 2, 1\)$"),
 ]
 
 
@@ -112,9 +102,7 @@ REFUSED = [
     "eigenvalues-list-bool", "matrix-numpy-bool", "pdf-object-str", "cdf-object-bytes", "pdf-none",
     "normalize-none", "residual-object-none", "pdf-0-d-bool-in-list", "spectral-0-d-datetime",
     "kappa-list", "kappa-one-entry-list", "kappa-object-array", "kappa-none", "spectral-complex",
-    "spectral-str", "spectral-bool", "spectral-none", "spectral-list", "spectral-all-lists",
-    "metric-residual-bool", "metric-residual-str",
-    "metric-residual-bool-entry", "metric-residual-3x3", "metric-residual-2x2x1"])
+    "spectral-str", "spectral-bool", "spectral-none", "spectral-list", "spectral-all-lists"])
 def test_refused_with_one_value_error_and_no_warning(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -138,8 +126,6 @@ def test_a_float64_array_is_not_copied():
     assert _checks.real_array(arr, "x") is arr
     out = _checks.real_array([1, 2], "x")
     assert out.dtype == np.float64 and out.tolist() == [1.0, 2.0]
-    H = np.eye(2, dtype=complex)
-    assert _checks.real_array(H, "the matrix", complex) is H
 
 
 def test_real_entries_pass():
@@ -152,7 +138,6 @@ def test_real_entries_pass():
     assert spectral_to_params(GPUE, sp).tolist() == spectral_to_params(
         GPUE, SpectralParams(0.5, 2.0, 0.25, 1.0)).tolist()
     assert qh3(np.array(0.5)) == qh3(np.array(0.5, dtype=object)) == qh3(0.5)
-    assert matrix_metric_residual([[1, 2j], [2j, 3]], metric(GPOE)) == 0.0
 
 
 # The property draws inputs of nine kinds.  Three hold real numbers (float, int,
@@ -213,11 +198,6 @@ def inputs(draw, n_params):
     return dtype, shape, x
 
 
-def takes(name, dtype):
-    """Whether ``name`` takes numbers of ``dtype``: real ones, and complex ones for the matrix."""
-    return dtype in REAL_DTYPES or (dtype == "complex" and name == "matrix_metric_residual")
-
-
 def check_result(name, shape, kind, out):
     """``out`` is a finite result of the shape the function documents for an input of ``shape``."""
     m = 4 if kind.tag == "GSE" else 2
@@ -242,9 +222,6 @@ def check_result(name, shape, kind, out):
         assert np.isfinite(out).all()
     elif name == "kappa":
         assert shape == () and type(out.kappa) is float and 0.0 <= out.kappa <= 100.0
-    elif name == "matrix_metric_residual":
-        assert shape[-2:] == (m, m) and np.shape(out) == shape[:-2]
-        assert (np.asarray(out) >= 0.0).all()  # inf beyond the float range, never NaN
     else:
         assert shape[-1] == kind.n_params and np.shape(out) == shape[:-1]
         assert np.isfinite(out).all()
@@ -262,7 +239,6 @@ CALLS = {
     "spectral_to_params": lambda kind, x: spectral_to_params(
         GPUE if kind.n_params == 4 else GPOE, SpectralParams(t=0.5, s=x, theta=0.25, phi=0.125)),
     "kappa": lambda kind, x: (qh4 if kind.n_params == 4 else qh3)(x),
-    "matrix_metric_residual": lambda kind, x: matrix_metric_residual(x, metric(kind)),
 }
 
 
@@ -276,8 +252,8 @@ def test_array_inputs_give_a_finite_result_or_one_value_error(name, kind, data):
         try:
             out = CALLS[name](kind, x)
         except ValueError as err:
-            if not takes(name, dtype):  # refused by the number rule, before any shape check
-                assert re.search("must be (real )?numbers, got ", str(err))
+            if dtype not in REAL_DTYPES:  # refused by the number rule, before any shape check
+                assert re.search("must be real numbers, got ", str(err))
             return
-    assert takes(name, dtype), f"{name} took a {dtype} input"
+    assert dtype in REAL_DTYPES, f"{name} took a {dtype} input"
     check_result(name, shape, kind, out)

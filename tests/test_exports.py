@@ -1,7 +1,9 @@
-"""Every name an export list promises resolves, so a removed name cannot linger there."""
+"""Every name an export list or README promises resolves, so a removed name cannot linger there."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +37,13 @@ def test_root_exports_each_library_module_once():
     for module in modules:
         for name in module.__all__:
             assert getattr(spacinglab, name) is getattr(module, name)
+
+
+def test_readme_names_resolve():
+    # every backticked snake_case name in README, but a CSV column and a test id
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    names = set(re.findall(r"`([a-z][a-z0-9]*_[a-z0-9_]*)`", readme))
+    names -= {"raw_spacing", "test_c04_nonmatching_curves"}
+    modules = [importlib.import_module(name) for name in MODULES]
+    assert names
+    assert [n for n in sorted(names) if not any(hasattr(m, n) for m in modules)] == []

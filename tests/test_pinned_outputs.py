@@ -85,6 +85,19 @@ CDF_SHA256 = {
     "GPUE": "334275733b1a6544e489240d11553260168563798982acd726fafe16cb164e02",
 }
 GRID = np.linspace(0.0, 45.0, 9001)
+# pseudo_hermiticity_residual(kind, default_rng(7).standard_normal((1000, n_params))):
+# SHA-256 of the residuals; the five kinds without kappa give exactly 0
+ZERO_RESIDUALS_SHA256 = "668946bab9868b28489bb906205ee1026045c8bcd3ca62a1bdf733c65491351b"
+RESIDUAL_SHA256 = {
+    ensembles.GOE: ZERO_RESIDUALS_SHA256,
+    ensembles.GUE: ZERO_RESIDUALS_SHA256,
+    ensembles.GSE: ZERO_RESIDUALS_SHA256,
+    ensembles.GPOE: ZERO_RESIDUALS_SHA256,
+    ensembles.GPUE: ZERO_RESIDUALS_SHA256,
+    ensembles.qh3(0.35): "75ca6b486a411911dcd7f69a6de8bbec8f66406d7043875dad1ce43dfdad848c",
+    ensembles.qh4(1.2): "69be570bfbfa9677bafb8d8324000231059c83a56821cd04e4f0e6cb074cbd0d",
+    ensembles.qh3(100.0): "fc9bc62864d2f2f5f73b0d60b531f18695220272931e210a58f03df495963218",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -145,3 +158,11 @@ def test_verify_table():
 def test_pdf_and_cdf_on_grid(curve):
     assert sha256(curves.pdf(curve, GRID).tobytes()) == PDF_SHA256[curve]
     assert sha256(curves.cdf(curve, GRID).tobytes()) == CDF_SHA256[curve]
+
+
+@pytest.mark.parametrize("kind", list(RESIDUAL_SHA256), ids=str)
+def test_pseudo_hermiticity_residual(kind):
+    p = np.random.default_rng(7).standard_normal((1000, kind.n_params))
+    res = ensembles.pseudo_hermiticity_residual(kind, p)
+    assert res.shape == (1000,)
+    assert sha256(res.tobytes()) == RESIDUAL_SHA256[kind]
