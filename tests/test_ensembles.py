@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -816,6 +817,26 @@ class TestResiduals:
             assert np.all(res == 0.0)
         else:
             assert res.max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", [*ALL_KINDS, qh3(0.0), qh3(100.0), qh4(100.0)], ids=str)
+    def test_metric_is_an_invertible_diagonal(self, kind):
+        # the residual reads only the diagonal of metric(kind) and divides by it:
+        # every metric must be diagonal, invertible, with finite ratios eta_i / eta_j
+        eta = ensembles.metric(kind)
+        diag = np.diagonal(eta)
+        assert eta.shape == ((4, 4) if kind == GSE else (2, 2))
+        assert np.array_equal(eta, np.diag(diag)) and diag.all()
+        assert np.isfinite(diag[:, None] / diag).all()
+
+    def test_residual_beyond_the_float_range_is_inf(self, monkeypatch):
+        # at kappa = 100 the ratio eta_1 / eta_0 is e^200: a finite 1e300 entry of a
+        # matrix that is not pseudo-Hermitian gives inf, with no warning
+        H = realize_matrix(qh3(100.0), [0.0, 5.0, 3.0])
+        H[1, 0] = 1e300
+        monkeypatch.setattr(ensembles, "realize_matrix", lambda kind, p: H)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pseudo_hermiticity_residual(qh3(100.0), [0.0, 5.0, 3.0]) == math.inf
 
     def test_perturbed_off_diagonal_residual(self, monkeypatch):
         # perturbing the upper off-diagonal c -> c + 0.1 leaves
