@@ -40,10 +40,6 @@ _CSV_BLOCK_ROWS = 4096
 _SLOT = 24
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".12g")
-
-
 @functools.cache
 def _csv_tables():
     """Tables of the vectorized ``%.12g`` path, built on first use.
@@ -200,8 +196,8 @@ def _block_text(block: np.ndarray, ws: _Workspace) -> np.ndarray:
 def _write_csv(path, header: str, *columns) -> None:
     """Write float columns under a header line, one ``.12g`` row per line.
 
-    The text is the same, byte for byte, as ``"%.12g" % x`` (and ``_fmt``)
-    for every value.  Numpy formats a value when it can prove the digits:
+    The text is the same, byte for byte, as ``"%.12g" % x`` for every
+    value.  Numpy formats a value when it can prove the digits:
     for 1e-33 <= x < 1e12 it takes e = floor(log10 x) and m = x * 10**(11 - e)
     with at most two multiplies by exact powers of ten, so |m - exact| <=
     2.3e-4.  If m lies in [1e11, 1e12) and more than 1e-3 from a .5 tie
@@ -265,7 +261,7 @@ def _cmd_sample(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     _write_csv(args.out, "raw_spacing,normalized_spacing", sample.raw, sample.normalized)
     if default_kappa:  # a failed run ends in its one error line alone
         print(f"note: --kappa not given for {args.ensemble}; defaulting to kappa=0", file=sys.stderr)
-    print(f"acceptance-rate {_fmt(rate)}")
+    print(f"acceptance-rate {rate:.12g}")
     return 0
 
 

@@ -103,10 +103,10 @@ def normalize(raw) -> SpacingSample:
     return SpacingSample(raw=arr, mean=mean, normalized=norm)
 
 
-# ks_test scans every point below _KS_BOUND_MIN points and bounds d block by
-# block from there on.  Five-curve KS on one sorted sample (2-core x86-64)
-# with 32-point blocks: the bounded search runs at half the full scan's speed
-# at 500 points, breaks even near 2500, and is 1.8x faster at 4096, 7x at 2e4
+# ks_test's knots are every point below _KS_BOUND_MIN points and block ends
+# from there on.  Five-curve KS on one sorted sample (2-core x86-64) with
+# 32-point blocks: the bounded search runs at half the full scan's speed at
+# 500 points, breaks even near 2500, and is 1.8x faster at 4096, 7x at 2e4
 # and 19x at 1e5; the cutoff leaves a margin above the break-even point.
 _KS_BOUND_MIN = 4096
 _KS_BLOCK = 32
@@ -142,16 +142,16 @@ def ks_test(sample: SpacingSample, kind: str) -> KsResult:
     the closed-form kernel behind :func:`curves.cdf`, which skips the
     per-call checks and gives the same bits.
 
-    Below ``_KS_BOUND_MIN`` points F is evaluated at every x_j, against the
-    sample's cached ECDF steps.  From there on it is evaluated first at the
-    knots, every ``_KS_BLOCK``-th point and the last one, whose exact step
-    bounds give a lower bound on d.  Because F is nondecreasing, every j
-    strictly between knots a < b has (j+1)/n - F_j <= b/n - F_a and
-    F_j - j/n <= F_b - (a+1)/n; a second evaluation covers the interior of
-    each block whose bound, plus ``_KS_SLACK``, reaches the lower bound.  The
-    slack exceeds the amount by which the computed F can fall between close
-    points (see ``curves``), so a skipped block cannot hold the maximum, and d
-    has the same bits as the full scan's.
+    One pass evaluates F at the knots and takes d from their exact step
+    bounds.  Below ``_KS_BOUND_MIN`` points every x_j is a knot, with the
+    sample's cached ECDF steps as bounds, and that d is exact.  From there on
+    the knots are every ``_KS_BLOCK``-th point and the last one, so d is a
+    lower bound.  Because F is nondecreasing, every j strictly between knots
+    a < b has (j+1)/n - F_j <= b/n - F_a and F_j - j/n <= F_b - (a+1)/n; a
+    second evaluation covers the interior of each block whose bound, plus
+    ``_KS_SLACK``, reaches the lower bound.  The slack exceeds the amount by
+    which the computed F can fall between close points (see ``curves``), so
+    a skipped block cannot hold the maximum, and d has the full scan's bits.
     """
     import scipy.special as special
 
@@ -162,17 +162,14 @@ def ks_test(sample: SpacingSample, kind: str) -> KsResult:
     n = xs.size
     if not xs[0] >= 0.0 or xs[-1] != xs[-1]:  # a negative minimum; NaN sorts to the end
         raise ValueError(curves._NEGATIVE_OR_NAN)
-    if n < _KS_BOUND_MIN:
-        F = curves._cdf(kind, xs)
-        steps = sample.ecdf_steps
-        d = max((steps[1:] - F).max(), (F - steps[:-1]).max())
+    if n < _KS_BOUND_MIN:  # every point is a knot, so d is exact and needs no refinement
+        knots, lo, hi = slice(None), sample.ecdf_steps[:-1], sample.ecdf_steps[1:]
     else:
-        # xs passed the end checks above, so every subset of it is a valid kernel input
         knots = np.append(np.arange(0, n - 1, _KS_BLOCK), n - 1)
-        F = curves._cdf(kind, xs[knots])
-        lo = knots / n
-        hi = (knots + 1) / n
-        d = max((hi - F).max(), (F - lo).max())
+        lo, hi = knots / n, (knots + 1) / n
+    F = curves._cdf(kind, xs[knots])  # xs passed the end checks: any subset is a valid input
+    d = max((hi - F).max(), (F - lo).max())
+    if n >= _KS_BOUND_MIN:
         bound = np.maximum(lo[1:] - F[:-1], F[1:] - hi[:-1])
         starts = knots[:-1][bound + _KS_SLACK >= d]
         inner = (starts[:, None] + np.arange(1, _KS_BLOCK)).ravel()

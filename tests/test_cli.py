@@ -30,7 +30,7 @@ def write_rows_reference(path, header, *columns):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for row in zip(*columns):
-            fh.write(",".join(cli._fmt(v) for v in row) + "\n")
+            fh.write(",".join("%.12g" % v for v in row) + "\n")
 
 
 def read_spacings_reference(path):
@@ -676,7 +676,7 @@ def test_analyze_json_golden_hash(tmp_path, monkeypatch, capsys, unfold):
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False, width=64)
 _TOKENS = st.one_of(
     _FLOATS.map(repr),
-    _FLOATS.map(cli._fmt),
+    _FLOATS.map(lambda v: "%.12g" % v),
     st.integers(0, 10**6).map(lambda i: "_".join(str(i))),  # 1_0 style
     st.tuples(st.sampled_from(["", " ", "\t"]), _FLOATS.map(repr),
               st.sampled_from(["", " ", "\t"])).map("".join),
