@@ -46,7 +46,7 @@ uses gamma^2 = 2 beta; all 25 agree with adaptive quadrature to 1e-15.
 pdf, cdf and small_x_approx share one argument check (_evaluate): x is a
 scalar or an array of any shape that _checks.real_array takes (no bool,
 complex, text, None, date or void).  One rule (_select) picks the curves a
-list names, for stats.classify and the CLI's --against.
+name or a list names, for stats.classify and the CLI's --against.
 """
 
 from __future__ import annotations
@@ -114,8 +114,9 @@ def canonical_kind(kind: str) -> str:
 
 
 def _select(names) -> tuple[str, ...]:
-    """The canonical tags of the curves ``names`` names, in ``CURVE_ORDER``; none is a ValueError."""
-    chosen = {canonical_kind(name) for name in names}
+    """The canonical tags of the curves ``names`` names, in ``CURVE_ORDER``; none is a ValueError.
+    A str (numpy's str_ included) is one name, not a list of letters."""
+    chosen = {canonical_kind(name) for name in ([names] if isinstance(names, str) else names)}
     if not chosen:
         raise ValueError("selected no curves")
     return tuple(k for k in CURVE_ORDER if k in chosen)

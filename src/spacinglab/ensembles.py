@@ -360,11 +360,6 @@ def _fill_stream(
     return raws
 
 
-def _stream_count(n: int) -> int:
-    """Number of logical streams covering ``n`` items, BLOCK_QUOTA each but the last."""
-    return -(-n // BLOCK_QUOTA)
-
-
 def sample_spacings(
     kind: EnsembleKind, n_accepted: int, config: SamplerConfig
 ) -> tuple[stats.SpacingSample, float]:
@@ -379,20 +374,21 @@ def sample_spacings(
     """
     n_accepted = _checks.float64_count(n_accepted, "n_accepted", 1)
     out = np.empty(n_accepted)
-    streams = range(_stream_count(n_accepted))
+    starts = range(0, n_accepted, BLOCK_QUOTA)
     stds = _param_stds(kind)
 
-    def job(i: int) -> int:
-        return _fill_stream(kind, stds, config.seed, i, out[i * BLOCK_QUOTA:(i + 1) * BLOCK_QUOTA])
+    def job(start: int) -> int:
+        return _fill_stream(kind, stds, config.seed, start // BLOCK_QUOTA,
+                            out[start:start + BLOCK_QUOTA])
 
     # the output does not depend on the worker count, so no more threads start
     # than there are streams or cores; os.cpu_count() reads a file, so it is asked last
-    workers = min(int(config.workers), len(streams))
+    workers = min(int(config.workers), len(starts))
     if workers > 1 and (cores := os.cpu_count() or 1) > 1:
         with ThreadPoolExecutor(max_workers=min(workers, cores)) as pool:
-            total_raws = sum(pool.map(job, streams))
+            total_raws = sum(pool.map(job, starts))
     else:
-        total_raws = sum(map(job, streams))
+        total_raws = sum(map(job, starts))
     out.flags.writeable = False  # so normalize takes it over without a copy
     return stats.normalize(out), n_accepted / total_raws
 
@@ -412,11 +408,11 @@ def acceptance_rate(kind: EnsembleKind, n_raw: int, config: SamplerConfig) -> fl
     stds = _param_stds(kind)
     draws, disc = _buffers(kind, min(BLOCK_QUOTA, n_raw))  # stream 0 is the longest
     accepted = 0
-    for i in range(_stream_count(n_raw)):
-        quota = min(BLOCK_QUOTA, n_raw - i * BLOCK_QUOTA)
-        rng = _stream_rng(config.seed, i)
-        for start in range(0, quota, len(disc)):
-            rows = min(len(disc), quota - start)
+    for start in range(0, n_raw, BLOCK_QUOTA):
+        quota = min(BLOCK_QUOTA, n_raw - start)
+        rng = _stream_rng(config.seed, start // BLOCK_QUOTA)
+        for done in range(0, quota, len(disc)):
+            rows = min(len(disc), quota - done)
             chunk = _discriminants(kind, rng.standard_normal(out=draws[:rows]), stds,
                                    out=disc[:rows])
             accepted += int(np.count_nonzero(chunk >= 0.0))

@@ -12,6 +12,7 @@ observed value / pass.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,11 @@ RATE_DRAWS = 100_000
 JACOBIAN_POINTS = 100
 JACOBIAN_STEP = 1e-5  # central-difference step in each spectral coordinate
 SEED = 42  # seeds every random draw the checks make
+# (curve, its published 4-decimal constants by field, absolute tolerance)
+_PUBLISHED = (
+    ("GPOE", {"alpha": 0.5818, "beta": 0.4569}, "5e-5"),
+    ("GPUE", {"alpha": 2.5433, "beta": 0.5267, "gamma": 1.0263}, "5e-4"),
+)
 
 
 @dataclass(frozen=True)
@@ -71,95 +77,80 @@ def jacobian_ratios(kind: ensembles.EnsembleKind) -> np.ndarray:
 
 
 def run_verification() -> list[CheckResult]:
-    results: list[CheckResult] = []
+    return list(_rows())
 
-    # published 4-decimal constants
-    c = curves.constants("GPOE")
-    results.append(CheckResult(
-        "GPOE constants alpha,beta vs 0.5818,0.4569",
-        "abs 5e-5",
-        f"{c.alpha:.6f},{c.beta:.6f}",
-        abs(c.alpha - 0.5818) <= 5e-5 and abs(c.beta - 0.4569) <= 5e-5,
-    ))
-    c = curves.constants("GPUE")
-    results.append(CheckResult(
-        "GPUE constants alpha,beta,gamma vs 2.5433,0.5267,1.0263",
-        "abs 5e-4",
-        f"{c.alpha:.6f},{c.beta:.6f},{c.gamma:.6f}",
-        abs(c.alpha - 2.5433) <= 5e-4
-        and abs(c.beta - 0.5267) <= 5e-4
-        and abs(c.gamma - 1.0263) <= 5e-4,
-    ))
+
+def _rows() -> Iterator[CheckResult]:
+    """Each check's row, once, in table order."""
+    for tag, published, tol in _PUBLISHED:
+        got = [getattr(curves.constants(tag), field) for field in published]
+        yield CheckResult(
+            f"{tag} constants {','.join(published)} vs {','.join(map(str, published.values()))}",
+            f"abs {tol}",
+            ",".join(f"{v:.6f}" for v in got),
+            all(abs(g - v) <= float(tol) for g, v in zip(got, published.values())),
+        )
 
     for kind in curves.CURVE_ORDER:
         m0 = curves.moment(kind, 0)
         m1 = curves.moment(kind, 1)
-        results.append(CheckResult(
+        yield CheckResult(
             f"{kind} normalization and mean",
             "m0 1e-8, m1 1e-6",
             f"m0-1={m0 - 1:.2e}, m1-1={m1 - 1:.2e}",
             abs(m0 - 1.0) <= 1e-8 and abs(m1 - 1.0) <= 1e-6,
-        ))
+        )
 
     for kind, const in ((ensembles.GPOE, 0.25), (ensembles.GPUE, 0.5)):
         ratios = jacobian_ratios(kind)
         spread = float(np.max(np.abs(ratios / const - 1.0)))
-        results.append(CheckResult(
+        yield CheckResult(
             f"{kind.tag} Jacobian ratio == {const}",
             f"rel 1e-6 at {JACOBIAN_POINTS} points",
             f"max dev {spread:.2e}",
             spread <= 1e-6,
-        ))
+        )
 
     cfg = ensembles.SamplerConfig(seed=SEED)
     for kind in (ensembles.GPOE, ensembles.GPUE):
         rate = ensembles.acceptance_rate(kind, RATE_DRAWS, cfg)
-        results.append(CheckResult(
+        yield CheckResult(
             f"{kind.tag} acceptance rate vs {kind.acceptance:.5f}",
             "abs 5e-3",
             f"{rate:.5f}",
             abs(rate - kind.acceptance) <= 5e-3,
-        ))
+        )
 
     for tag in curves.CURVE_ORDER:
         kind = ensembles.EnsembleKind(tag)
         sample, _ = ensembles.sample_spacings(kind, MC_SAMPLE_SIZE, cfg)
         fit = stats.classify(sample)
-        results.append(CheckResult(
+        yield CheckResult(
             f"{tag} Monte Carlo vs analytic curve (n={MC_SAMPLE_SIZE})",
             f"d < {MC_KS_THRESHOLD} and best fit",
             f"d={fit.ks[tag].d:.4f}, best={fit.best_fit}",
             fit.ks[tag].d < MC_KS_THRESHOLD and fit.best_fit == tag,
-        ))
+        )
 
     xs = np.arange(0.05, 0.351, 0.05)
     stack = [curves.pdf(k, xs) for k in ("GPOE", "GPUE", "GOE", "GUE", "GSE")]
     ordered = all(
         np.all(stack[i] > stack[i + 1]) for i in range(len(stack) - 1)
     )
-    results.append(CheckResult(
+    yield CheckResult(
         "repulsion ordering GPOE>GPUE>GOE>GUE>GSE on [0.05,0.35]",
         "strict",
         "ordered" if ordered else "violated",
         ordered,
-    ))
-    return results
+    )
 
 
 def format_table(results: list[CheckResult]) -> str:
-    name_w = max(len(r.name) for r in results)
-    tol_w = max(len(r.tolerance) for r in results)
-    obs_w = max(len(r.observed) for r in results)
-    lines = []
-    header = f"{'check':<{name_w}}  {'tolerance':<{tol_w}}  {'observed':<{obs_w}}  result"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for r in results:
-        verdict = "PASS" if r.passed else "FAIL"
-        lines.append(
-            f"{r.name:<{name_w}}  {r.tolerance:<{tol_w}}  {r.observed:<{obs_w}}  {verdict}"
-        )
-    n_fail = sum(not r.passed for r in results)
-    lines.append("-" * len(header))
-    lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
-    return "\n".join(lines)
+    """Columns padded to their widest cell, label included; the verdict column is last."""
+    rows = [("check", "tolerance", "observed", "result")]
+    rows += [(r.name, r.tolerance, r.observed, "PASS" if r.passed else "FAIL") for r in results]
+    widths = [max(len(row[j]) for row in rows) for j in range(3)]
+    header, *body = ["  ".join([*map(str.ljust, row[:3], widths), row[3]]) for row in rows]
+    rule = "-" * len(header)
+    n_passed = sum(r.passed for r in results)
+    return "\n".join([header, rule, *body, rule, f"{n_passed}/{len(results)} checks passed"])

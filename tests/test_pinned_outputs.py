@@ -154,6 +154,28 @@ def test_verify_table():
     assert sha256(verify.format_table(results).encode()) == VERIFY_TABLE_SHA256
 
 
+def test_format_table_pads_columns_to_their_labels():
+    # every cell is narrower than its column's label, so the labels set the widths
+    results = [verify.CheckResult("ab", "1", "x", True), verify.CheckResult("c", "22", "yz", False)]
+    assert verify.format_table(results) == (
+        "check  tolerance  observed  result\n"
+        "----------------------------------\n"
+        "ab     1          x         PASS\n"
+        "c      22         yz        FAIL\n"
+        "----------------------------------\n"
+        "1/2 checks passed"
+    )
+
+
+def test_format_table_of_no_checks():
+    assert verify.format_table([]) == (
+        "check  tolerance  observed  result\n"
+        "----------------------------------\n"
+        "----------------------------------\n"
+        "0/0 checks passed"
+    )
+
+
 @pytest.mark.parametrize("curve", curves.CURVE_ORDER)
 def test_pdf_and_cdf_on_grid(curve):
     assert sha256(curves.pdf(curve, GRID).tobytes()) == PDF_SHA256[curve]

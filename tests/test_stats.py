@@ -198,6 +198,11 @@ class TestClassify:
         fit = classify(normalize([0.5, 1.0, 2.0]), against=("gpue", "GOE", "goe"))
         assert list(fit.ks) == ["GOE", "GPUE"]
 
+    def test_one_name_is_one_curve(self):
+        sample = normalize([0.5, 1.0, 2.0])
+        assert classify(sample, "goe") == classify(sample, ["GOE"])
+        assert list(classify(sample, np.str_("GPUE")).ks) == ["GPUE"]
+
     def test_no_curve_is_an_error(self):
         with pytest.raises(ValueError, match="selected no curves"):
             classify(normalize([0.5, 1.0, 2.0]), against=())
