@@ -310,23 +310,21 @@ def _emit_report(report: dict, mode: str) -> None:
     print(f"best-fit: {report['best-fit']}")
 
 
+def _report(args: argparse.Namespace, source: str, sample, against=curves.CURVE_ORDER) -> int:
+    """The step compare and analyze end in: classify, then print the report as ``--report`` asks."""
+    _emit_report(build_report(source, len(sample), stats.classify(sample, against)), args.report)
+    return 0
+
+
 def _cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     against = _checked(parser, "--against", _parse_against, args.against)
-    raw = ingest.load_spacings(args.spacings)
-    sample = stats.normalize(raw)
-    report = build_report(str(args.spacings), len(sample), stats.classify(sample, against))
-    _emit_report(report, args.report)
-    return 0
+    return _report(args, str(args.spacings), stats.normalize(ingest.load_spacings(args.spacings)), against)
 
 
 def _cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     method = _checked(parser, "--unfold", ingest.parse_unfold_method, args.unfold)
     spectrum = ingest.load_spectrum(args.spectrum)
-    sample = ingest.unfold(spectrum, method)
-    source = f"{spectrum.source_label} (unfold={args.unfold})"
-    report = build_report(source, len(sample), stats.classify(sample))
-    _emit_report(report, args.report)
-    return 0
+    return _report(args, f"{spectrum.source_label} (unfold={args.unfold})", ingest.unfold(spectrum, method))
 
 
 def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

@@ -212,9 +212,10 @@ class SamplerConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if _checks.count(self.seed, "seed", 0) >= 2**64:
+        object.__setattr__(self, "seed", _checks.count(self.seed, "seed", 0))
+        if self.seed >= 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        _checks.count(self.workers, "workers", 1)
+        object.__setattr__(self, "workers", _checks.count(self.workers, "workers", 1))
 
 
 @dataclass(frozen=True)
@@ -248,7 +249,7 @@ def _param_stds(kind: EnsembleKind) -> np.ndarray:
 
 
 def _stream_rng(seed: int, stream_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_index),))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_index,))
     return np.random.default_rng(ss)
 
 
@@ -383,7 +384,7 @@ def sample_spacings(
 
     # the output does not depend on the worker count, so no more threads start
     # than there are streams or cores; os.cpu_count() reads a file, so it is asked last
-    workers = min(int(config.workers), len(starts))
+    workers = min(config.workers, len(starts))
     if workers > 1 and (cores := os.cpu_count() or 1) > 1:
         with ThreadPoolExecutor(max_workers=min(workers, cores)) as pool:
             total_raws = sum(pool.map(job, starts))

@@ -67,7 +67,8 @@ class LocalWindow:
     window: int
 
     def __post_init__(self) -> None:
-        if _checks.count(self.window, "LocalWindow width") < 1 or self.window % 2 == 0:
+        object.__setattr__(self, "window", _checks.count(self.window, "LocalWindow width"))
+        if self.window < 1 or self.window % 2 == 0:
             raise ValueError("LocalWindow width must be a positive odd integer")
 
 
@@ -76,7 +77,8 @@ class PolynomialStaircase:
     degree: int
 
     def __post_init__(self) -> None:
-        if not (1 <= _checks.count(self.degree, "PolynomialStaircase degree") <= 9):
+        object.__setattr__(self, "degree", _checks.count(self.degree, "PolynomialStaircase degree"))
+        if not 1 <= self.degree <= 9:
             raise ValueError("PolynomialStaircase degree must be in [1, 9]")
 
 

@@ -165,6 +165,14 @@ class TestCurve:
         last = lines[-1].split(",")
         assert float(last[0]) == 4.0
 
+    def test_gpoe_pdf_finite_where_k0_is_inf(self, tmp_path):
+        # 3e-162 puts beta x^2 among the subnormals, where scipy's k0 is inf
+        out = tmp_path / "c.csv"
+        assert run(["curve", "--curve", "gpoe", "--xmax", "3e-162", "--points", "2",
+                    "--out", str(out)]) == 0
+        pdf = float(out.read_text().splitlines()[2].split(",")[1])
+        assert 0.0 < pdf < math.inf
+
     def test_gpue_row_matches_pdf(self, tmp_path):
         out = tmp_path / "c.csv"
         assert run(["curve", "--curve", "gpue", "--xmax", "2", "--points", "3",

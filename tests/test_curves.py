@@ -117,8 +117,23 @@ class TestPdf:
         assert vals[1:].tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_gpoe_tiny_arguments_finite(self):
-        vals = pdf("GPOE", np.array([0.0, 1e-300, 1e-12, 1e-6]))
+        # beta x^2 is subnormal at 2.33e-162 .. 4.02e-162, where k0 itself is inf
+        vals = pdf("GPOE", np.array([0.0, 1e-300, 2.33e-162, 3e-162, 4.02e-162, 1e-12, 1e-6]))
         assert np.all(np.isfinite(vals)) and vals[0] == 0.0 and np.all(vals[1:] > 0.0)
+
+    def test_gpoe_small_x_matches_mpmath(self):
+        # on both sides of the threshold (beta x^2 = _TINY at x = 2.21e-154), and where
+        # the pdf is subnormal: within 4e-15 relative plus one subnormal ulp
+        mpmath = pytest.importorskip("mpmath")
+        c = constants("GPOE")
+        xs = [5e-324, 1e-323, 1e-321, 1e-318, 1e-310, 1e-200, 2.33e-162, 3e-162, 4.02e-162,
+              5.2e-162, 1e-160, 1e-158, 2e-154, 3e-154, 1e-150]
+        got = pdf("GPOE", np.array(xs))
+        with mpmath.workdps(50):
+            for x, value in zip(xs, got.tolist()):
+                x = mpmath.mpf(x)
+                want = mpmath.mpf(c.alpha) * x * mpmath.besselk(0, mpmath.mpf(c.beta) * x * x)
+                assert abs(value - want) <= 4e-15 * want + 5e-324, float(x)
 
     def test_gpue_large_arguments_no_overflow(self):
         vals = pdf("GPUE", np.array([20.0, 40.0, 1000.0]))

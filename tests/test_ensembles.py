@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spacinglab import curves, ensembles, stats, verify
+from spacinglab import curves, ensembles, ingest, stats, verify
 from spacinglab.ensembles import (
     GOE,
     GPOE,
@@ -657,6 +657,15 @@ class TestSpectralMap:
         assert sp == SpectralParams(0.5, 1.0, 0.0)
         assert hash(sp) == hash(SpectralParams(0.5, 1.0, 0.0))
         assert all(type(v) is float for v in (sp.t, sp.s, sp.theta, sp.phi))
+
+    @pytest.mark.parametrize("make, value", [(SamplerConfig, 5), (ingest.LocalWindow, 5),
+                                             (ingest.PolynomialStaircase, 3)],
+                             ids=["SamplerConfig", "LocalWindow", "PolynomialStaircase"])
+    @pytest.mark.parametrize("wrap", [np.int64, np.array], ids=["numpy-int", "0-d-array"])
+    def test_config_objects_store_the_checked_int(self, make, value, wrap):
+        # what count returns is stored, so the object equals, hashes and prints as its int twin
+        obj, twin = make(wrap(value)), make(value)
+        assert obj == twin and hash(obj) == hash(twin) and repr(obj) == repr(twin)
 
     def test_largest_theta_accepted(self):
         # cosh(710) is still finite
