@@ -241,7 +241,8 @@ def _cdf(kind: str, x: np.ndarray) -> np.ndarray:
             tail *= 1.0 + 2.0 * z / 3.0
         out = special.erf(root) - tail
         small = z < _GAMMAINC_BELOW
-        out[small] = special.gammainc(1.5 if kind == "GUE" else 2.5, z[small])
+        if small.any():  # an empty slice would still pay every ufunc call
+            out[small] = special.gammainc(1.5 if kind == "GUE" else 2.5, z[small])
     elif kind == "GPOE":
         # below _TINY the integral is under 1e-304, so it is taken as 0
         z[z < _TINY] = 0.0
@@ -251,12 +252,13 @@ def _cdf(kind: str, x: np.ndarray) -> np.ndarray:
         y = c.gamma * xs
         out = 1.0 - scale * (math.sqrt(2.0) * special.erfc(np.sqrt(z)) - special.erfcx(y) * np.exp(-z))
         small = y < _GPUE_SERIES_BELOW
-        ys = y[small]
-        series = np.full(ys.shape, _GPUE_SERIES[-1])
-        for a in _GPUE_SERIES[-2::-1]:  # Horner, in place; the ufunc calls beat *= and +=
-            np.multiply(series, ys, out=series)
-            np.add(series, a, out=series)
-        out[small] = scale * ys * ys * series
+        if small.any():  # an empty slice would still pay the 38 ufunc calls of the loop
+            ys = y[small]
+            series = np.full(ys.shape, _GPUE_SERIES[-1])
+            for a in _GPUE_SERIES[-2::-1]:  # Horner, in place; the ufunc calls beat *= and +=
+                np.multiply(series, ys, out=series)
+                np.add(series, a, out=series)
+            out[small] = scale * ys * ys * series
     np.maximum(out, 0.0, out=out)
     np.minimum(out, 1.0, out=out)
     return out

@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -386,6 +385,8 @@ def sample_spacings(
     # than there are streams or cores; os.cpu_count() reads a file, so it is asked last
     workers = min(config.workers, len(starts))
     if workers > 1 and (cores := os.cpu_count() or 1) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imported here, as only this branch needs it
+
         with ThreadPoolExecutor(max_workers=min(workers, cores)) as pool:
             total_raws = sum(pool.map(job, starts))
     else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -31,8 +31,10 @@ class SpacingSample:
     """Raw nonnegative spacings with their unit-mean rescaling.
 
     normalized[i] = raw[i] / mean(raw); input order is preserved.  The sorted
-    spacings and the ECDF steps i/n are built on first use and kept, read-only,
-    for every :func:`ks_test` on the sample.
+    spacings, the ECDF steps i/n and, for :func:`ks_test` below
+    ``_KS_BOUND_MIN`` points, the CDF grid cell of each sorted spacing
+    (``ks_bracket``) are built on first use and kept, read-only, for every
+    :func:`ks_test` on the sample.
     """
 
     raw: np.ndarray
@@ -57,6 +59,24 @@ class SpacingSample:
         np.divide(steps, self.raw.size, out=steps)
         steps.flags.writeable = False
         return steps
+
+    @cached_property
+    def ks_bracket(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where :func:`ks_test` reads its bracket of a curve, built on first use, read-only.
+
+        With k_j = min(floor(512 x_j), 4096) the grid cell of the sorted spacing
+        x_j (exact, as scaling by a power of two is): the indices k_j, then k_j
+        + ``_KS_CELLS``, into the array of :func:`_cdf_grid`, and the steps
+        (j+1)/n, then -j/n.  Added to the entries the indices pick, the steps
+        give lower bounds, to within ``_KS_SLACK``, of (j+1)/n - F(x_j), then
+        of F(x_j) - j/n.  ks_test reads it only after its end checks: a NaN
+        has no cell.
+        """
+        cells = (np.minimum(self.sorted_normalized, _KS_GRID_MAX) * _KS_GRID).astype(np.intp)
+        index = np.concatenate((cells, cells + _KS_CELLS))
+        steps = np.concatenate((self.ecdf_steps[1:], -self.ecdf_steps[:-1]))
+        index.flags.writeable = steps.flags.writeable = False
+        return index, steps
 
 
 def normalize(raw) -> SpacingSample:
@@ -103,18 +123,42 @@ def normalize(raw) -> SpacingSample:
     return SpacingSample(raw=arr, mean=mean, normalized=norm)
 
 
-# ks_test's knots are every point below _KS_BOUND_MIN points and block ends
-# from there on.  Five-curve KS on one sorted sample (2-core x86-64) with
-# 32-point blocks: the bounded search runs at half the full scan's speed at
-# 500 points, breaks even near 2500, and is 1.8x faster at 4096, 7x at 2e4
-# and 19x at 1e5; the cutoff leaves a margin above the break-even point.
+# ks_test's knots are the points a grid bracket cannot rule out below
+# _KS_BOUND_MIN points and block ends from there on.  Five-curve KS on one
+# sorted GOE or GPUE sample (2-core x86-64, interquartile ranges) takes
+# 112-156 us at 100 points against the full scan's 122-165, 127-159 against
+# 288-336 at 1000 and 191-219 against 826-979 at 4095.  The block search,
+# with 32-point blocks, takes 503-642 us at 4096 points, 1.8x less than the
+# full scan, and 7x less at 2e4 and 19x at 1e5.
 _KS_BOUND_MIN = 4096
 _KS_BLOCK = 32
-# A block is skipped only if its bound falls below the knots' D by more than
-# this.  curves.cdf is exact to 3e-11 (GPOE, the accuracy of iti0k0) and to
-# 2e-15 for the other curves, so it is nondecreasing to within 6e-11; 1e-9
-# covers that and the rounding of the bound many times over.
+# The bracket's grid: cells of width 1/_KS_GRID on [0, _KS_GRID_MAX), then
+# one cell for every x >= _KS_GRID_MAX.
+_KS_GRID = 512
+_KS_GRID_MAX = 8.0
+_KS_CELLS = int(_KS_GRID * _KS_GRID_MAX) + 1
+# A block is skipped, or a point ruled out, only if its bound falls below the
+# knots' D, or the largest lower bound, by more than this.  curves.cdf is
+# exact to 3e-11 (GPOE, the accuracy of iti0k0) and to 2e-15 for the other
+# curves, so it is nondecreasing to within 6e-11; 1e-9 covers that and the
+# rounding of the bound many times over.
 _KS_SLACK = 1e-9
+
+
+@cache
+def _cdf_grid(kind: str) -> tuple[np.ndarray, float]:
+    """The curve's bracket for :func:`ks_test`: one array and the widest cell's rise.
+
+    With T_k = F(k / 512) for k = 0 .. 4096 and T_4097 = 1, F is
+    nondecreasing to within ``_KS_SLACK`` and at most 1, so T_k - _KS_SLACK
+    <= F(x) <= T_{k+1} + _KS_SLACK for x in cell k (see
+    ``SpacingSample.ks_bracket``).  The read-only array holds -T_{k+1} at k and
+    T_k at k + ``_KS_CELLS``; the rise is the largest T_{k+1} - T_k.
+    """
+    T = np.append(curves._cdf(kind, np.arange(_KS_CELLS) / _KS_GRID), 1.0)
+    grid = np.concatenate((-T[1:], T[:-1]))
+    grid.flags.writeable = False
+    return grid, float(np.diff(T).max())
 
 
 @dataclass(frozen=True)
@@ -143,15 +187,22 @@ def ks_test(sample: SpacingSample, kind: str) -> KsResult:
     per-call checks and gives the same bits.
 
     One pass evaluates F at the knots and takes d from their exact step
-    bounds.  Below ``_KS_BOUND_MIN`` points every x_j is a knot, with the
-    sample's cached ECDF steps as bounds, and that d is exact.  From there on
-    the knots are every ``_KS_BLOCK``-th point and the last one, so d is a
-    lower bound.  Because F is nondecreasing, every j strictly between knots
-    a < b has (j+1)/n - F_j <= b/n - F_a and F_j - j/n <= F_b - (a+1)/n; a
-    second evaluation covers the interior of each block whose bound, plus
-    ``_KS_SLACK``, reaches the lower bound.  The slack exceeds the amount by
-    which the computed F can fall between close points (see ``curves``), so
-    a skipped block cannot hold the maximum, and d has the full scan's bits.
+    bounds.  Below ``_KS_BOUND_MIN`` points a bracket picks the knots: x_j's
+    grid cell k (``SpacingSample.ks_bracket``) gives T_k - ``_KS_SLACK`` <=
+    F(x_j) <= T_{k+1} + ``_KS_SLACK`` from the curve's cached grid (see
+    ``_cdf_grid``), so each step bound of x_j lies between a lower bound and
+    that bound plus T_{k+1} - T_k + 2 ``_KS_SLACK``.  d is at least the
+    largest lower bound L, so only the points with a lower bound within the
+    widest cell's rise plus 2 ``_KS_SLACK`` of L can attain it; they are the
+    knots, and d is exact.  From there on the knots are every
+    ``_KS_BLOCK``-th point and the last one, so d is a lower bound.  Because
+    F is nondecreasing, every j strictly between knots a < b has (j+1)/n -
+    F_j <= b/n - F_a and F_j - j/n <= F_b - (a+1)/n; a second evaluation
+    covers the interior of each block whose bound, plus ``_KS_SLACK``,
+    reaches the lower bound.  The slack exceeds the amount by which the
+    computed F can fall between any two points (see ``curves``), so neither
+    rule drops a point that could hold the maximum, and d has the full scan's
+    bits.
     """
     import scipy.special as special
 
@@ -162,8 +213,13 @@ def ks_test(sample: SpacingSample, kind: str) -> KsResult:
     n = xs.size
     if not xs[0] >= 0.0 or xs[-1] != xs[-1]:  # a negative minimum; NaN sorts to the end
         raise ValueError(curves._NEGATIVE_OR_NAN)
-    if n < _KS_BOUND_MIN:  # every point is a knot, so d is exact and needs no refinement
-        knots, lo, hi = slice(None), sample.ecdf_steps[:-1], sample.ecdf_steps[1:]
+    if n < _KS_BOUND_MIN:  # the bracket's knots hold d, so it is exact and needs no refinement
+        grid, rise = _cdf_grid(kind)
+        index, steps = sample.ks_bracket
+        lower = grid[index]  # (j+1)/n - F(x_j), then F(x_j) - j/n, exceed these less _KS_SLACK
+        lower += steps
+        knots = (lower >= lower.max() - (rise + 2.0 * _KS_SLACK)).nonzero()[0] % n
+        lo, hi = sample.ecdf_steps[knots], sample.ecdf_steps[knots + 1]
     else:
         knots = np.append(np.arange(0, n - 1, _KS_BLOCK), n - 1)
         lo, hi = knots / n, (knots + 1) / n

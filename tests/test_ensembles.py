@@ -1,8 +1,13 @@
 """Matrix families, closed-form eigenvalues, rejection sampling, reproducibility."""
 
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,13 +428,23 @@ class TestSampleSpacings:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(ensembles, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(ensembles.os, "cpu_count", lambda: cpus)
         n = 2 * ensembles.BLOCK_QUOTA + 5  # three streams
         sample, rate = sample_spacings(GPUE, n, SamplerConfig(seed=3, workers=10**6))
         assert sizes == ([] if pool_size is None else [pool_size])
         serial, serial_rate = sample_spacings(GPUE, n, SamplerConfig(seed=3))
         assert np.array_equal(sample.raw, serial.raw) and rate == serial_rate
+
+    def test_import_leaves_the_thread_pool_out(self):
+        # only a run on two or more workers imports concurrent.futures
+        src = str(Path(ensembles.__file__).resolve().parents[1])
+        code = ("import sys, spacinglab; print('concurrent.futures' in sys.modules); "
+                "spacinglab.sample_spacings(spacinglab.GOE, 10, spacinglab.SamplerConfig(seed=1)); "
+                "print('concurrent.futures' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert out.stdout.split() == ["False", "False"]
 
 
 class TestAcceptanceRate:

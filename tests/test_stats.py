@@ -227,9 +227,10 @@ def _sample(tag, n, seed=3):
 
 
 class TestKsBoundedSearch:
-    """From stats._KS_BOUND_MIN points on, ks_test evaluates the curve only at
-    block knots and in the blocks that may hold the maximum; d must keep every
-    bit of the full scan's."""
+    """Below stats._KS_BOUND_MIN points ks_test evaluates the curve only where a
+    bracket from its cached grid cannot rule out the maximum; from there on only
+    at block knots and in the blocks that may hold it.  d must keep every bit of
+    the full scan's."""
 
     CUT = stats._KS_BOUND_MIN
     BLOCK = stats._KS_BLOCK
@@ -260,6 +261,29 @@ class TestKsBoundedSearch:
             assert res.d == full_scan(sample, kind)[0]
             assert res.p_value == scipy_kolmogorov(math.sqrt(res.n) * res.d)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 700, CUT - 1])
+    @pytest.mark.parametrize("case", ["zeros", "at least 8", "grid points"])
+    def test_equals_full_scan_below_the_cutoff(self, n, case):
+        raw = np.array(_sample("GSE", n, seed=n).raw)
+        if case == "zeros":  # cell 0, where every curve's grid starts at F(0) = 0
+            raw[: (n + 1) // 3] = 0.0
+            raw[-1] += 1.0
+        x = np.array(normalize(raw).normalized)
+        if case == "at least 8":  # the last cell, x >= 8, in a third of the sample; x = 8 exactly too
+            x[: (n + 2) // 3] += 8.0
+            x[-1] = 8.0
+        elif case == "grid points":  # every spacing on a cell boundary k/512
+            x = np.floor(x * 512.0) / 512.0
+        sample = stats.SpacingSample(raw=raw, mean=1.0, normalized=x)
+        for kind in curves.CURVE_ORDER:
+            assert ks_test(sample, kind).d == full_scan(sample, kind)[0]
+
+    @pytest.mark.parametrize("kind", curves.CURVE_ORDER)
+    def test_equals_full_scan_on_a_sample_ending_in_inf(self, kind):
+        normalized = np.array([0.0, 5e-324, 1.0 / 512.0, 0.5, 1.0, 1.0, 8.0, 9.0, 1e300, math.inf])
+        sample = stats.SpacingSample(raw=np.ones(10), mean=1.0, normalized=normalized)
+        assert ks_test(sample, kind).d == full_scan(sample, kind)[0]
+
     @pytest.mark.parametrize("decimals", [0, 1, 2])
     def test_equals_full_scan_with_ties(self, decimals):
         sample = normalize(np.round(_sample("GOE", 9000).raw, decimals))
@@ -289,6 +313,7 @@ class TestKsBoundedSearch:
         assert ks_test(sample, "GOE").d == d
 
     def test_evaluates_few_points(self, monkeypatch):
+        stats._cdf_grid("GOE")  # the cached grid is built once per curve, not per call
         seen = []
         kernel = curves._cdf
 
@@ -302,8 +327,10 @@ class TestKsBoundedSearch:
         assert len(seen) == 2
         assert sum(seen) < n // 10
         seen.clear()
-        ks_test(_sample("GOE", self.CUT - 1), "GOE")
-        assert seen == [self.CUT - 1]
+        n = self.CUT - 1
+        ks_test(_sample("GOE", n), "GOE")
+        assert len(seen) == 1
+        assert seen[0] < n // 10
 
     @pytest.mark.parametrize("n", [3, CUT + 1])
     @pytest.mark.parametrize("bad", [-0.5, math.nan])
@@ -322,6 +349,33 @@ class TestKsBoundedSearch:
         empty = stats.SpacingSample(raw=np.empty(0), mean=1.0, normalized=np.empty(0))
         with pytest.raises(ValueError, match="^ks_test requires a nonempty sample$"):
             ks_test(empty, "GOE")
+
+    @pytest.mark.parametrize("kind", curves.CURVE_ORDER)
+    def test_grid_brackets_the_cdf_in_every_cell(self, kind):
+        grid, rise = stats._cdf_grid(kind)
+        cells = stats._KS_CELLS
+        T = np.append(grid[cells:], -grid[cells - 1])  # T_0 .. T_4097
+        assert np.array_equal(-grid[:cells], T[1:]) and not grid.flags.writeable
+        assert T[0] == 0.0 and T[-1] == 1.0 and rise == np.diff(T).max()
+        # 64 points in every cell, its left end k/512 first, then the edge cases
+        inside = (np.arange(cells - 1)[:, None] + np.arange(64) / 64.0).ravel() / 512.0
+        x = np.concatenate((inside, [5e-324, 1e-310, np.finfo(float).tiny, 8.0, np.nextafter(8.0, 0.0),
+                                     np.nextafter(8.0, 9.0), 9.0, 50.0, 1e5, 1e300, math.inf]))
+        k = np.floor(512.0 * np.minimum(x, 8.0)).astype(int)
+        F = curves.cdf(kind, x)
+        slack = stats._KS_SLACK
+        assert np.all(T[k] - slack <= F) and np.all(F <= T[k + 1] + slack)
+        assert np.all(F[: inside.size : 64] == T[:-2])  # at exact grid points the grid is F itself
+
+    def test_bracket_cells_are_exact_and_cached(self):
+        normalized = np.array([0.0, 5e-324, np.nextafter(1.0 / 512.0, 0.0), 1.0 / 512.0, 7.999, 8.0, 1e300,
+                               math.inf])
+        sample = stats.SpacingSample(raw=np.ones(8), mean=1.0, normalized=normalized)
+        index, steps = sample.ks_bracket
+        assert sample.ks_bracket[0] is index and not index.flags.writeable and not steps.flags.writeable
+        cells = [0, 0, 0, 1, 4095, 4096, 4096, 4096]
+        assert index.tolist() == cells + [c + stats._KS_CELLS for c in cells]
+        assert steps.tolist() == [(j + 1) / 8 for j in range(8)] + [-j / 8 for j in range(8)]
 
     @pytest.mark.parametrize("kind", curves.CURVE_ORDER)
     def test_cdf_drop_between_close_floats_within_half_the_slack(self, kind):

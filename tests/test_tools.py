@@ -19,9 +19,11 @@ def test_ab_ops_tree_against_itself():
     run = ab_ops(ROOT, ROOT)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
+    assert lines[0].split()[-5:] == ["CHANGE/PARENT", "ratio", "Q1", "ratio", "Q3"]
     for kind in KINDS:
         (line,) = [ln for ln in lines if ln.split()[0] == kind]
-        assert float(line.split()[-1]) > 0.0
+        ratio, q1, q3 = map(float, line.split()[-3:])
+        assert ratio > 0.0 and 0.0 < q1 <= q3
 
 
 def test_ab_ops_fails_on_a_one_ulp_change_in_d(tmp_path):

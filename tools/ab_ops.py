@@ -22,11 +22,15 @@ both trees back to back; which tree goes first alternates from one operation
 to the next and from one round to the next, so drift of the machine hits both
 alike.  If any d or p (or any line of the verify table) differs in a bit
 between the trees, the first difference is printed and the exit code is 1.
-Otherwise each kind's median time on each tree and their ratio CHANGE/PARENT
-are printed, one line per kind, and the exit code is 0.  Two runs of one tree
-against itself give ratios within 1 % of 1 on a 2-core x86-64 machine, where
-separate processes drift by up to 30 %, so the tool sizes a change before the
-slower benchmark runs.
+Otherwise each kind's median time on each tree, their ratio CHANGE/PARENT and
+the quartiles of the per-operation ratios are printed, one line per kind, and
+the exit code is 0.  On a 2-core x86-64 machine, where separate processes
+drift by up to 30 %, two runs of one tree against itself give ratios within
+1 % of 1 for ``experiment`` and ``spectrum``, which time thousands of
+operations, so the tool sizes such a change before the slower benchmark
+runs.  ``verify`` and ``classify-1e5`` time one operation a round; against
+itself a tree read 0.98 to 1.12 there, so only a change well beyond their
+quartiles shows in those two ratios.
 """
 
 from __future__ import annotations
@@ -140,10 +144,13 @@ def main(argv=None) -> int:
                 print(f"error: {kind} operation {i}, value {j}: PARENT {out[0][j:j + 1]} "
                       f"!= CHANGE {out[1][j:j + 1]}", file=sys.stderr)
                 return 1
-    print(f"{'kind':<14}{'ops':>7}{'PARENT ms':>12}{'CHANGE ms':>12}{'CHANGE/PARENT':>15}")
+    print(f"{'kind':<14}{'ops':>7}{'PARENT ms':>12}{'CHANGE ms':>12}{'CHANGE/PARENT':>15}{'ratio Q1':>10}{'ratio Q3':>10}")
     for kind in KINDS:
-        parent, change = (statistics.median(t) * 1e3 for t in times[kind])
-        print(f"{kind:<14}{len(times[kind][0]):>7}{parent:>12.4f}{change:>12.4f}{change / parent:>15.4f}")
+        parent_s, change_s = times[kind]
+        parent, change = statistics.median(parent_s) * 1e3, statistics.median(change_s) * 1e3
+        q1, q3 = np.percentile(np.divide(change_s, parent_s), [25, 75])
+        print(f"{kind:<14}{len(parent_s):>7}{parent:>12.4f}{change:>12.4f}{change / parent:>15.4f}"
+              f"{q1:>10.4f}{q3:>10.4f}")
     return 0
 
 
