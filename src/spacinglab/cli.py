@@ -318,7 +318,7 @@ def _report(args: argparse.Namespace, source: str, sample, against=curves.CURVE_
 
 def _cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     against = _checked(parser, "--against", _parse_against, args.against)
-    return _report(args, str(args.spacings), stats.normalize(ingest.load_spacings(args.spacings)), against)
+    return _report(args, str(args.spacings), stats._own(ingest.load_spacings(args.spacings)), against)
 
 
 def _cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

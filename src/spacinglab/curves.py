@@ -117,8 +117,10 @@ def canonical_kind(kind: str) -> str:
 
 def _select(names) -> tuple[str, ...]:
     """The canonical tags of the curves ``names`` names, in ``CURVE_ORDER``; none is a ValueError.
-    A str (numpy's str_ included) is one name, not a list of letters."""
-    chosen = {canonical_kind(name) for name in ([names] if isinstance(names, str) else names)}
+    A str (numpy's str_ included), bytes, 0-d array or other value that cannot be iterated is one
+    name, so a bad one gets canonical_kind's ValueError naming it."""
+    one = isinstance(names, (str, bytes)) or not np.iterable(names)
+    chosen = {canonical_kind(name) for name in ([names] if one else names)}
     if not chosen:
         raise ValueError("selected no curves")
     return tuple(k for k in CURVE_ORDER if k in chosen)

@@ -63,10 +63,10 @@ cannot be held is refused at once; each stream then fills its own slice of
 it in place.  A stream reads its draws in chunks through one draws buffer
 of at most ``_CHUNK_VALUES`` floats (128 KiB) and one D buffer of one
 float per row, so each worker's working memory is a constant, whatever
-``n``.  The filled array goes to :func:`stats.normalize` read-only, which
-keeps it as the sample's ``raw`` without a copy.  The draws stay unscaled:
-each term of D scales its own column, fl(fl(p_j s_j)^2), which are the bits
-D has for scaled parameters, and the ``a`` column is drawn but never scaled.
+``n``.  The filled array becomes the sample's ``raw`` without a copy.  The
+draws stay unscaled: each term of D scales its own column, fl(fl(p_j s_j)^2),
+which are the bits D has for scaled parameters, and the ``a`` column is drawn
+but never scaled.
 """
 
 from __future__ import annotations
@@ -391,8 +391,7 @@ def sample_spacings(
             total_raws = sum(pool.map(job, starts))
     else:
         total_raws = sum(map(job, starts))
-    out.flags.writeable = False  # so normalize takes it over without a copy
-    return stats.normalize(out), n_accepted / total_raws
+    return stats._own(out), n_accepted / total_raws
 
 
 def acceptance_rate(kind: EnsembleKind, n_raw: int, config: SamplerConfig) -> float:

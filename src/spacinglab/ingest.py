@@ -209,9 +209,7 @@ def load_spectrum(path) -> SpectrumFile:
 def load_spacings(path) -> np.ndarray:
     """The raw spacings of a spacing CSV (module docstring format); errors name ``path``.
 
-    The array is read-only, and it owns its data or is a view of a read-only
-    array that does, so :func:`~spacinglab.stats.normalize` keeps it as the
-    sample's ``raw`` without a copy.
+    The array is read-only.
     """
     path, source = Path(path), str(path)
     return _read_column(None, source, csv=True, path=path)
@@ -350,5 +348,4 @@ def unfold(spectrum: SpectrumFile, method: UnfoldMethod) -> stats.SpacingSample:
         out = _staircase_fit(spectrum.levels, method.degree)
     else:
         raise TypeError(f"unknown unfolding method {method!r}")
-    out.flags.writeable = False  # so normalize keeps it without a copy
-    return stats.normalize(out)
+    return stats._own(out)

@@ -30,11 +30,11 @@ __all__ = [
 class SpacingSample:
     """Raw nonnegative spacings with their unit-mean rescaling.
 
-    normalized[i] = raw[i] / mean(raw); input order is preserved.  The sorted
-    spacings, the ECDF steps i/n and, for :func:`ks_test` below
-    ``_KS_BOUND_MIN`` points, the CDF grid cell of each sorted spacing
-    (``ks_bracket``) are built on first use and kept, read-only, for every
-    :func:`ks_test` on the sample.
+    normalized[i] = raw[i] / mean(raw); input order is preserved, and both
+    arrays are read-only.  The sorted spacings and, for :func:`ks_test` below
+    ``_KS_BOUND_MIN`` points, the CDF grid cell and ECDF steps of each sorted
+    spacing (``ks_bracket``) are built on first use and kept, read-only, for
+    every :func:`ks_test` on the sample.
     """
 
     raw: np.ndarray
@@ -53,28 +53,21 @@ class SpacingSample:
         return xs
 
     @cached_property
-    def ecdf_steps(self) -> np.ndarray:
-        """The ECDF steps i/n, i = 0..n, in one array: built on first use, read-only."""
-        steps = np.arange(self.raw.size + 1.0)
-        np.divide(steps, self.raw.size, out=steps)
-        steps.flags.writeable = False
-        return steps
-
-    @cached_property
     def ks_bracket(self) -> tuple[np.ndarray, np.ndarray]:
         """Where :func:`ks_test` reads its bracket of a curve, built on first use, read-only.
 
         With k_j = min(floor(512 x_j), 4096) the grid cell of the sorted spacing
         x_j (exact, as scaling by a power of two is): the indices k_j, then k_j
         + ``_KS_CELLS``, into the array of :func:`_cdf_grid`, and the steps
-        (j+1)/n, then -j/n.  Added to the entries the indices pick, the steps
-        give lower bounds, to within ``_KS_SLACK``, of (j+1)/n - F(x_j), then
-        of F(x_j) - j/n.  ks_test reads it only after its end checks: a NaN
-        has no cell.
+        (j+1)/n, then -j/n, which ks_test also reads at its knots.  Added to
+        the entries the indices pick, the steps give lower bounds, to within
+        ``_KS_SLACK``, of (j+1)/n - F(x_j), then of F(x_j) - j/n.  ks_test
+        reads it only after its end checks: a NaN has no cell.
         """
         cells = (np.minimum(self.sorted_normalized, _KS_GRID_MAX) * _KS_GRID).astype(np.intp)
         index = np.concatenate((cells, cells + _KS_CELLS))
-        steps = np.concatenate((self.ecdf_steps[1:], -self.ecdf_steps[:-1]))
+        steps = np.arange(len(self) + 1.0) / len(self)
+        steps = np.concatenate((steps[1:], -steps[:-1]))
         index.flags.writeable = steps.flags.writeable = False
         return index, steps
 
@@ -85,24 +78,20 @@ def normalize(raw) -> SpacingSample:
     refuses (a bool, complex, text, None, date or void), and, rather than
     flattening it, an input of two or more dimensions such as a sample table.
 
-    A read-only 1-d float64 ndarray that owns its data, such as the array
-    :func:`~spacinglab.ensembles.sample_spacings` fills, or that is a view of
-    a read-only ndarray owning its data, such as the column
-    :func:`~spacinglab.ingest.load_spacings` reads, becomes the sample's
-    ``raw`` without a copy: whoever made the owner read-only must leave it so.
-    Any other input, a writable array or a view of one included, is copied
-    first, so changing it later leaves the sample unchanged.
+    The sample keeps a private copy of the input, so changing the input later
+    leaves the sample unchanged.
     """
-    owner = raw if getattr(raw, "base", None) is None else raw.base
-    if (type(raw) is np.ndarray and raw.dtype == np.float64 and raw.ndim == 1
-            and not raw.flags.writeable and type(owner) is np.ndarray
-            and owner.flags.owndata and not owner.flags.writeable):
-        arr = raw
-    else:
-        arr = _checks.real_array(raw, "spacings")
-        if arr.ndim > 1:
-            raise ValueError(f"spacings must be one-dimensional, got shape {arr.shape}")
-        arr = arr.flatten()  # a private 1-d copy
+    arr = _checks.real_array(raw, "spacings")
+    if arr.ndim > 1:
+        raise ValueError(f"spacings must be one-dimensional, got shape {arr.shape}")
+    return _own(arr.flatten())  # a private 1-d copy
+
+
+def _own(arr: np.ndarray) -> SpacingSample:
+    """:func:`normalize`'s value checks and scaling on the 1-d float64 ndarray
+    ``arr``, which is marked read-only and kept as the sample's ``raw``: the
+    caller hands it over and keeps no writable reference.  Sampling, unfolding
+    and ``compare`` pass the array they have just filled or read."""
     if arr.size == 0:
         raise ValueError("cannot normalize an empty spacing list")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -123,13 +112,14 @@ def normalize(raw) -> SpacingSample:
     return SpacingSample(raw=arr, mean=mean, normalized=norm)
 
 
-# ks_test's knots are the points a grid bracket cannot rule out below
-# _KS_BOUND_MIN points and block ends from there on.  Five-curve KS on one
-# sorted GOE or GPUE sample (2-core x86-64, interquartile ranges) takes
-# 112-156 us at 100 points against the full scan's 122-165, 127-159 against
-# 288-336 at 1000 and 191-219 against 826-979 at 4095.  The block search,
-# with 32-point blocks, takes 503-642 us at 4096 points, 1.8x less than the
-# full scan, and 7x less at 2e4 and 19x at 1e5.
+# ks_test picks its knots by one of two rules: the grid bracket below
+# _KS_BOUND_MIN points, the block search from there on.  Five-curve KS on one
+# sorted sample (best of 7, 2 vCPU) takes 158-193 us by the bracket and
+# 393-688 us by the block search at 4096 points, 463-533 against 525-840 us at
+# 2e4, and 2.8-7.8 against 1.0-1.35 ms at 1e5.  The bracket is thus faster up
+# to about 2e4 points, yet the cutoff stays: perfbench's only samples between
+# 2000 and 1e5 points are verify's 2e4-spacing rows, one verify per 800
+# small-experiments operations, so no benchmark workload could show a move.
 _KS_BOUND_MIN = 4096
 _KS_BLOCK = 32
 # The bracket's grid: cells of width 1/_KS_GRID on [0, _KS_GRID_MAX), then
@@ -202,7 +192,9 @@ def ks_test(sample: SpacingSample, kind: str) -> KsResult:
     reaches the lower bound.  The slack exceeds the amount by which the
     computed F can fall between any two points (see ``curves``), so neither
     rule drops a point that could hold the maximum, and d has the full scan's
-    bits.
+    bits.  The knots' steps come from ``ks_bracket`` below the cutoff and
+    from the knots from there on; -j/n is kept negated, which changes no bit
+    of d, as negation is exact.
     """
     import scipy.special as special
 
@@ -219,14 +211,14 @@ def ks_test(sample: SpacingSample, kind: str) -> KsResult:
         lower = grid[index]  # (j+1)/n - F(x_j), then F(x_j) - j/n, exceed these less _KS_SLACK
         lower += steps
         knots = (lower >= lower.max() - (rise + 2.0 * _KS_SLACK)).nonzero()[0] % n
-        lo, hi = sample.ecdf_steps[knots], sample.ecdf_steps[knots + 1]
+        hi, neg_lo = steps[knots], steps[knots + n]
     else:
         knots = np.append(np.arange(0, n - 1, _KS_BLOCK), n - 1)
-        lo, hi = knots / n, (knots + 1) / n
+        hi, neg_lo = (knots + 1) / n, knots / -n
     F = curves._cdf(kind, xs[knots])  # xs passed the end checks: any subset is a valid input
-    d = max((hi - F).max(), (F - lo).max())
+    d = max((hi - F).max(), (F + neg_lo).max())  # adding -j/n gives F - j/n's bits
     if n >= _KS_BOUND_MIN:
-        bound = np.maximum(lo[1:] - F[:-1], F[1:] - hi[:-1])
+        bound = np.maximum(-(neg_lo[1:] + F[:-1]), F[1:] - hi[:-1])
         starts = knots[:-1][bound + _KS_SLACK >= d]
         inner = (starts[:, None] + np.arange(1, _KS_BLOCK)).ravel()
         inner = inner[inner < n - 1]  # the last block can be shorter

@@ -596,13 +596,13 @@ class TestWorkingMemory:
         assert traced_peak(lambda: acceptance_rate(kind, 50, cfg)) < 32 * 1024
 
     def test_output_goes_to_normalize_once_without_a_copy(self, monkeypatch):
-        calls, normalize = [], stats.normalize
+        calls, own = [], stats._own
 
         def spy(raw):
             calls.append(raw)
-            return normalize(raw)
+            return own(raw)
 
-        monkeypatch.setattr(stats, "normalize", spy)
+        monkeypatch.setattr(stats, "_own", spy)
         cfg = SamplerConfig(seed=1, workers=2)
         sample, _ = sample_spacings(GPUE, 3 * ensembles.BLOCK_QUOTA, cfg)
         assert len(calls) == 1 and sample.raw is calls[0] and not sample.raw.flags.writeable

@@ -294,18 +294,30 @@ class TestByteOrderMark:
 
 
 class TestLoadedSpacingsAreKept:
-    """``load_spacings`` returns a read-only array that ``normalize`` keeps without a copy."""
+    """``compare`` hands the read-only column ``load_spacings`` returns to ``stats._own`` without a copy."""
 
     @pytest.mark.parametrize("body", ["raw_spacing,normalized_spacing\n1.5,0.75\n2.5,1.25\n",
                                       "1_5\n2.5\n"], ids=["loadtxt", "per-line"])
-    def test_normalize_shares_memory(self, tmp_path, body):
+    def test_compare_keeps_the_loaded_column(self, tmp_path, monkeypatch, capsys, body):
         path = tmp_path / "s.csv"
         path.write_text(body)
-        raw = load_spacings(path)
-        sample = stats.normalize(raw)
-        assert np.shares_memory(sample.raw, raw)
+        loaded, handed, load, own = [], [], ingest.load_spacings, stats._own
+
+        def spy_load(p):
+            loaded.append(load(p))
+            return loaded[-1]
+
+        def spy_own(raw):
+            handed.append(raw)
+            return own(raw)
+
+        monkeypatch.setattr(ingest, "load_spacings", spy_load)
+        monkeypatch.setattr(stats, "_own", spy_own)
+        assert cli.main(["compare", "--spacings", str(path)]) == 0
+        assert "best-fit:" in capsys.readouterr().out
+        assert len(loaded) == len(handed) == 1 and handed[0] is loaded[0]
         with pytest.raises(ValueError, match="read-only"):
-            raw[0] = 1.0
+            loaded[0][0] = 1.0
 
 
 class TestFileFastPath:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 AB_OPS = ROOT / "tools" / "ab_ops.py"
 KINDS = ("experiment", "spectrum", "verify", "classify-1e5")
@@ -35,3 +37,18 @@ def test_ab_ops_fails_on_a_one_ulp_change_in_d(tmp_path):
     run = ab_ops(ROOT, tmp_path)
     assert run.returncode == 1
     assert run.stderr.startswith("error: experiment operation 0, value 1: ")
+
+
+@pytest.mark.parametrize("line, nudged", [
+    ("    mean = total / arr.size\n", "    mean = float(np.nextafter(total / arr.size, 0.0))\n"),
+    ("SpacingSample(raw=arr, mean=mean,", "SpacingSample(raw=arr, mean=float(np.nextafter(mean, 0.0)),"),
+], ids=["mean-line", "stored-mean-only"])
+def test_ab_ops_fails_on_a_one_ulp_change_in_the_mean(tmp_path, line, nudged):
+    shutil.copytree(ROOT / "src" / "spacinglab", tmp_path / "src" / "spacinglab")
+    stats = tmp_path / "src" / "spacinglab" / "stats.py"
+    text = stats.read_text()
+    assert text.count(line) == 1
+    stats.write_text(text.replace(line, nudged))
+    run = ab_ops(ROOT, tmp_path)
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: experiment operation 0, value ")

@@ -20,17 +20,18 @@ classification:
 The mix runs once untimed, then ``R`` timed rounds.  Each operation runs on
 both trees back to back; which tree goes first alternates from one operation
 to the next and from one round to the next, so drift of the machine hits both
-alike.  If any d or p (or any line of the verify table) differs in a bit
-between the trees, the first difference is printed and the exit code is 1.
-Otherwise each kind's median time on each tree, their ratio CHANGE/PARENT and
-the quartiles of the per-operation ratios are printed, one line per kind, and
-the exit code is 0.  On a 2-core x86-64 machine, where separate processes
-drift by up to 30 %, two runs of one tree against itself give ratios within
-1 % of 1 for ``experiment`` and ``spectrum``, which time thousands of
-operations, so the tool sizes such a change before the slower benchmark
-runs.  ``verify`` and ``classify-1e5`` time one operation a round; against
-itself a tree read 0.98 to 1.12 there, so only a change well beyond their
-quartiles shows in those two ratios.
+alike.  If any d, p, acceptance rate, sample mean or sample length (or any
+line of the verify table) differs in a bit between the trees, the first
+difference is printed and the exit code is 1.  Otherwise each kind's median
+time on each tree, their ratio CHANGE/PARENT and the quartiles of the
+per-operation ratios are printed, one line per kind, and the exit code is 0.
+On a 2-core x86-64 machine, where separate processes drift by up to 30 %,
+two runs of one tree against itself give ratios within 1 % of 1 for
+``experiment`` and ``spectrum``, which time thousands of operations, so the
+tool sizes such a change before the slower benchmark runs.  ``verify`` and
+``classify-1e5`` time one operation a round; against itself a tree read 0.98
+to 1.12 there, so only a change well beyond their quartiles shows in those
+two ratios.
 """
 
 from __future__ import annotations
@@ -66,10 +67,10 @@ def ensemble_kinds(ens) -> list:
     return [ens.GOE, ens.GUE, ens.GSE, ens.GPOE, ens.GPUE, ens.qh3(KAPPA), ens.qh4(KAPPA)]
 
 
-def ks_bits(stats, sample) -> list[str]:
-    """d and p of the five curves, as exact hex strings."""
+def ks_bits(stats, sample) -> list:
+    """d and p of the five curves, as exact hex strings, then the sample's mean (hex) and length."""
     results = [stats.ks_test(sample, curve) for curve in ("GOE", "GUE", "GSE", "GPOE", "GPUE")]
-    return [x.hex() for r in results for x in (r.d, r.p_value)]
+    return [x.hex() for r in results for x in (r.d, r.p_value)] + [sample.mean.hex(), len(sample)]
 
 
 def operations(lib, n_ops: int, rng: np.random.Generator) -> list[tuple[str, object]]:
@@ -112,8 +113,10 @@ def runner(lib):
             return ks_bits(stats, ingest.unfold(ingest.parse_levels(text), methods[method]))
         if kind == "verify":
             return [(r.name, r.observed, r.passed) for r in lib.verify.run_verification()]
-        fit = stats.classify(stats.normalize(arg))
-        return [fit.best_fit, *(x.hex() for r in fit.ks.values() for x in (r.d, r.p_value))]
+        sample = stats.normalize(arg)
+        fit = stats.classify(sample)
+        return [fit.best_fit, *(x.hex() for r in fit.ks.values() for x in (r.d, r.p_value)),
+                sample.mean.hex(), len(sample)]
 
     return run
 
