@@ -237,20 +237,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _checked(parser: argparse.ArgumentParser, flag: str | None, make, *args):
-    """Call ``make(*args)``; its ValueError becomes the usage error ``<flag>: <message>``,
-    the flag defaulting to the message's first word (a ``SamplerConfig`` field)."""
+def _checked(parser: argparse.ArgumentParser, flag: str, make, *args):
+    """Call ``make(*args)``; its ValueError becomes the usage error ``<flag>: <message>``."""
     try:
         return make(*args)
     except ValueError as exc:
-        parser.error(f"{flag or '--' + str(exc).split()[0]}: {exc}")
+        parser.error(f"{flag}: {exc}")
 
 
 def _cmd_sample(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    default_kappa = args.ensemble in ("qh3", "qh4") and args.kappa is None
-    kappa = 0.0 if default_kappa else args.kappa
-    kind = _checked(parser, "--kappa", ensembles.EnsembleKind, args.ensemble.upper(), kappa)
-    config = _checked(parser, None, ensembles.SamplerConfig, args.seed, args.workers)
+    tag = args.ensemble.upper()
+    default_kappa = ensembles._FAMILIES[tag].shrink is not None and args.kappa is None
+    kind = _checked(parser, "--kappa", ensembles.EnsembleKind, tag, 0.0 if default_kappa else args.kappa)
+    _checked(parser, "--seed", ensembles.SamplerConfig, args.seed)  # so the next call can fail only on workers
+    config = _checked(parser, "--workers", ensembles.SamplerConfig, args.seed, args.workers)
     if args.n < 1:
         parser.error("--n: must be at least 1")
     _checks.float64_count(args.n, "--n")

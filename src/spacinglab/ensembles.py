@@ -264,20 +264,17 @@ def _active(kind: EnsembleKind, p) -> np.ndarray:
 def _discriminants(
     kind: EnsembleKind,
     params: np.ndarray,
-    stds: np.ndarray | None = None,
+    stds: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorized D = +-b^2 +- c^2 ... (added left to right); eigenvalues a +- sqrt(D).
+    """Vectorized D = +-b^2 +- c^2 ... (added left to right) of ``params`` scaled by ``stds``,
+    column by column; eigenvalues a +- sqrt(D).
 
-    Each term scales its own column first, fl(fl(p_j s_j)^2), so with
-    ``stds`` the unscaled draws give the bits of the scaled block and no pass
-    scales the block (column ``a`` is never read).  Without ``stds``,
-    ``params`` are taken as scaled; p * 1.0 is exact, so each term is
-    fl(p_j^2).  D is written to ``out`` if given.
+    Each term scales its own column first, fl(fl(p_j s_j)^2), so the unscaled
+    draws give the bits of the scaled block and no pass scales the block
+    (column ``a`` is never read).  D is written to ``out`` if given.
     """
     cols = params.T
-    if stds is None:
-        stds = np.ones(len(cols))
 
     def term(j: int, dst):
         dst = np.multiply(cols[j], stds[j], out=dst)
@@ -297,14 +294,15 @@ def eigenvalues(kind: EnsembleKind, p) -> tuple[float, float] | None:
 
     ``p`` is one parameter vector; a stack is refused.
     The reality predicate for GPOE/GPUE is exact (b^2 >= c^2 [+ d^2], no
-    tolerance).  GSE's doubly degenerate 4x4 spectrum is reported as its
+    tolerance): D takes ``p`` at unit scales, and p * 1.0 is exact, so each
+    term is fl(p_j^2).  GSE's doubly degenerate 4x4 spectrum is reported as its
     two distinct values.  Only real eigenvalues define a spacing, e1 - e2.
     """
     row = _active(kind, p)
     if row.ndim != 1:
         raise ValueError(f"{kind.tag} eigenvalues take one parameter vector, got {row.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        disc = float(_discriminants(kind, row[None, :])[0])
+        disc = float(_discriminants(kind, row[None, :], np.ones(kind.n_params))[0])
     if not math.isfinite(disc):
         raise ValueError(f"{kind.tag} discriminant overflows for parameters {row.tolist()}")
     if disc < 0.0:

@@ -114,12 +114,12 @@ def _own(arr: np.ndarray) -> SpacingSample:
 
 # ks_test picks its knots by one of two rules: the grid bracket below
 # _KS_BOUND_MIN points, the block search from there on.  Five-curve KS on one
-# sorted sample (best of 7, 2 vCPU) takes 158-193 us by the bracket and
-# 393-688 us by the block search at 4096 points, 463-533 against 525-840 us at
-# 2e4, and 2.8-7.8 against 1.0-1.35 ms at 1e5.  The bracket is thus faster up
-# to about 2e4 points, yet the cutoff stays: perfbench's only samples between
-# 2000 and 1e5 points are verify's 2e4-spacing rows, one verify per 800
-# small-experiments operations, so no benchmark workload could show a move.
+# sorted sample (best of 7, 2 vCPU) takes 158-193 us by the bracket against
+# 393-688 us at 4096 points, but the bracket's candidates grow with n (up to
+# 13 % of the points at 8191, 16 % at 16383), so it loses from about 1.5-2e4
+# points on (2.8-7.8 against 1.0-1.35 ms at 1e5).  The cutoff stays: perfbench's
+# only samples between 2000 and 1e5 points are verify's 2e4-spacing rows, one
+# per 800 small-experiments operations, so no workload could show a move.
 _KS_BOUND_MIN = 4096
 _KS_BLOCK = 32
 # The bracket's grid: cells of width 1/_KS_GRID on [0, _KS_GRID_MAX), then
@@ -211,6 +211,7 @@ def ks_test(sample: SpacingSample, kind: str) -> KsResult:
         lower = grid[index]  # (j+1)/n - F(x_j), then F(x_j) - j/n, exceed these less _KS_SLACK
         lower += steps
         knots = (lower >= lower.max() - (rise + 2.0 * _KS_SLACK)).nonzero()[0] % n
+        # not (knots + 1) / n, knots / -n as below: the same bits, but about 4 % slower per small experiment
         hi, neg_lo = steps[knots], steps[knots + n]
     else:
         knots = np.append(np.arange(0, n - 1, _KS_BLOCK), n - 1)

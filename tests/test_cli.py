@@ -906,6 +906,17 @@ class TestUsageErrors:
         assert caught == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["levels.txt"]
 
+    @pytest.mark.parametrize("seed, line", [
+        ("-1", "error: --seed: seed must be >= 0\n"),  # both fields bad: the seed is named
+        ("1", "error: --workers: workers must be >= 1\n"),
+    ], ids=["seed-and-workers", "workers"])
+    def test_sampler_config_error_names_its_flag(self, tmp_path, capsys, seed, line):
+        argv = [{"OUT": str(tmp_path / "out.csv")}.get(a, a) for a in _SAMPLE]
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--seed", seed, "--workers", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == line
+
 
 # Each flag takes one of its valid values (None: left out) five times in six,
 # else it is left out or takes one of its own boundary values or of _EDGE.

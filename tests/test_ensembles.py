@@ -209,7 +209,8 @@ class TestEigenvalues:
             "GPUE": lambda q: q[:, 1] - q[:, 2] - q[:, 3],
         }[kind.tag]
         params = draw_block(kind, ensembles._stream_rng(17, 0), 20_000)
-        assert np.array_equal(ensembles._discriminants(kind, params), reference(params * params))
+        disc = ensembles._discriminants(kind, params, np.ones(kind.n_params))
+        assert np.array_equal(disc, reference(params * params))
 
     def test_qh3_kappa_cancels(self):
         for kappa in (0.0, 0.7, 2.5):
@@ -222,7 +223,7 @@ class TestEigenvalues:
         # eigenvalues() returns: a complex pair where D < 0, else each value m/2 times
         block = draw_block(kind, ensembles._stream_rng(17, 0), 20_000)
         numeric = np.linalg.eigvals(realize_matrix(kind, block))
-        disc = ensembles._discriminants(kind, block)
+        disc = ensembles._discriminants(kind, block, np.ones(kind.n_params))
         real = disc >= 0.0
         assert np.all(np.max(np.abs(numeric[~real].imag), axis=-1) > 0.0)
         a, root = block[real, 0], np.sqrt(disc[real])
@@ -482,7 +483,7 @@ def sample_reference(kind, n, seed):
         need = min(ensembles.BLOCK_QUOTA, n - i * ensembles.BLOCK_QUOTA)
         while need > 0:
             batch = math.ceil((need + 4.0 * math.sqrt(need * (1.0 - p))) / p)
-            disc = ensembles._discriminants(kind, draw_block(kind, rng, batch))
+            disc = ensembles._discriminants(kind, draw_block(kind, rng, batch), np.ones(kind.n_params))
             ok = np.flatnonzero(disc >= 0.0)[:need]
             raws += int(ok[-1]) + 1 if ok.size == need else batch
             pieces.append(2.0 * np.sqrt(disc[ok]))
@@ -496,7 +497,7 @@ def acceptance_reference(kind, n_raw, seed):
     for i in range(-(-n_raw // ensembles.BLOCK_QUOTA)):
         quota = min(ensembles.BLOCK_QUOTA, n_raw - i * ensembles.BLOCK_QUOTA)
         block = draw_block(kind, ensembles._stream_rng(seed, i), quota)
-        accepted += int(np.count_nonzero(ensembles._discriminants(kind, block) >= 0.0))
+        accepted += int(np.count_nonzero(ensembles._discriminants(kind, block, np.ones(kind.n_params)) >= 0.0))
     return accepted / n_raw
 
 
@@ -515,7 +516,7 @@ class TestFoldedScaling:
         before = draws.copy()
         stds = ensembles._param_stds(kind)
         folded = ensembles._discriminants(kind, draws, stds)
-        scaled = ensembles._discriminants(kind, draw_block(kind, rng_b, 20_000))
+        scaled = ensembles._discriminants(kind, draw_block(kind, rng_b, 20_000), np.ones(kind.n_params))
         assert folded.tobytes() == scaled.tobytes()
         assert np.array_equal(draws, before)  # the draws, column a included, stay unscaled
         out = np.empty(20_000)
@@ -531,7 +532,7 @@ class TestFoldedScaling:
         if kind.has_rejection:
             # at n = k the quota-th acceptance is the first chunk's last one; at k + 1, past it
             first = draw_block(kind, ensembles._stream_rng(seed, 0), rows)
-            k = int(np.count_nonzero(ensembles._discriminants(kind, first) >= 0.0))
+            k = int(np.count_nonzero(ensembles._discriminants(kind, first, np.ones(kind.n_params)) >= 0.0))
             ns += [k, k + 1]
         for n in ns:
             sample, rate = sample_spacings(kind, n, SamplerConfig(seed=seed, workers=2))
@@ -810,7 +811,7 @@ def test_square_of_traceless_part_is_discriminant(tag, kappa, ints, scale):
     p = np.array(ints[: kind.n_params]) * (1e-6 * scale)
     H = realize_matrix(kind, p)
     one = np.eye(len(H))
-    D = float(ensembles._discriminants(kind, p[None, :])[0])
+    D = float(ensembles._discriminants(kind, p[None, :], np.ones(kind.n_params))[0])
     norm = float(np.sum(p * p))
     T = H - p[0] * one
     assert np.max(np.abs(T @ T - D * one)) <= 1e-12 * norm

@@ -3,6 +3,7 @@
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -28,27 +29,36 @@ def test_ab_ops_tree_against_itself():
         assert ratio > 0.0 and 0.0 < q1 <= q3
 
 
-def test_ab_ops_fails_on_a_one_ulp_change_in_d(tmp_path):
+def nudged(tmp_path, wrapper):
+    """A copy of the package whose stats.py ends in ``wrapper``, which rebinds one of its functions."""
     shutil.copytree(ROOT / "src" / "spacinglab", tmp_path / "src" / "spacinglab")
     stats = tmp_path / "src" / "spacinglab" / "stats.py"
-    text = stats.read_text()
-    assert text.count("    d = float(d)\n") == 1
-    stats.write_text(text.replace("    d = float(d)\n", "    d = float(np.nextafter(d, 2.0))\n"))
-    run = ab_ops(ROOT, tmp_path)
+    stats.write_text(stats.read_text() + textwrap.dedent(wrapper))
+    return tmp_path
+
+
+def test_ab_ops_fails_on_a_one_ulp_change_in_d(tmp_path):
+    run = ab_ops(ROOT, nudged(tmp_path, """
+        _exact_ks_test = ks_test
+
+        def ks_test(sample, kind):
+            r = _exact_ks_test(sample, kind)
+            return KsResult(d=float(np.nextafter(r.d, 2.0)), n=r.n, p_value=r.p_value)
+    """))
     assert run.returncode == 1
     assert run.stderr.startswith("error: experiment operation 0, value 1: ")
 
 
-@pytest.mark.parametrize("line, nudged", [
-    ("    mean = total / arr.size\n", "    mean = float(np.nextafter(total / arr.size, 0.0))\n"),
-    ("SpacingSample(raw=arr, mean=mean,", "SpacingSample(raw=arr, mean=float(np.nextafter(mean, 0.0)),"),
-], ids=["mean-line", "stored-mean-only"])
-def test_ab_ops_fails_on_a_one_ulp_change_in_the_mean(tmp_path, line, nudged):
-    shutil.copytree(ROOT / "src" / "spacinglab", tmp_path / "src" / "spacinglab")
-    stats = tmp_path / "src" / "spacinglab" / "stats.py"
-    text = stats.read_text()
-    assert text.count(line) == 1
-    stats.write_text(text.replace(line, nudged))
-    run = ab_ops(ROOT, tmp_path)
+@pytest.mark.parametrize("normalized", ["s.raw / mean", "s.normalized"], ids=["mean-line", "stored-mean-only"])
+def test_ab_ops_fails_on_a_one_ulp_change_in_the_mean(tmp_path, normalized):
+    # sampling, unfolding and normalize all reach SpacingSample through the module's _own
+    run = ab_ops(ROOT, nudged(tmp_path, f"""
+        _exact_own = _own
+
+        def _own(arr):
+            s = _exact_own(arr)
+            mean = float(np.nextafter(s.mean, 0.0))
+            return SpacingSample(raw=s.raw, mean=mean, normalized={normalized})
+    """))
     assert run.returncode == 1
     assert run.stderr.startswith("error: experiment operation 0, value ")
