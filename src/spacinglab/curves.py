@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -107,6 +107,14 @@ def _gpue_series() -> list[float]:
 _GPUE_SERIES = _gpue_series()
 
 
+@cache
+def _special():
+    """scipy.special, imported on first use, so that ``import spacinglab`` does not load it."""
+    import scipy.special
+
+    return scipy.special
+
+
 def canonical_kind(kind: str) -> str:
     """Normalize a curve name (case-insensitive) to its canonical tag."""
     tag = str(kind).upper()
@@ -144,7 +152,7 @@ class CurveConstants:
 
 @lru_cache(maxsize=None)
 def constants(kind: str) -> CurveConstants:
-    import scipy.special as special
+    special = _special()
 
     kind = canonical_kind(kind)
     pi = math.pi
@@ -193,12 +201,18 @@ def cdf(kind: str, x):
     of two floats a few ulps apart, the larger can come out lower by less
     than the accuracy stated in the module docstring.
     """
-    return _evaluate(_cdf, kind, x)
+    return _evaluate(_cdf_of, kind, x)
+
+
+def _cdf_of(kind: str, x: np.ndarray) -> np.ndarray:
+    """:func:`_cdf` with every point of ``x`` on the one curve ``kind``."""
+    i = CURVE_ORDER.index(kind)
+    return _cdf(x, (0,) * (i + 1) + (x.size,) * (len(CURVE_ORDER) - i))
 
 
 def _pdf(kind: str, x: np.ndarray) -> np.ndarray:
-    """The closed forms behind :func:`pdf`, on the inputs :func:`_cdf` takes."""
-    import scipy.special as special
+    """The closed forms behind :func:`pdf`, on the points :func:`_cdf` takes."""
+    special = _special()
 
     c = constants(kind)
     xs = np.minimum(x, _X_SAT)
@@ -222,37 +236,54 @@ def _pdf(kind: str, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cdf(kind: str, x: np.ndarray) -> np.ndarray:
-    """The closed forms behind :func:`cdf`, without its checks.
+def _cdf(x: np.ndarray, edges) -> np.ndarray:
+    """The closed forms behind :func:`cdf`, without its checks, for every curve at once.
 
-    ``kind`` must be a canonical tag and ``x`` a float array of at least one
-    dimension whose entries are nonnegative and not NaN; the result is a new
-    array of x's shape.
+    ``x`` is a float array of at least one dimension whose entries are
+    nonnegative and not NaN; taken flat, its entries edges[i] to edges[i+1]
+    are points of the curve ``CURVE_ORDER[i]`` (``_cdf_of`` gives one curve
+    all of them).  The result is a new array of x's shape.  Each point meets the
+    same ufunc calls whichever part holds it and however many parts there are,
+    so it gets the bits it would get alone; a curve with no points costs none
+    of its closed form's calls.
     """
-    import scipy.special as special
-
-    c = constants(kind)
-    xs = np.minimum(x, _X_SAT)
-    z = c.beta * xs * xs
-    if kind == "GOE":
-        out = -np.expm1(-z)
-    elif kind in ("GUE", "GSE"):
-        root = np.sqrt(z)
-        tail = (2.0 / math.sqrt(math.pi)) * root * np.exp(-z)
-        if kind == "GSE":
-            tail *= 1.0 + 2.0 * z / 3.0
-        out = special.erf(root) - tail
-        small = z < _GAMMAINC_BELOW
-        if small.any():  # an empty slice would still pay every ufunc call
-            out[small] = special.gammainc(1.5 if kind == "GUE" else 2.5, z[small])
-    elif kind == "GPOE":
+    special = _special()
+    out = np.minimum(x, _X_SAT).reshape(-1)  # each part's F replaces its capped x, once z is built
+    goe, gue, gse, gpoe, gpue, end = edges
+    # z = (beta x) x in every part
+    if goe < gue:
+        xg = out[goe:gue]
+        np.negative(np.expm1(-(constants("GOE").beta * xg * xg)), out=xg)
+    if gue < gpoe:  # P(3/2, z) and P(5/2, z) share sqrt, exp and erf
+        m = gse - gue
+        xb = out[gue:gpoe]
+        zb = np.empty_like(xb)
+        np.multiply(constants("GUE").beta, xb[:m], out=zb[:m])
+        np.multiply(constants("GSE").beta, xb[m:], out=zb[m:])
+        zb *= xb
+        root = np.sqrt(zb)
+        tail = (2.0 / math.sqrt(math.pi)) * root * np.exp(-zb)
+        if gse < gpoe:
+            tail[m:] *= 1.0 + 2.0 * zb[m:] / 3.0
+        np.subtract(special.erf(root), tail, out=xb)
+        small = np.flatnonzero(zb < _GAMMAINC_BELOW)
+        if small.size:  # an empty slice would still pay every ufunc call
+            xb[small] = special.gammainc(np.where(small < m, 1.5, 2.5), zb[small])
+    if gpoe < gpue:
+        c = constants("GPOE")
+        xp = out[gpoe:gpue]
+        zp = c.beta * xp * xp
         # below _TINY the integral is under 1e-304, so it is taken as 0
-        z[z < _TINY] = 0.0
-        out = c.alpha / (2.0 * c.beta) * special.iti0k0(z)[1]
-    else:  # GPUE, as a survival function: the direct form cancels in the tail
+        zp[zp < _TINY] = 0.0
+        np.multiply(c.alpha / (2.0 * c.beta), special.iti0k0(zp)[1], out=xp)
+    if gpue < end:  # as a survival function: the direct form cancels in the tail
+        c = constants("GPUE")
+        xu = out[gpue:end]
+        zu = c.beta * xu * xu
         scale = c.alpha / (2.0 * c.beta)
-        y = c.gamma * xs
-        out = 1.0 - scale * (math.sqrt(2.0) * special.erfc(np.sqrt(z)) - special.erfcx(y) * np.exp(-z))
+        y = c.gamma * xu
+        tail = math.sqrt(2.0) * special.erfc(np.sqrt(zu)) - special.erfcx(y) * np.exp(-zu)
+        np.subtract(1.0, np.multiply(scale, tail, out=xu), out=xu)
         small = y < _GPUE_SERIES_BELOW
         if small.any():  # an empty slice would still pay the 38 ufunc calls of the loop
             ys = y[small]
@@ -260,10 +291,10 @@ def _cdf(kind: str, x: np.ndarray) -> np.ndarray:
             for a in _GPUE_SERIES[-2::-1]:  # Horner, in place; the ufunc calls beat *= and +=
                 np.multiply(series, ys, out=series)
                 np.add(series, a, out=series)
-            out[small] = scale * ys * ys * series
+            xu[small] = scale * ys * ys * series
     np.maximum(out, 0.0, out=out)
     np.minimum(out, 1.0, out=out)
-    return out
+    return out.reshape(x.shape)
 
 
 def moment(kind: str, k: int) -> float:
@@ -272,7 +303,7 @@ def moment(kind: str, k: int) -> float:
     moment(kind, 0) == 1 and moment(kind, 1) == 1 for every kind (unit
     normalization and unit mean are built into the closed forms).
     """
-    import scipy.special as special
+    special = _special()
 
     kind = canonical_kind(kind)
     k = _checks.count(k, "moment order")

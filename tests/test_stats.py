@@ -1,5 +1,6 @@
 """Normalization, the KS test and classification."""
 
+import contextlib
 import math
 import re
 
@@ -235,6 +236,21 @@ def _sample(tag, n, seed=3):
     return ensembles.sample_spacings(kind, n, ensembles.SamplerConfig(seed=seed))[0]
 
 
+def _edge_case_sample(n, case):
+    """A fresh n-point GSE sample, as sampled or with spacings moved to the bracket's edge cases."""
+    raw = np.array(_sample("GSE", n, seed=n).raw)
+    if case == "zeros":  # cell 0, where every curve's grid starts at F(0) = 0
+        raw[: (n + 1) // 3] = 0.0
+        raw[-1] += 1.0
+    x = np.array(normalize(raw).normalized)
+    if case == "at least 8":  # the last cell, x >= 8, in a third of the sample; x = 8 exactly too
+        x[: (n + 2) // 3] += 8.0
+        x[-1] = 8.0
+    elif case == "grid points":  # every spacing on a cell boundary k/512
+        x = np.floor(x * 512.0) / 512.0
+    return stats.SpacingSample(raw=raw, mean=1.0, normalized=x)
+
+
 class TestKsBoundedSearch:
     """Below stats._KS_BOUND_MIN points ks_test evaluates the curve only where a
     bracket from its cached grid cannot rule out the maximum; from there on only
@@ -269,19 +285,25 @@ class TestKsBoundedSearch:
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 700, CUT - 1])
     @pytest.mark.parametrize("case", ["zeros", "at least 8", "grid points"])
     def test_equals_full_scan_below_the_cutoff(self, n, case):
-        raw = np.array(_sample("GSE", n, seed=n).raw)
-        if case == "zeros":  # cell 0, where every curve's grid starts at F(0) = 0
-            raw[: (n + 1) // 3] = 0.0
-            raw[-1] += 1.0
-        x = np.array(normalize(raw).normalized)
-        if case == "at least 8":  # the last cell, x >= 8, in a third of the sample; x = 8 exactly too
-            x[: (n + 2) // 3] += 8.0
-            x[-1] = 8.0
-        elif case == "grid points":  # every spacing on a cell boundary k/512
-            x = np.floor(x * 512.0) / 512.0
-        sample = stats.SpacingSample(raw=raw, mean=1.0, normalized=x)
+        sample = _edge_case_sample(n, case)
         for kind in curves.CURVE_ORDER:
             assert ks_test(sample, kind).d == full_scan(sample, kind)[0]
+
+    @pytest.mark.parametrize("first", curves.CURVE_ORDER)
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 700, CUT - 1])
+    @pytest.mark.parametrize("case", ["as sampled", "zeros", "at least 8", "grid points"])
+    def test_first_curve_asked_changes_no_bit(self, n, case, first):
+        # below the cutoff the first ks_test on a sample computes every curve's
+        # result; whichever curve comes first, each must be the full scan's
+        sample = _edge_case_sample(n, case)
+        got = {kind: ks_test(sample, kind) for kind in (first, *curves.CURVE_ORDER)}
+        goe_first = _edge_case_sample(n, case)
+        for kind in curves.CURVE_ORDER:
+            d = full_scan(sample, kind)[0]
+            assert got[kind].d == d and got[kind].p_value == scipy_kolmogorov(math.sqrt(n) * d)
+            assert ks_test(goe_first, kind) == got[kind]
+        with pytest.warns(UserWarning, match="zero-variance") if n == 1 else contextlib.nullcontext():
+            assert classify(_edge_case_sample(n, case), first).ks == {first: got[first]}
 
     @pytest.mark.parametrize("kind", curves.CURVE_ORDER)
     def test_equals_full_scan_on_a_sample_ending_in_inf(self, kind):
@@ -318,24 +340,27 @@ class TestKsBoundedSearch:
         assert ks_test(sample, "GOE").d == d
 
     def test_evaluates_few_points(self, monkeypatch):
-        stats._cdf_grid("GOE")  # the cached grid is built once per curve, not per call
+        stats._cdf_grid()  # the cached grid is built once per process, not per sample
         seen = []
         kernel = curves._cdf
 
-        def counting_cdf(kind, x):
+        def counting_cdf(x, edges):
             seen.append(np.size(x))
-            return kernel(kind, x)
+            return kernel(x, edges)
 
         monkeypatch.setattr(curves, "_cdf", counting_cdf)
         n = 100_000
         ks_test(_sample("GOE", n), "GOE")
-        assert len(seen) == 2
+        assert len(seen) == 2  # the knots, then the blocks that may hold d, of the one curve asked
         assert sum(seen) < n // 10
         seen.clear()
         n = self.CUT - 1
-        ks_test(_sample("GOE", n), "GOE")
-        assert len(seen) == 1
-        assert seen[0] < n // 10
+        sample = _sample("GOE", n)
+        for kind in curves.CURVE_ORDER:
+            ks_test(sample, kind)
+        classify(sample)
+        assert len(seen) == 1  # one call, on the knots of all five curves, serves every test of the sample
+        assert seen[0] < 5 * n // 10
 
     @pytest.mark.parametrize("n", [3, CUT + 1])
     @pytest.mark.parametrize("bad", [-0.5, math.nan])
@@ -357,30 +382,66 @@ class TestKsBoundedSearch:
 
     @pytest.mark.parametrize("kind", curves.CURVE_ORDER)
     def test_grid_brackets_the_cdf_in_every_cell(self, kind):
-        grid, rise = stats._cdf_grid(kind)
+        grids, rises = stats._cdf_grid()
         cells = stats._KS_CELLS
+        assert grids.shape == (5, 2 * cells) and rises.shape == (5,)
+        assert not grids.flags.writeable and not rises.flags.writeable
+        grid, rise = grids[curves.CURVE_ORDER.index(kind)], rises[curves.CURVE_ORDER.index(kind)]
         T = np.append(grid[cells:], -grid[cells - 1])  # T_0 .. T_4097
-        assert np.array_equal(-grid[:cells], T[1:]) and not grid.flags.writeable
+        assert np.array_equal(-grid[:cells], T[1:])
         assert T[0] == 0.0 and T[-1] == 1.0 and rise == np.diff(T).max()
         # 64 points in every cell, its left end k/512 first, then the edge cases
         inside = (np.arange(cells - 1)[:, None] + np.arange(64) / 64.0).ravel() / 512.0
         x = np.concatenate((inside, [5e-324, 1e-310, np.finfo(float).tiny, 8.0, np.nextafter(8.0, 0.0),
                                      np.nextafter(8.0, 9.0), 9.0, 50.0, 1e5, 1e300, math.inf]))
         k = np.floor(512.0 * np.minimum(x, 8.0)).astype(int)
+        assert np.array_equal(stats._cells(x), k)
         F = curves.cdf(kind, x)
         slack = stats._KS_SLACK
         assert np.all(T[k] - slack <= F) and np.all(F <= T[k + 1] + slack)
         assert np.all(F[: inside.size : 64] == T[:-2])  # at exact grid points the grid is F itself
 
-    def test_bracket_cells_are_exact_and_cached(self):
+    def test_bracket_cells_are_exact_and_cached(self, monkeypatch):
         normalized = np.array([0.0, 5e-324, np.nextafter(1.0 / 512.0, 0.0), 1.0 / 512.0, 7.999, 8.0, 1e300,
                                math.inf])
+        assert stats._cells(normalized).tolist() == [0, 0, 0, 1, 4095, 4096, 4096, 4096]
         sample = stats.SpacingSample(raw=np.ones(8), mean=1.0, normalized=normalized)
-        index, steps = sample.ks_bracket
-        assert sample.ks_bracket[0] is index and not index.flags.writeable and not steps.flags.writeable
-        cells = [0, 0, 0, 1, 4095, 4096, 4096, 4096]
-        assert index.tolist() == cells + [c + stats._KS_CELLS for c in cells]
-        assert steps.tolist() == [(j + 1) / 8 for j in range(8)] + [-j / 8 for j in range(8)]
+        scans = [full_scan(sample, kind)[0] for kind in curves.CURVE_ORDER]
+        stats._cdf_grid()
+        calls = []
+        kernel = curves._cdf
+
+        def counting_cdf(x, edges):
+            calls.append(edges)
+            return kernel(x, edges)
+
+        monkeypatch.setattr(curves, "_cdf", counting_cdf)
+        results = sample.ks_results
+        assert sample.ks_results is results and len(calls) == 1
+        assert isinstance(results, tuple) and len(results) == len(curves.CURVE_ORDER)
+        for kind, result, d in zip(curves.CURVE_ORDER, results, scans):
+            assert ks_test(sample, kind) is result
+            assert result.n == 8 and result.d == d
+        assert len(calls) == 1
+
+    # The kernel's slices: 0, subnormals and the smallest normal; GUE's and GSE's
+    # gammainc slice (beta x^2 < 0.25, x < 0.44 and x < 0.33); GPUE's series
+    # slice (gamma x < 0.5, x < 0.49); the bulk; the cap x >= 50 and inf.
+    KERNEL_POINTS = [0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e-300, 1e-8, 0.01, 0.2, 0.3, 0.33, 0.4, 0.44,
+                     0.48, 0.49, 0.5, 1.0, 2.5, 8.0, 49.9, 50.0, 51.0, 1e300, math.inf]
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.lists(st.one_of(st.sampled_from(KERNEL_POINTS), st.floats(0.0, 10.0)), max_size=40),
+           cuts=st.lists(st.integers(0, 40), min_size=4, max_size=4))
+    def test_kernel_parts_keep_the_bits_of_one_curve(self, x, cuts):
+        # ks_results evaluates all five curves in one kernel call; each part,
+        # empty ones too, must get the bits curves.cdf gives it alone
+        x = np.array(x, dtype=float)
+        edges = [0, *sorted(min(c, x.size) for c in cuts), x.size]
+        F = curves._cdf(x, edges)
+        assert F.shape == x.shape
+        for kind, a, b in zip(curves.CURVE_ORDER, edges, edges[1:]):
+            assert F[a:b].tobytes() == curves.cdf(kind, x[a:b]).tobytes()
 
     @pytest.mark.parametrize("kind", curves.CURVE_ORDER)
     def test_cdf_drop_between_close_floats_within_half_the_slack(self, kind):

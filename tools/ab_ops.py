@@ -13,9 +13,15 @@ classification:
   kinds, then KS-test them against the five curves;
 - spectrum: parse 200..800 levels, built from the library's own GOE or GUE
   spacings, unfold them by ``global``, ``local:21`` or ``poly:3`` and
-  KS-test them against the five curves;
+  KS-test them against the five curves; every fifth spectrum, from the
+  first on, is first classified against one curve alone;
 - verify: ``verify.run_verification()``;
 - classify-1e5: ``normalize`` and ``classify`` 1e5 GPUE spacings.
+
+Operation i asks for the five curves starting at the (i mod 5)-th of GOE,
+GUE, GSE, GPOE, GPUE and going round, and a classified spectrum's one curve
+is that one, so a cache whose bits depend on which curve a sample is first
+tested against shows as a difference.
 
 The mix runs once untimed, then ``R`` timed rounds.  Each operation runs on
 both trees back to back; which tree goes first alternates from one operation
@@ -50,6 +56,7 @@ KINDS = ("experiment", "spectrum", "verify", "classify-1e5")
 UNFOLDINGS = ("global", "local:21", "poly:3")
 BULK_N = 100_000
 KAPPA = 0.25  # qh3 and qh4
+CURVES = ("GOE", "GUE", "GSE", "GPOE", "GPUE")
 
 
 def load(root: Path, name: str):
@@ -67,10 +74,12 @@ def ensemble_kinds(ens) -> list:
     return [ens.GOE, ens.GUE, ens.GSE, ens.GPOE, ens.GPUE, ens.qh3(KAPPA), ens.qh4(KAPPA)]
 
 
-def ks_bits(stats, sample) -> list:
-    """d and p of the five curves, as exact hex strings, then the sample's mean (hex) and length."""
-    results = [stats.ks_test(sample, curve) for curve in ("GOE", "GUE", "GSE", "GPOE", "GPUE")]
-    return [x.hex() for r in results for x in (r.d, r.p_value)] + [sample.mean.hex(), len(sample)]
+def ks_bits(stats, sample, first: int) -> list:
+    """d and p of the five curves, asked for from ``CURVES[first]`` on and around, as exact hex strings
+    in ``CURVES`` order, then the sample's mean (hex) and length."""
+    results = {curve: stats.ks_test(sample, curve) for curve in CURVES[first:] + CURVES[:first]}
+    return [x.hex() for curve in CURVES for x in (results[curve].d, results[curve].p_value)] + [
+        sample.mean.hex(), len(sample)]
 
 
 def operations(lib, n_ops: int, rng: np.random.Generator) -> list[tuple[str, object]]:
@@ -89,10 +98,11 @@ def operations(lib, n_ops: int, rng: np.random.Generator) -> list[tuple[str, obj
             raw = ens.sample_spacings(law, n_levels - 1, ens.SamplerConfig(seed=int(rng.integers(2**63))))[0].raw
             t = np.cumsum(raw)
             levels = t + t * t / (4.0 * t[-1])  # a density that grows along the spectrum
-            ops.append(("spectrum", ("\n".join(map(repr, levels.tolist())), UNFOLDINGS[j % 3])))
+            text = "\n".join(map(repr, levels.tolist()))
+            ops.append(("spectrum", (text, UNFOLDINGS[j % 3], i % 5, j % 5 == 0)))
         else:
             j = i - (i + 1) // 4
-            ops.append(("experiment", (j % n_kinds, int(sizes[j]), int(rng.integers(2**63)))))
+            ops.append(("experiment", (j % n_kinds, int(sizes[j]), int(rng.integers(2**63)), i % 5)))
     bulk = ens.sample_spacings(ens.GPUE, BULK_N, ens.SamplerConfig(seed=int(rng.integers(2**63))))[0]
     return ops + [("verify", None), ("classify-1e5", np.array(bulk.raw))]
 
@@ -105,12 +115,17 @@ def runner(lib):
 
     def run(kind, arg):
         if kind == "experiment":
-            k, n, seed = arg
+            k, n, seed, first = arg
             sample, rate = ens.sample_spacings(kinds[k], n, ens.SamplerConfig(seed=seed))
-            return [rate.hex(), *ks_bits(stats, sample)]
+            return [rate.hex(), *ks_bits(stats, sample, first)]
         if kind == "spectrum":
-            text, method = arg
-            return ks_bits(stats, ingest.unfold(ingest.parse_levels(text), methods[method]))
+            text, method, first, one_curve = arg
+            sample = ingest.unfold(ingest.parse_levels(text), methods[method])
+            if not one_curve:
+                return ks_bits(stats, sample, first)
+            fit = stats.classify(sample, CURVES[first])  # this curve alone comes first
+            r = fit.ks[CURVES[first]]
+            return [fit.best_fit, r.d.hex(), r.p_value.hex(), *ks_bits(stats, sample, first)]
         if kind == "verify":
             return [(r.name, r.observed, r.passed) for r in lib.verify.run_verification()]
         sample = stats.normalize(arg)
