@@ -257,18 +257,22 @@ def _cdf(x: np.ndarray, edges) -> np.ndarray:
     if gue < gpoe:  # P(3/2, z) and P(5/2, z) share sqrt, exp and erf
         m = gse - gue
         xb = out[gue:gpoe]
-        zb = np.empty_like(xb)
-        np.multiply(constants("GUE").beta, xb[:m], out=zb[:m])
-        np.multiply(constants("GSE").beta, xb[m:], out=zb[m:])
+        if gue < gse < gpoe:
+            zb = np.empty_like(xb)
+            np.multiply(constants("GUE").beta, xb[:m], out=zb[:m])
+            np.multiply(constants("GSE").beta, xb[m:], out=zb[m:])
+        else:  # one curve: no split
+            zb = constants("GUE" if m else "GSE").beta * xb
         zb *= xb
         root = np.sqrt(zb)
         tail = (2.0 / math.sqrt(math.pi)) * root * np.exp(-zb)
         if gse < gpoe:
             tail[m:] *= 1.0 + 2.0 * zb[m:] / 3.0
         np.subtract(special.erf(root), tail, out=xb)
-        small = np.flatnonzero(zb < _GAMMAINC_BELOW)
-        if small.size:  # an empty slice would still pay every ufunc call
-            xb[small] = special.gammainc(np.where(small < m, 1.5, 2.5), zb[small])
+        small = zb < _GAMMAINC_BELOW
+        if small.any():  # an empty slice would still pay every ufunc call
+            a = np.where(np.flatnonzero(small) < m, 1.5, 2.5) if gue < gse < gpoe else (1.5 if m else 2.5)
+            xb[small] = special.gammainc(a, zb[small])
     if gpoe < gpue:
         c = constants("GPOE")
         xp = out[gpoe:gpue]

@@ -31,10 +31,9 @@ class SpacingSample:
     """Raw nonnegative spacings with their unit-mean rescaling.
 
     normalized[i] = raw[i] / mean(raw); input order is preserved, and both
-    arrays are read-only.  The sorted spacings are built on first use and kept,
-    read-only, for every :func:`ks_test` on the sample; below
-    ``_KS_BOUND_MIN`` points, so are the results of all five curves
-    (``ks_results``), which the first ks_test computes in one pass.
+    arrays are read-only.  The sorted spacings and the KS results of all five
+    curves (``ks_results``) are built on first use and kept for every
+    :func:`ks_test` on the sample.
     """
 
     raw: np.ndarray
@@ -56,34 +55,58 @@ class SpacingSample:
     def ks_results(self) -> tuple[KsResult, ...]:
         """:func:`ks_test`'s result against each curve, in ``CURVE_ORDER``, from one pass.
 
-        ks_test reads it below ``_KS_BOUND_MIN`` points, after its checks (a
-        NaN has no grid cell).  With k_j the grid cell of the sorted spacing
-        x_j (see :func:`_cells`), one gather from :func:`_cdf_grid` plus the
-        steps (j+1)/n, then -j/n, gives each curve's lower bounds, to within
-        ``_KS_SLACK``, of (j+1)/n - F(x_j), then of F(x_j) - j/n.  The knots
-        of all five curves go to one call of ``curves._cdf``, and one
-        reduction per side takes each curve's d from its own knots (see
-        :func:`ks_test`).
+        ks_test reads it after its checks (a NaN has no grid cell).  Both rules
+        evaluate F at knots, all five curves' in one ``curves._cdf`` call, and
+        take each curve's d from its own knots' exact step bounds (:func:`_knot_d`).
+
+        Below ``_KS_BOUND_MIN`` points a bracket picks the knots.  With k the
+        grid cell of x_j (see :func:`_cells`), one gather from :func:`_cdf_grid`
+        plus the steps (j+1)/n, then -j/n, gives each curve's lower bounds, to
+        within ``_KS_SLACK``, of (j+1)/n - F(x_j), then of F(x_j) - j/n; each
+        is within T_{k+1} - T_k + 2 ``_KS_SLACK`` of its step bound.  d is at
+        least the largest lower bound L, so only the points whose lower bound
+        is within the widest cell's rise plus 2 ``_KS_SLACK`` of L can attain it.
+
+        From there on the knots are every ``_KS_BLOCK``-th point and the last,
+        which bound d from below.  As F is nondecreasing, every j strictly
+        between knots a < b has (j+1)/n - F_j <= b/n - F_a and F_j - j/n <=
+        F_b - (a+1)/n, so a second ``_cdf`` call covers each block whose bound,
+        plus ``_KS_SLACK``, reaches its curve's lower bound; a short last block
+        is padded with x_{n-1}, a knot already.  The slack exceeds the amount
+        by which the computed F can fall between any two points (see
+        ``curves``), so neither rule drops a point that could hold the
+        maximum, and d has the full scan's bits.
         """
-        special = curves._special()
         xs = self.sorted_normalized
         n = xs.size
-        grid, rises = _cdf_grid()
-        cells = _cells(xs)
-        index = np.concatenate((cells, cells + _KS_CELLS))
-        steps = np.arange(n + 1.0) / n
-        steps = np.concatenate((steps[1:], -steps[:-1]))
-        lower = grid.take(index, axis=1)  # row i: curve i's bounds, each exceeded less _KS_SLACK
-        lower += steps
-        cut = lower.max(axis=1) - (rises + 2.0 * _KS_SLACK)
-        flat = np.flatnonzero(lower >= cut[:, None])  # row by row, each row nonempty: it holds its max
-        knots = flat % n
-        edges = np.searchsorted(flat, np.arange(0, (len(curves.CURVE_ORDER) + 1) * 2 * n, 2 * n))
-        hi, neg_lo = steps[knots], steps[knots + n]
-        F = curves._cdf(xs[knots], edges.tolist())  # xs passed ks_test's end checks, so any subset is valid
-        # max is exact, so each curve's d has the bits of its own max over its knots; -j/n is kept negated
-        d = np.maximum(np.maximum.reduceat(hi - F, edges[:-1]), np.maximum.reduceat(F + neg_lo, edges[:-1]))
-        p = special.kolmogorov(math.sqrt(n) * d)
+        rows = len(curves.CURVE_ORDER)
+        if n < _KS_BOUND_MIN:
+            grid, rises = _cdf_grid()
+            cells = _cells(xs)
+            steps = np.arange(n + 1.0) / n
+            steps = np.concatenate((steps[1:], -steps[:-1]))
+            lower = grid.take(np.concatenate((cells, cells + _KS_CELLS)), axis=1)  # row i: curve i's bounds
+            lower += steps
+            cut = lower.max(axis=1) - (rises + 2.0 * _KS_SLACK)
+            flat = np.flatnonzero(lower >= cut[:, None])  # row by row, each row nonempty: it holds its max
+            knots = flat % n
+            edges = np.searchsorted(flat, np.arange(0, (rows + 1) * 2 * n, 2 * n))
+            F = curves._cdf(xs[knots], edges.tolist())  # xs passed ks_test's end checks: any subset is valid
+            d = _knot_d(F, steps[knots], steps[knots + n], edges[:-1])
+        else:
+            knots = np.append(np.arange(0, n - 1, _KS_BLOCK), n - 1)
+            k = knots.size
+            hi, neg_lo = (knots + 1) / n, knots / -n
+            F = curves._cdf(np.tile(xs[knots], rows), list(range(0, (rows + 1) * k, k))).reshape(rows, k)
+            d = np.maximum((hi - F).max(axis=1), (F + neg_lo).max(axis=1))  # a lower bound
+            bound = np.maximum(-(neg_lo[1:] + F[:, :-1]), F[:, 1:] - hi[:-1])
+            curve, block = np.nonzero(bound + _KS_SLACK >= d[:, None])  # grouped by curve
+            inner = np.minimum(knots[block, None] + np.arange(1, _KS_BLOCK), n - 1).ravel()
+            edges = np.searchsorted(curve, np.arange(rows + 1)) * (_KS_BLOCK - 1)  # a short last block padded
+            F = curves._cdf(xs[inner], edges.tolist())
+            full = np.flatnonzero(np.diff(edges))  # reduceat would give an empty part a point of the next
+            d[full] = np.maximum(d[full], _knot_d(F, (inner + 1) / n, inner / -n, edges[full]))
+        p = curves._special().kolmogorov(math.sqrt(n) * d)
         return tuple(KsResult(di, n, pi) for di, pi in zip(d.tolist(), p.tolist()))
 
 
@@ -127,16 +150,16 @@ def _own(arr: np.ndarray) -> SpacingSample:
     return SpacingSample(raw=arr, mean=mean, normalized=norm)
 
 
-# ks_test picks its knots by one of two rules: the grid bracket, one pass for
-# all five curves, below _KS_BOUND_MIN points, the block search, per curve,
-# from there on.  Five-curve KS on one sorted sample (best of 7, 2 vCPU, GOE
-# and GPUE samples, two runs) takes 157-196 us by the bracket against 458-489
-# us by the block search at 4095 and 4096 points, and 257-271 against 488-501
-# us at 8000, but the bracket's candidates grow with n, so it loses from about
-# 1.5-2e4 points on (608-684 against 543-585 us at 2e4, 3.6-3.8 against 1.1-1.2
-# ms at 1e5).  The cutoff stays: perfbench's only samples between 2000 and 1e5
-# points are verify's 2e4-spacing rows, one per 800 small-experiments
-# operations, so no workload could show a move.
+# ks_results picks its knots by one of two rules, each for all five curves
+# at once: the grid bracket below _KS_BOUND_MIN points, the block search from
+# there on.  On one sorted sample (best of 7, 2 vCPU, GOE and GPUE samples, two
+# runs) the bracket takes 125-161 us against 251-346 us by the block search at
+# 4095 and 4096 points, and 213-235 against 330-378 us at 8000, but its
+# candidates grow with n, so it loses from about 2e4 points on (599-662 against
+# 411-599 us at 2e4, 4.0-4.5 against 0.9-1.5 ms at 1e5).  The cutoff stays:
+# perfbench's only samples between 2000 and 1e5 points are verify's
+# 2e4-spacing rows, one per 800 small-experiments operations, so no workload
+# could show a move.
 _KS_BOUND_MIN = 4096
 _KS_BLOCK = 32
 # The bracket's grid: cells of width 1/_KS_GRID on [0, _KS_GRID_MAX), then
@@ -187,6 +210,13 @@ class KsResult:
     p_value: float
 
 
+def _knot_d(F: np.ndarray, hi: np.ndarray, neg_lo: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each curve's d, the largest of hi - F and F + neg_lo over its knots j (hi = (j+1)/n, neg_lo =
+    -j/n); the curves' parts, none empty, start at ``starts``, the last running to the end."""
+    # max is exact, so each curve's d has the bits of its own max over its knots; -j/n is kept negated
+    return np.maximum(np.maximum.reduceat(hi - F, starts), np.maximum.reduceat(F + neg_lo, starts))
+
+
 def ks_test(sample: SpacingSample, kind: str) -> KsResult:
     """One-sample Kolmogorov-Smirnov test against an analytic curve.
 
@@ -202,56 +232,20 @@ def ks_test(sample: SpacingSample, kind: str) -> KsResult:
 
     The kind is canonicalized and the sample is checked at its sorted ends
     alone, on every call: x_0 >= 0, and x_{n-1} is not NaN (NaN sorts last).
-    F is then the closed-form kernel behind :func:`curves.cdf`, which skips
-    the per-call checks and gives the same bits.
-
-    Below ``_KS_BOUND_MIN`` points the first ks_test on a sample tests it
-    against all five curves in one pass (``SpacingSample.ks_results``), and
-    every later one, for any curve, returns that result: one curve costs as
-    much as five.  The pass evaluates F at knots and takes d from their exact
-    step bounds.  A bracket picks the knots: x_j's grid cell k gives T_k -
-    ``_KS_SLACK`` <= F(x_j) <= T_{k+1} + ``_KS_SLACK`` from the curve's row of
-    the cached grid (see ``_cdf_grid``), so each step bound of x_j lies between
-    a lower bound and that bound plus T_{k+1} - T_k + 2 ``_KS_SLACK``.  d is at
-    least the largest lower bound L, so only the points with a lower bound
-    within the widest cell's rise plus 2 ``_KS_SLACK`` of L can attain it;
-    they are the knots, and d is exact.  The knots of the five curves go to
-    one call of the CDF kernel, and each curve's d is the maximum over its own
-    knots, so the curves asked, and their order, change no bit of d or p.
-
-    From ``_KS_BOUND_MIN`` points on, each call tests its one curve: the knots
-    are every ``_KS_BLOCK``-th point and the last one, so d is a lower bound.
-    Because F is nondecreasing, every j strictly between knots a < b has
-    (j+1)/n - F_j <= b/n - F_a and F_j - j/n <= F_b - (a+1)/n; a second
-    evaluation covers the interior of each block whose bound, plus
-    ``_KS_SLACK``, reaches the lower bound.  The slack exceeds the amount by
-    which the computed F can fall between any two points (see ``curves``),
-    so neither rule drops a point that could hold the maximum, and d has the
-    full scan's bits.  -j/n is kept negated, which changes no bit of d, as
-    negation is exact.
+    The result is then the curve's entry of ``sample.ks_results``: the first
+    ks_test on a sample tests it against all five curves in one pass, with
+    the kernel behind :func:`curves.cdf` (same bits, no per-call checks), and
+    every later one, for any curve, returns its result.  So at every n one
+    curve costs as much as five, and the curves asked, and their order,
+    change no bit of d or p.
     """
     if len(sample) == 0:
         raise ValueError("ks_test requires a nonempty sample")
     kind = curves.canonical_kind(kind)
     xs = sample.sorted_normalized
-    n = xs.size
     if not xs[0] >= 0.0 or xs[-1] != xs[-1]:  # a negative minimum; NaN sorts to the end
         raise ValueError(curves._NEGATIVE_OR_NAN)
-    if n < _KS_BOUND_MIN:  # the bracket's knots hold d, so it is exact and needs no refinement
-        return sample.ks_results[curves.CURVE_ORDER.index(kind)]
-    knots = np.append(np.arange(0, n - 1, _KS_BLOCK), n - 1)
-    hi, neg_lo = (knots + 1) / n, knots / -n
-    F = curves._cdf_of(kind, xs[knots])  # xs passed the end checks: any subset is a valid input
-    d = max((hi - F).max(), (F + neg_lo).max())  # adding -j/n gives F - j/n's bits
-    bound = np.maximum(-(neg_lo[1:] + F[:-1]), F[1:] - hi[:-1])
-    starts = knots[:-1][bound + _KS_SLACK >= d]
-    inner = (starts[:, None] + np.arange(1, _KS_BLOCK)).ravel()
-    inner = inner[inner < n - 1]  # the last block can be shorter
-    if inner.size:
-        F = curves._cdf_of(kind, xs[inner])
-        d = max(d, ((inner + 1) / n - F).max(), (F - inner / n).max())
-    d = float(d)
-    return KsResult(d=d, n=n, p_value=float(curves._special().kolmogorov(math.sqrt(n) * d)))
+    return sample.ks_results[curves.CURVE_ORDER.index(kind)]
 
 
 @dataclass(frozen=True)
@@ -265,7 +259,8 @@ class Classification:
 def classify(sample: SpacingSample, against=curves.CURVE_ORDER) -> Classification:
     """KS-test ``sample`` once against each named curve, results in ``CURVE_ORDER``.
     The best fit has the least d, a tie going to the curve first in ``CURVE_ORDER``.
-    Warns on a zero-variance sample; raises ValueError when no curve is named."""
+    Warns on a zero-variance sample; raises ValueError when no curve is named.
+    Naming fewer curves saves no time: the first test of a sample computes all five."""
     ks = {k: ks_test(sample, k) for k in curves._select(against)}
     if sample.sorted_normalized[0] == sample.sorted_normalized[-1]:  # sorted once, by ks_test
         warnings.warn("zero-variance sample: every spacing is identical", stacklevel=2)

@@ -252,8 +252,8 @@ def _edge_case_sample(n, case):
 
 
 class TestKsBoundedSearch:
-    """Below stats._KS_BOUND_MIN points ks_test evaluates the curve only where a
-    bracket from its cached grid cannot rule out the maximum; from there on only
+    """Below stats._KS_BOUND_MIN points ks_results evaluates each curve only where
+    a bracket from its cached grid cannot rule out the maximum; from there on only
     at block knots and in the blocks that may hold it.  d must keep every bit of
     the full scan's."""
 
@@ -290,11 +290,12 @@ class TestKsBoundedSearch:
             assert ks_test(sample, kind).d == full_scan(sample, kind)[0]
 
     @pytest.mark.parametrize("first", curves.CURVE_ORDER)
-    @pytest.mark.parametrize("n", [1, 2, 3, 50, 700, CUT - 1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 700, CUT - 1, CUT, CUT + 1, 8000, 20_000])
     @pytest.mark.parametrize("case", ["as sampled", "zeros", "at least 8", "grid points"])
     def test_first_curve_asked_changes_no_bit(self, n, case, first):
-        # below the cutoff the first ks_test on a sample computes every curve's
-        # result; whichever curve comes first, each must be the full scan's
+        # the first ks_test on a sample computes every curve's result, by the
+        # bracket or the block search; whichever curve comes first, each must
+        # be the full scan's
         sample = _edge_case_sample(n, case)
         got = {kind: ks_test(sample, kind) for kind in (first, *curves.CURVE_ORDER)}
         goe_first = _edge_case_sample(n, case)
@@ -345,14 +346,22 @@ class TestKsBoundedSearch:
         kernel = curves._cdf
 
         def counting_cdf(x, edges):
-            seen.append(np.size(x))
+            assert edges[-1] == np.size(x)
+            seen.append(edges)
             return kernel(x, edges)
 
         monkeypatch.setattr(curves, "_cdf", counting_cdf)
         n = 100_000
-        ks_test(_sample("GOE", n), "GOE")
-        assert len(seen) == 2  # the knots, then the blocks that may hold d, of the one curve asked
-        assert sum(seen) < n // 10
+        sample = _sample("GOE", n)
+        got = [ks_test(sample, kind) for kind in curves.CURVE_ORDER]
+        classify(sample)
+        # ks_results is built once and ks_test returns its objects; two calls serve
+        # every test of the sample: the knots of all five curves, then the blocks
+        # that may hold each curve's d
+        assert all(a is b for a, b in zip(got, sample.ks_results, strict=True))
+        assert len(seen) == 2
+        parts = np.diff(seen[0]) + np.diff(seen[1])
+        assert parts.shape == (5,) and np.all(parts < n // 10)
         seen.clear()
         n = self.CUT - 1
         sample = _sample("GOE", n)
@@ -360,7 +369,7 @@ class TestKsBoundedSearch:
             ks_test(sample, kind)
         classify(sample)
         assert len(seen) == 1  # one call, on the knots of all five curves, serves every test of the sample
-        assert seen[0] < 5 * n // 10
+        assert seen[0][-1] < 5 * n // 10
 
     @pytest.mark.parametrize("n", [3, CUT + 1])
     @pytest.mark.parametrize("bad", [-0.5, math.nan])
