@@ -74,9 +74,9 @@ __all__ = [
 
 CURVE_ORDER = ("GOE", "GUE", "GSE", "GPOE", "GPUE")
 
-# Every pdf is 0 and every cdf 1 to double precision beyond this x (the
-# slowest tail, GPOE's, holds < 1e-19 mass past 10 and its pdf underflows past
-# 40.3); capping x keeps beta x^2 finite for any input, infinity included.
+# Every pdf is 0 beyond this x (GPOE's, the slowest tail, holds < 1e-19 mass past 10 and
+# underflows past 40.3), and every cdf is at its limit: 1 in double, but for GPOE alpha pi /
+# (4 beta) = 0.999999999999999, within its stated 3e-11.  Capping x keeps beta x^2 finite at inf.
 _X_SAT = 50.0
 # Smallest normal double; below it iti0k0 can be NaN and k0 inf (see _cdf, _pdf)
 _TINY = np.finfo(float).tiny

@@ -32,8 +32,8 @@ class SpacingSample:
 
     normalized[i] = raw[i] / mean(raw); input order is preserved, and both
     arrays are read-only.  The sorted spacings and the KS results of all five
-    curves (``ks_results``) are built on first use and kept for every
-    :func:`ks_test` on the sample.
+    curves (``ks_results``, which checks the sample) are built on first use,
+    and :func:`ks_test` and :func:`classify` only read them.
     """
 
     raw: np.ndarray
@@ -55,7 +55,9 @@ class SpacingSample:
     def ks_results(self) -> tuple[KsResult, ...]:
         """:func:`ks_test`'s result against each curve, in ``CURVE_ORDER``, from one pass.
 
-        ks_test reads it after its checks (a NaN has no grid cell).  Both rules
+        It first checks the sample, raising ValueError: nonempty, x_0 >= 0 and
+        x_{n-1} not NaN (NaN sorts last and has no grid cell).  The sorted spacings
+        are read-only, so a passed check holds for the cache's life.  Both rules
         evaluate F at knots, all five curves' in one ``curves._cdf`` call, and
         take each curve's d from its own knots' exact step bounds (:func:`_knot_d`).
 
@@ -79,6 +81,10 @@ class SpacingSample:
         """
         xs = self.sorted_normalized
         n = xs.size
+        if n == 0:
+            raise ValueError("ks_test requires a nonempty sample")
+        if not xs[0] >= 0.0 or xs[-1] != xs[-1]:  # a negative minimum; NaN sorts to the end
+            raise ValueError(curves._NEGATIVE_OR_NAN)
         rows = len(curves.CURVE_ORDER)
         if n < _KS_BOUND_MIN:
             grid, rises = _cdf_grid()
@@ -91,7 +97,7 @@ class SpacingSample:
             flat = np.flatnonzero(lower >= cut[:, None])  # row by row, each row nonempty: it holds its max
             knots = flat % n
             edges = np.searchsorted(flat, np.arange(0, (rows + 1) * 2 * n, 2 * n))
-            F = curves._cdf(xs[knots], edges.tolist())  # xs passed ks_test's end checks: any subset is valid
+            F = curves._cdf(xs[knots], edges.tolist())  # xs passed the end checks: any subset is valid
             d = _knot_d(F, steps[knots], steps[knots + n], edges[:-1])
         else:
             knots = np.append(np.arange(0, n - 1, _KS_BLOCK), n - 1)
@@ -230,22 +236,14 @@ def ks_test(sample: SpacingSample, kind: str) -> KsResult:
     to a few ulps, under positive rescaling of the raw spacings, since
     normalization absorbs the scale up to the rounding of raw / mean.
 
-    The kind is canonicalized and the sample is checked at its sorted ends
-    alone, on every call: x_0 >= 0, and x_{n-1} is not NaN (NaN sorts last).
-    The result is then the curve's entry of ``sample.ks_results``: the first
-    ks_test on a sample tests it against all five curves in one pass, with
-    the kernel behind :func:`curves.cdf` (same bits, no per-call checks), and
-    every later one, for any curve, returns its result.  So at every n one
-    curve costs as much as five, and the curves asked, and their order,
-    change no bit of d or p.
+    A lookup: the canonical kind's entry of ``sample.ks_results``, which on
+    first read checks the sample and tests it against all five curves in one
+    pass with the kernel behind :func:`curves.cdf` (same bits).  So a bad kind
+    is named before a bad sample, one curve costs as much as five, and the
+    curves asked, and their order, change no bit of d or p.
     """
-    if len(sample) == 0:
-        raise ValueError("ks_test requires a nonempty sample")
-    kind = curves.canonical_kind(kind)
-    xs = sample.sorted_normalized
-    if not xs[0] >= 0.0 or xs[-1] != xs[-1]:  # a negative minimum; NaN sorts to the end
-        raise ValueError(curves._NEGATIVE_OR_NAN)
-    return sample.ks_results[curves.CURVE_ORDER.index(kind)]
+    i = curves.CURVE_ORDER.index(curves.canonical_kind(kind))  # the kind is checked before the sample
+    return sample.ks_results[i]
 
 
 @dataclass(frozen=True)
@@ -257,11 +255,12 @@ class Classification:
 
 
 def classify(sample: SpacingSample, against=curves.CURVE_ORDER) -> Classification:
-    """KS-test ``sample`` once against each named curve, results in ``CURVE_ORDER``.
-    The best fit has the least d, a tie going to the curve first in ``CURVE_ORDER``.
-    Warns on a zero-variance sample; raises ValueError when no curve is named.
-    Naming fewer curves saves no time: the first test of a sample computes all five."""
-    ks = {k: ks_test(sample, k) for k in curves._select(against)}
-    if sample.sorted_normalized[0] == sample.sorted_normalized[-1]:  # sorted once, by ks_test
+    """Each named curve's entry of ``sample.ks_results`` (which checks the sample), in ``CURVE_ORDER``.
+    The best fit has the least d, a tie going to the curve first in ``CURVE_ORDER``.  Warns
+    on a zero-variance sample; raises ValueError when no curve is named, before the sample checks.
+    Naming fewer curves saves no time: the first read of ``ks_results`` computes all five."""
+    names = curves._select(against)
+    ks = {k: r for k, r in zip(curves.CURVE_ORDER, sample.ks_results) if k in names}
+    if sample.sorted_normalized[0] == sample.sorted_normalized[-1]:  # sorted once, by ks_results
         warnings.warn("zero-variance sample: every spacing is identical", stacklevel=2)
     return Classification(ks=ks, best_fit=min(ks, key=lambda k: ks[k].d))  # first least d

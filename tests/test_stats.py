@@ -3,6 +3,7 @@
 import contextlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,17 @@ def full_scan(sample, kind):
     steps = np.arange(n + 1.0) / n
     gaps = np.maximum(steps[1:] - F, F - steps[:-1])
     return float(gaps.max()), int(gaps.argmax())
+
+
+def refuses_every_reader(sample, kind, message):
+    """``ks_results``, read twice, and ``classify`` raise ValueError(message) on ``sample``, warning nothing."""
+    readers = [lambda: sample.ks_results, lambda: classify(sample, kind), lambda: classify(sample),
+               lambda: sample.ks_results]  # a refused read caches nothing, so the last is refused again
+    for read in readers:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                read()
 
 
 class OwnedSubclass(np.ndarray):
@@ -382,12 +394,23 @@ class TestKsBoundedSearch:
         sample = stats.SpacingSample(raw=np.ones(n), mean=1.0, normalized=normalized)
         with pytest.raises(ValueError, match="^spacing argument must be nonnegative, not NaN$"):
             ks_test(sample, kind)
+        refuses_every_reader(sample, kind, "^spacing argument must be nonnegative, not NaN$")
 
     def test_refuses_an_empty_sample(self):
         # normalize() refuses no spacings, so the sample is built by hand
         empty = stats.SpacingSample(raw=np.empty(0), mean=1.0, normalized=np.empty(0))
         with pytest.raises(ValueError, match="^ks_test requires a nonempty sample$"):
             ks_test(empty, "GOE")
+        refuses_every_reader(empty, "GOE", "^ks_test requires a nonempty sample$")
+        with pytest.raises(ValueError, match="bogus"):  # the kind is checked before the sample
+            ks_test(empty, "bogus")
+
+    def test_classify_reads_ks_results(self, monkeypatch):
+        sample = _sample("GPUE", 200)
+        monkeypatch.setattr(stats, "ks_test", None)  # classify makes no ks_test call
+        got = classify(sample, ["gpue", "GOE"])
+        assert list(got.ks) == ["GOE", "GPUE"]
+        assert got.ks["GOE"] is sample.ks_results[0] and got.ks["GPUE"] is sample.ks_results[4]
 
     @pytest.mark.parametrize("kind", curves.CURVE_ORDER)
     def test_grid_brackets_the_cdf_in_every_cell(self, kind):
