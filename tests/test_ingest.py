@@ -393,6 +393,15 @@ class TestErrorOrder:
                            match=rf"^{re.escape(str(path))}: line 5: not UTF-8 text"):
             load_spacings(path)
 
+    @pytest.mark.parametrize("load", [load_spectrum, load_spacings])
+    def test_decode_error_is_not_swallowed_if_the_second_read_decodes(self, tmp_path, monkeypatch, load):
+        # as if the file were rewritten between open()'s read and the text read that names the line
+        path = tmp_path / "levels.txt"
+        path.write_bytes(b"1\n2\n\xff3\n4\n")
+        monkeypatch.setattr(ingest, "_read_text", lambda path, source: "1\n2\n3\n4\n")
+        with pytest.raises(UnicodeDecodeError):
+            load(path)
+
 
 # a line of the property below: a number, or digits mixed with '.', ',', '#', blanks,
 # the characters only str.splitlines() breaks at, and a digit float() reads but numpy does not

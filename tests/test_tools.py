@@ -10,7 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 AB_OPS = ROOT / "tools" / "ab_ops.py"
-KINDS = ("experiment", "spectrum", "verify", "classify-1e5")
+KINDS = ("experiment", "spectrum", "verify", "classify-1e5", "curve")
 
 
 def ab_ops(parent, change):
@@ -29,11 +29,11 @@ def test_ab_ops_tree_against_itself():
         assert ratio > 0.0 and 0.0 < q1 <= q3
 
 
-def nudged(tmp_path, wrapper):
-    """A copy of the package whose stats.py ends in ``wrapper``, which rebinds one of its functions."""
+def nudged(tmp_path, wrapper, module="stats.py"):
+    """A copy of the package whose ``module`` ends in ``wrapper``, which rebinds one of its functions."""
     shutil.copytree(ROOT / "src" / "spacinglab", tmp_path / "src" / "spacinglab")
-    stats = tmp_path / "src" / "spacinglab" / "stats.py"
-    stats.write_text(stats.read_text() + textwrap.dedent(wrapper))
+    source = tmp_path / "src" / "spacinglab" / module
+    source.write_text(source.read_text() + textwrap.dedent(wrapper))
     return tmp_path
 
 
@@ -62,3 +62,16 @@ def test_ab_ops_fails_on_a_one_ulp_change_in_the_mean(tmp_path, normalized):
     """))
     assert run.returncode == 1
     assert run.stderr.startswith("error: experiment operation 0, value ")
+
+
+def test_ab_ops_fails_on_a_one_ulp_change_in_one_curves_cdf(tmp_path):
+    # the KS passes call curves._cdf, not cdf, so only the curve kind can see this
+    run = ab_ops(ROOT, nudged(tmp_path, """
+        _exact_cdf = cdf
+
+        def cdf(kind, x):
+            out = _exact_cdf(kind, x)
+            return np.nextafter(out, 2.0) if canonical_kind(kind) == "GPOE" else out
+    """, module="curves.py"))
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: curve operation ")

@@ -6,8 +6,8 @@
 loads ``PARENT/src/spacinglab`` and ``CHANGE/src/spacinglab`` as two
 packages under their own names, so both run in one interpreter on the same
 inputs.  One round of the mix is ``N`` small operations, three of four an
-experiment and every fourth a spectrum, then one ``verify`` and one bulk
-classification:
+experiment and every fourth a spectrum, then one ``verify``, one bulk
+classification and fifteen curve evaluations:
 
 - experiment: sample 50..2000 spacings (log-spaced) of one of the seven
   kinds, then KS-test them against the five curves;
@@ -16,7 +16,10 @@ classification:
   KS-test them against the five curves; every fifth spectrum, from the
   first on, is first classified against one curve alone;
 - verify: ``verify.run_verification()``;
-- classify-1e5: ``normalize`` and ``classify`` 1e5 GPUE spacings.
+- classify-1e5: ``normalize`` and ``classify`` 1e5 GPUE spacings;
+- curve: ``pdf`` and ``cdf`` of one curve alone, for each of the five, on
+  one point (a scalar), on 129 points and on the 1e5-point grid that
+  ``curve --xmax 8 --points 100000`` tabulates, one operation each.
 
 Operation i asks for the five curves starting at the (i mod 5)-th of GOE,
 GUE, GSE, GPOE, GPUE and going round, and a classified spectrum's one curve
@@ -27,17 +30,19 @@ The mix runs once untimed, then ``R`` timed rounds.  Each operation runs on
 both trees back to back; which tree goes first alternates from one operation
 to the next and from one round to the next, so drift of the machine hits both
 alike.  If any d, p, acceptance rate, sample mean or sample length (or any
-line of the verify table) differs in a bit between the trees, the first
-difference is printed and the exit code is 1.  Otherwise each kind's median
-time on each tree, their ratio CHANGE/PARENT and the quartiles of the
-per-operation ratios are printed, one line per kind, and the exit code is 0.
+line of the verify table, or any entry of a curve's pdf or cdf) differs in a
+bit between the trees, the first difference is printed and the exit code is
+1.  Otherwise each kind's median time on each tree, their ratio CHANGE/PARENT
+and the quartiles of the per-operation ratios are printed, one line per
+kind, and the exit code is 0.
 On a 2-core x86-64 machine, where separate processes drift by up to 30 %,
 two runs of one tree against itself give ratios within 1 % of 1 for
 ``experiment`` and ``spectrum``, which time thousands of operations, so the
 tool sizes such a change before the slower benchmark runs.  ``verify`` and
 ``classify-1e5`` time one operation a round; against itself a tree read 0.98
 to 1.12 there, so only a change well beyond their quartiles shows in those
-two ratios.
+two ratios.  ``curve`` times fifteen operations of three sizes, so its median
+is that of the 129-point calls and its quartiles span the sizes.
 """
 
 from __future__ import annotations
@@ -52,11 +57,12 @@ from pathlib import Path
 
 import numpy as np
 
-KINDS = ("experiment", "spectrum", "verify", "classify-1e5")
+KINDS = ("experiment", "spectrum", "verify", "classify-1e5", "curve")
 UNFOLDINGS = ("global", "local:21", "poly:3")
 BULK_N = 100_000
 KAPPA = 0.25  # qh3 and qh4
 CURVES = ("GOE", "GUE", "GSE", "GPOE", "GPUE")
+CURVE_POINTS = (1.0, np.linspace(0.0, 8.0, 129), np.linspace(0.0, 8.0, BULK_N))
 
 
 def load(root: Path, name: str):
@@ -104,12 +110,13 @@ def operations(lib, n_ops: int, rng: np.random.Generator) -> list[tuple[str, obj
             j = i - (i + 1) // 4
             ops.append(("experiment", (j % n_kinds, int(sizes[j]), int(rng.integers(2**63)), i % 5)))
     bulk = ens.sample_spacings(ens.GPUE, BULK_N, ens.SamplerConfig(seed=int(rng.integers(2**63))))[0]
-    return ops + [("verify", None), ("classify-1e5", np.array(bulk.raw))]
+    curve_ops = [("curve", (curve, x)) for x in CURVE_POINTS for curve in CURVES]
+    return ops + [("verify", None), ("classify-1e5", np.array(bulk.raw))] + curve_ops
 
 
 def runner(lib):
     """``run(kind, arg)``: one operation on ``lib``, returning what must match bit for bit."""
-    ens, ingest, stats = lib.ensembles, lib.ingest, lib.stats
+    curves, ens, ingest, stats = lib.curves, lib.ensembles, lib.ingest, lib.stats
     kinds = ensemble_kinds(ens)
     methods = {m: ingest.parse_unfold_method(m) for m in UNFOLDINGS}
 
@@ -128,12 +135,31 @@ def runner(lib):
             return [fit.best_fit, r.d.hex(), r.p_value.hex(), *ks_bits(stats, sample, first)]
         if kind == "verify":
             return [(r.name, r.observed, r.passed) for r in lib.verify.run_verification()]
+        if kind == "curve":
+            curve, x = arg
+            values = curves.pdf(curve, x), curves.cdf(curve, x)
+            return [v.hex() if isinstance(v, float) else v for v in values]
         sample = stats.normalize(arg)
         fit = stats.classify(sample)
         return [fit.best_fit, *(x.hex() for r in fit.ks.values() for x in (r.d, r.p_value)),
                 sample.mean.hex(), len(sample)]
 
     return run
+
+
+def mismatch(parent: list, change: list) -> str | None:
+    """Where two trees' results of one operation first differ, or None; a float array is read
+    entry by entry, bit for bit."""
+    for j, (a, b) in enumerate(zip(parent, change)):
+        if not isinstance(a, np.ndarray):
+            if a != b:
+                return f"value {j}: PARENT {[a]} != CHANGE {[b]}"
+        elif a.shape != np.shape(b):
+            return f"value {j}: PARENT shape {a.shape} != CHANGE shape {np.shape(b)}"
+        elif (k := np.flatnonzero(a.view(np.uint64) != b.view(np.uint64))).size:
+            return f"value {j}, entry {k[0]}: PARENT {[a[k[0]].hex()]} != CHANGE {[b[k[0]].hex()]}"
+    j = min(len(parent), len(change))
+    return None if len(parent) == len(change) else f"value {j}: PARENT {parent[j:j + 1]} != CHANGE {change[j:j + 1]}"
 
 
 def main(argv=None) -> int:
@@ -157,10 +183,9 @@ def main(argv=None) -> int:
                 out[t] = runs[t](kind, arg)
                 if rep:
                     times[kind][t].append(time.perf_counter() - start)
-            if out[0] != out[1]:
-                j = next((j for j, (a, b) in enumerate(zip(*out)) if a != b), min(map(len, out)))
-                print(f"error: {kind} operation {i}, value {j}: PARENT {out[0][j:j + 1]} "
-                      f"!= CHANGE {out[1][j:j + 1]}", file=sys.stderr)
+            where = mismatch(*out)
+            if where:
+                print(f"error: {kind} operation {i}, {where}", file=sys.stderr)
                 return 1
     print(f"{'kind':<14}{'ops':>7}{'PARENT ms':>12}{'CHANGE ms':>12}{'CHANGE/PARENT':>15}{'ratio Q1':>10}{'ratio Q3':>10}")
     for kind in KINDS:
