@@ -45,10 +45,11 @@ The moments M_k = int_0^inf x^k pdf(x) dx, k = 0..4, are closed forms too:
 
 GPOE uses int_0^inf t^(mu-1) K0(t) dt = 2^(mu-2) Gamma(mu/2)^2 and GPUE
 uses gamma^2 = 2 beta; all 25 agree with adaptive quadrature to 1e-15.
-pdf, cdf and small_x_approx share one argument check (_evaluate): x is a
-scalar or an array of any shape that _checks.real_array takes (no bool,
-complex, text, None, date or void).  One rule (_select) picks the curves a
-name or a list names, for stats.classify and the CLI's --against.
+pdf, cdf and small_x_approx share one argument check (_evaluate) and one
+kernel shape, (x, edges), in which each curve's closed form runs on its part
+of x.  x is a scalar or an array of any shape that _checks.real_array takes
+(no bool, complex, text, None, date or void).  One rule (_select) picks the
+curves a name or a list names, for stats.classify and the CLI's --against.
 """
 
 from __future__ import annotations
@@ -179,17 +180,19 @@ _NEGATIVE_OR_NAN = "spacing argument must be nonnegative, not NaN"
 
 
 def _evaluate(kernel, kind: str, x):
-    """The one argument check of pdf, cdf and small_x_approx; then ``kernel`` on the tag and x, >= 1-d."""
-    kind = canonical_kind(kind)
+    """The one argument check of pdf, cdf and small_x_approx; then ``kernel``, all of x on ``kind``."""
+    i = CURVE_ORDER.index(canonical_kind(kind))
     arr = _checks.real_array(x, "spacing argument")
     if not (arr >= 0.0).all():  # also rejects NaN
         raise ValueError(_NEGATIVE_OR_NAN)
-    out = kernel(kind, np.atleast_1d(arr))
+    x = np.atleast_1d(arr)
+    out = kernel(x, (0,) * (i + 1) + (x.size,) * (len(CURVE_ORDER) - i))
     return float(out[0]) if arr.ndim == 0 else out
 
 
 def pdf(kind: str, x):
-    """Probability density of the curve at x >= 0 (scalar or array); 0 at infinity."""
+    """Probability density of the curve at x >= 0 (scalar or array); 0 at infinity.  One curve pays
+    the other four closed forms' fixed calls on no points, about 15 us a call, as :func:`cdf` does."""
     return _evaluate(_pdf, kind, x)
 
 
@@ -203,39 +206,32 @@ def cdf(kind: str, x):
     other four closed forms' fixed calls on no points, about 20 us a call, as
     a one-curve KS test pays for five (README, "KS p-value").
     """
-    return _evaluate(_cdf_of, kind, x)
+    return _evaluate(_cdf, kind, x)
 
 
-def _cdf_of(kind: str, x: np.ndarray) -> np.ndarray:
-    """:func:`_cdf` with every point of ``x`` on the one curve ``kind``."""
-    i = CURVE_ORDER.index(kind)
-    return _cdf(x, (0,) * (i + 1) + (x.size,) * (len(CURVE_ORDER) - i))
-
-
-def _pdf(kind: str, x: np.ndarray) -> np.ndarray:
-    """The closed forms behind :func:`pdf`, on the points :func:`_cdf` takes."""
+def _pdf(x: np.ndarray, edges) -> np.ndarray:
+    """The closed forms behind :func:`pdf`, without its checks, for every curve at once, on the
+    parts :func:`_cdf` takes; each point gets the bits it would get alone."""
     special = _special()
-
-    c = constants(kind)
-    xs = np.minimum(x, _X_SAT)
-    if kind == "GOE":
-        out = c.alpha * xs * np.exp(-c.beta * xs * xs)
-    elif kind == "GUE":
-        out = c.alpha * xs * xs * np.exp(-c.beta * xs * xs)
-    elif kind == "GSE":
-        out = c.alpha * xs**4 * np.exp(-c.beta * xs * xs)
-    elif kind == "GPOE":  # alpha x K0(beta x^2), 0 at x = 0
-        out = np.zeros(xs.shape)
-        z = c.beta * xs * xs
-        body = z >= _TINY  # _cdf's threshold; k0 is inf at the smallest subnormal
-        out[body] = c.alpha * xs[body] * special.k0(z[body])
-        tiny = ~body & (xs > 0.0)  # K0(z) = -ln(z/2) - euler_gamma; x last, as alpha x may be subnormal
-        xt = xs[tiny]
-        out[tiny] = c.alpha * (-(math.log(c.beta / 2.0) + 2.0 * np.log(xt)) - np.euler_gamma) * xt
-    else:  # GPUE; erfcx form avoids exp overflow: e^{b x^2} erfc(g x)
-        # = erfcx(g x) e^{(b - g^2) x^2} with g^2 = 2b
-        out = c.alpha * xs * special.erfcx(c.gamma * xs) * np.exp((c.beta - c.gamma * c.gamma) * xs * xs)
-    return out
+    out = np.minimum(x, _X_SAT).reshape(-1)  # each part's density replaces its capped x
+    goe, gue, gse, gpoe, gpue, end = edges
+    c, xs = constants("GOE"), out[goe:gue]
+    np.multiply(c.alpha * xs, np.exp(-c.beta * xs * xs), out=xs)
+    c, xs = constants("GUE"), out[gue:gse]
+    np.multiply(c.alpha * xs * xs, np.exp(-c.beta * xs * xs), out=xs)
+    c, xs = constants("GSE"), out[gse:gpoe]
+    np.multiply(c.alpha * xs**4, np.exp(-c.beta * xs * xs), out=xs)
+    c, xs = constants("GPOE"), np.abs(out[gpoe:gpue], out=out[gpoe:gpue])  # +0 at x = -0.0 too
+    z = c.beta * xs * xs  # alpha x K0(z)
+    body = z >= _TINY  # _cdf's threshold; k0 is inf at the smallest subnormal
+    tiny = ~body & (xs > 0.0)  # K0(z) = -ln(z/2) - euler_gamma; x last, as alpha x may be subnormal
+    xt = xs[tiny]
+    xs[body] = c.alpha * xs[body] * special.k0(z[body])
+    xs[tiny] = c.alpha * (-(math.log(c.beta / 2.0) + 2.0 * np.log(xt)) - np.euler_gamma) * xt
+    c, xs = constants("GPUE"), out[gpue:end]  # e^{b x^2} erfc(g x) = erfcx(g x) e^{(b - g^2) x^2},
+    u = c.alpha * xs * special.erfcx(c.gamma * xs)  # with g^2 = 2b: no exp overflow
+    np.multiply(u, np.exp((c.beta - c.gamma * c.gamma) * xs * xs), out=xs)
+    return out.reshape(x.shape)
 
 
 def _cdf(x: np.ndarray, edges) -> np.ndarray:
@@ -243,7 +239,7 @@ def _cdf(x: np.ndarray, edges) -> np.ndarray:
 
     ``x`` is a float array of at least one dimension whose entries are
     nonnegative and not NaN; taken flat, its entries edges[i] to edges[i+1]
-    are points of the curve ``CURVE_ORDER[i]`` (``_cdf_of`` gives one curve
+    are points of the curve ``CURVE_ORDER[i]`` (``_evaluate`` gives one curve
     all of them).  The result is a new array of x's shape.  Each point meets the
     same ufunc calls whichever part holds it and however many parts there are,
     so it gets the bits it would get alone.  Every part runs its closed form,
@@ -327,7 +323,9 @@ def small_x_approx(kind: str, x):
     return _evaluate(_small_x, kind, x)
 
 
-def _small_x(kind: str, x: np.ndarray) -> np.ndarray:
+def _small_x(x: np.ndarray, edges) -> np.ndarray:
     if not np.all((x > 0.0) & (x < 0.5)):
         raise ValueError("small_x_approx domain is 0 < x < 0.5")
-    return (0.5 - 1.2 * np.log(x)) * x if kind == "GPOE" else 2.5 * x * (1.0 - 0.95 * x)
+    flat, (gpoe, gpue, end) = x.reshape(-1), edges[3:]  # small_x_approx refuses GOE, GUE and GSE
+    xp, xu = flat[gpoe:gpue], flat[gpue:end]
+    return np.concatenate([(0.5 - 1.2 * np.log(xp)) * xp, 2.5 * xu * (1.0 - 0.95 * xu)]).reshape(x.shape)

@@ -121,6 +121,10 @@ class TestPdf:
         vals = pdf("GPOE", np.array([0.0, 1e-300, 2.33e-162, 3e-162, 4.02e-162, 1e-12, 1e-6]))
         assert np.all(np.isfinite(vals)) and vals[0] == 0.0 and np.all(vals[1:] > 0.0)
 
+    def test_gpoe_density_at_minus_zero_is_plus_zero(self):
+        # -0.0 passes the x >= 0 check; the GPOE density there is the +0 it is at 0.0
+        assert np.signbit(pdf("GPOE", np.array([-0.0, 0.0, -0.0]))).tolist() == [False] * 3
+
     def test_gpoe_small_x_matches_mpmath(self):
         # on both sides of the threshold (beta x^2 = _TINY at x = 2.21e-154), and where
         # the pdf is subnormal: within 4e-15 relative plus one subnormal ulp

@@ -85,6 +85,17 @@ CDF_SHA256 = {
     "GPUE": "334275733b1a6544e489240d11553260168563798982acd726fafe16cb164e02",
 }
 GRID = np.linspace(0.0, 45.0, 9001)
+# pdf("GPOE", x) on both sides of beta x^2 = _TINY (x = 2.21e-154), below which GRID never goes
+# and the pdf takes K0's small-z limit: the points of test_curves' mpmath check
+GPOE_THRESHOLD_X = np.array([5e-324, 1e-323, 1e-321, 1e-318, 1e-310, 1e-200, 2.33e-162, 3e-162, 4.02e-162,
+                             5.2e-162, 1e-160, 1e-158, 2e-154, 3e-154, 1e-150])
+GPOE_THRESHOLD_PDF_SHA256 = "a1b6da5eb687885830361fbb78c727f23d2f625a64e8a279e8a4bedd637ffa4a"
+# small_x_approx on SMALL_X
+SMALL_X = np.linspace(0.01, 0.49, 129)
+SMALL_X_SHA256 = {
+    "GPOE": "f4bf44dd3ce11a81c5a2162cccaa2cde0d378d01069b300eace371f1ff796b44",
+    "GPUE": "4683268d866f7c9586c3f1e99967ef8bf147aed95b76cfe8d7cac0517930fa20",
+}
 # pseudo_hermiticity_residual(kind, default_rng(7).standard_normal((1000, n_params))):
 # SHA-256 of the residuals; the five kinds without kappa give exactly 0
 ZERO_RESIDUALS_SHA256 = "668946bab9868b28489bb906205ee1026045c8bcd3ca62a1bdf733c65491351b"
@@ -180,6 +191,15 @@ def test_format_table_of_no_checks():
 def test_pdf_and_cdf_on_grid(curve):
     assert sha256(curves.pdf(curve, GRID).tobytes()) == PDF_SHA256[curve]
     assert sha256(curves.cdf(curve, GRID).tobytes()) == CDF_SHA256[curve]
+
+
+def test_gpoe_pdf_below_the_threshold():
+    assert sha256(curves.pdf("GPOE", GPOE_THRESHOLD_X).tobytes()) == GPOE_THRESHOLD_PDF_SHA256
+
+
+@pytest.mark.parametrize("curve", ["GPOE", "GPUE"])
+def test_small_x_approx(curve):
+    assert sha256(curves.small_x_approx(curve, SMALL_X).tobytes()) == SMALL_X_SHA256[curve]
 
 
 @pytest.mark.parametrize("kind", list(RESIDUAL_SHA256), ids=str)

@@ -475,6 +475,19 @@ class TestKsBoundedSearch:
         for kind, a, b in zip(curves.CURVE_ORDER, edges, edges[1:]):
             assert F[a:b].tobytes() == curves.cdf(kind, x[a:b]).tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.lists(st.one_of(st.sampled_from([-0.0, *KERNEL_POINTS]), st.floats(0.0, 10.0)), max_size=40),
+           cuts=st.lists(st.integers(0, 40), min_size=4, max_size=4))
+    def test_pdf_kernel_parts_keep_the_bits_of_one_curve(self, x, cuts):
+        # the same for curves._pdf; -0.0 joins the points, as its GPOE block turns
+        # -0.0 into +0 in place and splits at beta x^2 = _TINY
+        x = np.array(x, dtype=float)
+        edges = [0, *sorted(min(c, x.size) for c in cuts), x.size]
+        f = curves._pdf(x, edges)
+        assert f.shape == x.shape
+        for kind, a, b in zip(curves.CURVE_ORDER, edges, edges[1:]):
+            assert f[a:b].tobytes() == curves.pdf(kind, x[a:b]).tobytes()
+
     @pytest.mark.parametrize("kind", curves.CURVE_ORDER)
     def test_cdf_drop_between_close_floats_within_half_the_slack(self, kind):
         # a skipped block is safe only if F, evaluated on nearby floats, never

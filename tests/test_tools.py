@@ -75,3 +75,15 @@ def test_ab_ops_fails_on_a_one_ulp_change_in_one_curves_cdf(tmp_path):
     """, module="curves.py"))
     assert run.returncode == 1
     assert run.stderr.startswith("error: curve operation ")
+
+
+def test_ab_ops_fails_on_a_one_ulp_change_in_a_small_x_approximant(tmp_path):
+    run = ab_ops(ROOT, nudged(tmp_path, """
+        _exact_small_x_approx = small_x_approx
+
+        def small_x_approx(kind, x):
+            out = _exact_small_x_approx(kind, x)
+            return np.nextafter(out, 2.0) if canonical_kind(kind) == "GPUE" else out
+    """, module="curves.py"))
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: curve operation ")

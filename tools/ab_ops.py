@@ -7,7 +7,7 @@ loads ``PARENT/src/spacinglab`` and ``CHANGE/src/spacinglab`` as two
 packages under their own names, so both run in one interpreter on the same
 inputs.  One round of the mix is ``N`` small operations, three of four an
 experiment and every fourth a spectrum, then one ``verify``, one bulk
-classification and fifteen curve evaluations:
+classification and twenty curve evaluations:
 
 - experiment: sample 50..2000 spacings (log-spaced) of one of the seven
   kinds, then KS-test them against the five curves;
@@ -19,7 +19,11 @@ classification and fifteen curve evaluations:
 - classify-1e5: ``normalize`` and ``classify`` 1e5 GPUE spacings;
 - curve: ``pdf`` and ``cdf`` of one curve alone, for each of the five, on
   one point (a scalar), on 129 points and on the 1e5-point grid that
-  ``curve --xmax 8 --points 100000`` tabulates, one operation each.
+  ``curve --xmax 8 --points 100000`` tabulates, one operation each;
+  ``small_x_approx`` of GPOE and of GPUE at 0.1 and on 129 points in
+  (0, 0.5); and GPOE's ``pdf`` and ``cdf`` on 15 points from 5e-324 to
+  1e-150, on both sides of the threshold below which its pdf takes K0's
+  small-z limit.
 
 Operation i asks for the five curves starting at the (i mod 5)-th of GOE,
 GUE, GSE, GPOE, GPUE and going round, and a classified spectrum's one curve
@@ -30,7 +34,7 @@ The mix runs once untimed, then ``R`` timed rounds.  Each operation runs on
 both trees back to back; which tree goes first alternates from one operation
 to the next and from one round to the next, so drift of the machine hits both
 alike.  If any d, p, acceptance rate, sample mean or sample length (or any
-line of the verify table, or any entry of a curve's pdf or cdf) differs in a
+line of the verify table, or any entry of a curve's value) differs in a
 bit between the trees, the first difference is printed and the exit code is
 1.  Otherwise each kind's median time on each tree, their ratio CHANGE/PARENT
 and the quartiles of the per-operation ratios are printed, one line per
@@ -41,8 +45,8 @@ two runs of one tree against itself give ratios within 1 % of 1 for
 tool sizes such a change before the slower benchmark runs.  ``verify`` and
 ``classify-1e5`` time one operation a round; against itself a tree read 0.98
 to 1.12 there, so only a change well beyond their quartiles shows in those
-two ratios.  ``curve`` times fifteen operations of three sizes, so its median
-is that of the 129-point calls and its quartiles span the sizes.
+two ratios.  ``curve`` times twenty operations of four sizes, so its median
+falls among the 129-point calls and its quartiles span the sizes.
 """
 
 from __future__ import annotations
@@ -63,6 +67,9 @@ BULK_N = 100_000
 KAPPA = 0.25  # qh3 and qh4
 CURVES = ("GOE", "GUE", "GSE", "GPOE", "GPUE")
 CURVE_POINTS = (1.0, np.linspace(0.0, 8.0, 129), np.linspace(0.0, 8.0, BULK_N))
+SMALL_X_POINTS = (0.1, np.linspace(0.01, 0.49, 129))
+GPOE_THRESHOLD_POINTS = np.array([5e-324, 1e-323, 1e-321, 1e-318, 1e-310, 1e-200, 2.33e-162, 3e-162,
+                                  4.02e-162, 5.2e-162, 1e-160, 1e-158, 2e-154, 3e-154, 1e-150])
 
 
 def load(root: Path, name: str):
@@ -110,7 +117,9 @@ def operations(lib, n_ops: int, rng: np.random.Generator) -> list[tuple[str, obj
             j = i - (i + 1) // 4
             ops.append(("experiment", (j % n_kinds, int(sizes[j]), int(rng.integers(2**63)), i % 5)))
     bulk = ens.sample_spacings(ens.GPUE, BULK_N, ens.SamplerConfig(seed=int(rng.integers(2**63))))[0]
-    curve_ops = [("curve", (curve, x)) for x in CURVE_POINTS for curve in CURVES]
+    curve_ops = [("curve", (("pdf", "cdf"), curve, x)) for x in CURVE_POINTS for curve in CURVES]
+    curve_ops += [("curve", (("small_x_approx",), curve, x)) for x in SMALL_X_POINTS for curve in CURVES[3:]]
+    curve_ops.append(("curve", (("pdf", "cdf"), "GPOE", GPOE_THRESHOLD_POINTS)))
     return ops + [("verify", None), ("classify-1e5", np.array(bulk.raw))] + curve_ops
 
 
@@ -136,8 +145,8 @@ def runner(lib):
         if kind == "verify":
             return [(r.name, r.observed, r.passed) for r in lib.verify.run_verification()]
         if kind == "curve":
-            curve, x = arg
-            values = curves.pdf(curve, x), curves.cdf(curve, x)
+            functions, curve, x = arg
+            values = [getattr(curves, f)(curve, x) for f in functions]
             return [v.hex() if isinstance(v, float) else v for v in values]
         sample = stats.normalize(arg)
         fit = stats.classify(sample)
