@@ -214,6 +214,7 @@ def _pdf(x: np.ndarray, edges) -> np.ndarray:
     parts :func:`_cdf` takes; each point gets the bits it would get alone."""
     special = _special()
     out = np.minimum(x, _X_SAT).reshape(-1)  # each part's density replaces its capped x
+    np.abs(out, out=out)  # +0 at x = -0.0 too
     goe, gue, gse, gpoe, gpue, end = edges
     c, xs = constants("GOE"), out[goe:gue]
     np.multiply(c.alpha * xs, np.exp(-c.beta * xs * xs), out=xs)
@@ -221,7 +222,7 @@ def _pdf(x: np.ndarray, edges) -> np.ndarray:
     np.multiply(c.alpha * xs * xs, np.exp(-c.beta * xs * xs), out=xs)
     c, xs = constants("GSE"), out[gse:gpoe]
     np.multiply(c.alpha * xs**4, np.exp(-c.beta * xs * xs), out=xs)
-    c, xs = constants("GPOE"), np.abs(out[gpoe:gpue], out=out[gpoe:gpue])  # +0 at x = -0.0 too
+    c, xs = constants("GPOE"), out[gpoe:gpue]
     z = c.beta * xs * xs  # alpha x K0(z)
     body = z >= _TINY  # _cdf's threshold; k0 is inf at the smallest subnormal
     tiny = ~body & (xs > 0.0)  # K0(z) = -ln(z/2) - euler_gamma; x last, as alpha x may be subnormal

@@ -49,24 +49,24 @@ first parameter kappa shrinks, the exact probability of real eigenvalues (1/2
 for GPOE, 1 - 1/sqrt2 for GPUE's cone) and the reference curve; everything
 else about a family, the signs in D included, is derived from its row.
 
-Reproducibility: spacing generation is split into fixed-size logical
-blocks (streams).  Block ``i`` owns a private generator seeded by
-``SeedSequence(seed, spawn_key=(i,))``; the ``workers`` setting only
-schedules blocks onto threads, and neither the rejection batch size nor the
-chunk edges ever show in the output (``Generator.standard_normal`` fills in
-sequence, D is computed row by row, and draws count up to the quota-th
-acceptance).  Output is therefore identical for any worker count, and
-bit-identical for fixed (kind, n, seed).
+Reproducibility: :func:`sample_spacings` and :func:`acceptance_rate` share
+one stream plan: fixed-size logical blocks (streams) of accepted spacings or
+raw draws.  Block ``i`` owns a generator seeded by ``SeedSequence(seed,
+spawn_key=(i,))``; ``workers`` only schedules blocks onto threads, under one
+cap, and neither the rejection batch size nor the chunk edges show in the
+output (``Generator.standard_normal`` fills in sequence, D is computed row by
+row, and draws count up to the quota-th acceptance).  Output is therefore
+identical for any worker count, and bit-identical for fixed (kind, n, seed).
 
 The output array is allocated once, before any draw, so an ``n`` that
 cannot be held is refused at once; each stream then fills its own slice of
-it in place.  A stream reads its draws in chunks through one draws buffer
-of at most ``_CHUNK_VALUES`` floats (128 KiB) and one D buffer of one
-float per row, so each worker's working memory is a constant, whatever
-``n``.  The filled array becomes the sample's ``raw`` without a copy.  The
-draws stay unscaled: each term of D scales its own column, fl(fl(p_j s_j)^2),
-which are the bits D has for scaled parameters, and the ``a`` column is drawn
-but never scaled.
+it in place.  A stream of either sampler reads its draws in chunks through
+its own draws buffer of at most ``_CHUNK_VALUES`` floats (128 KiB) and D
+buffer of one float per row, so each worker's working memory is a constant,
+whatever ``n``.  The filled array becomes the sample's ``raw`` without a
+copy.  The draws stay unscaled: each term of D scales its own column,
+fl(fl(p_j s_j)^2), which are the bits D has for scaled parameters, and the
+``a`` column is drawn but never scaled.
 """
 
 from __future__ import annotations
@@ -327,10 +327,26 @@ def _buffers(kind: EnsembleKind, first_rows: int) -> tuple[np.ndarray, np.ndarra
     return np.empty((rows, kind.n_params)), np.empty(rows)
 
 
-def _fill_stream(
-    kind: EnsembleKind, stds: np.ndarray, seed: int, stream_index: int, out: np.ndarray
-) -> int:
-    """Fill ``out`` with one logical stream's accepted spacings; return the raw draws consumed.
+def _run_streams(n: int, config: SamplerConfig, job) -> int:
+    """Sum of ``job(rng, lo, hi)`` over the streams [lo, hi) that split ``n`` items BLOCK_QUOTA apiece,
+    stream i drawing from ``_stream_rng(config.seed, i)``.  The sum is of integers, so no output depends
+    on the worker count, and at most min(``config.workers``, streams, ``os.cpu_count()``) threads start."""
+    starts = range(0, n, BLOCK_QUOTA)
+
+    def run(lo: int) -> int:
+        return job(_stream_rng(config.seed, lo // BLOCK_QUOTA), lo, min(lo + BLOCK_QUOTA, n))
+
+    # os.cpu_count() reads a file, so it is asked last
+    if (workers := min(config.workers, len(starts))) > 1 and (cores := os.cpu_count() or 1) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imported here, as only this branch needs it
+
+        with ThreadPoolExecutor(max_workers=min(workers, cores)) as pool:
+            return sum(pool.map(run, starts))
+    return sum(map(run, starts))
+
+
+def _fill_stream(kind: EnsembleKind, stds: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> int:
+    """Fill ``out`` with one stream's accepted spacings, drawn from ``rng``; return the raw draws consumed.
 
     Raw draws are consumed in stream order up to and including the draw that
     yields the last acceptance, which makes the reported acceptance rate
@@ -340,7 +356,6 @@ def _fill_stream(
     taken from the D buffer.  At acceptance 1 a batch is ``need`` rows and
     every draw is kept.
     """
-    rng = _stream_rng(seed, stream_index)
     p = kind.acceptance
     draws, disc = _buffers(kind, _batch_rows(out.size, p))  # the first batch is the largest
     raws = filled = 0
@@ -366,56 +381,37 @@ def sample_spacings(
     Returns (sample, rate) where ``sample`` carries the raw spacings in
     stream order together with their unit-mean normalization, and ``rate``
     is accepted/consumed raw draws (exactly 1.0 for the always-real kinds).
-    At most min(``config.workers``, streams, ``os.cpu_count()``) threads run.
-    An ``n_accepted`` whose output cannot be allocated raises MemoryError
-    before any draw.
+    Streams run as :func:`_run_streams` schedules them.  An ``n_accepted``
+    whose output cannot be allocated raises MemoryError before any draw.
     """
     n_accepted = _checks.float64_count(n_accepted, "n_accepted", 1)
     out = np.empty(n_accepted)
-    starts = range(0, n_accepted, BLOCK_QUOTA)
     stds = _param_stds(kind)
-
-    def job(start: int) -> int:
-        return _fill_stream(kind, stds, config.seed, start // BLOCK_QUOTA,
-                            out[start:start + BLOCK_QUOTA])
-
-    # the output does not depend on the worker count, so no more threads start
-    # than there are streams or cores; os.cpu_count() reads a file, so it is asked last
-    workers = min(config.workers, len(starts))
-    if workers > 1 and (cores := os.cpu_count() or 1) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # imported here, as only this branch needs it
-
-        with ThreadPoolExecutor(max_workers=min(workers, cores)) as pool:
-            total_raws = sum(pool.map(job, starts))
-    else:
-        total_raws = sum(map(job, starts))
-    return stats._own(out), n_accepted / total_raws
+    raws = _run_streams(n_accepted, config, lambda rng, lo, hi: _fill_stream(kind, stds, rng, out[lo:hi]))
+    return stats._own(out), n_accepted / raws
 
 
 def acceptance_rate(kind: EnsembleKind, n_raw: int, config: SamplerConfig) -> float:
-    """Fraction of real-eigenvalue outcomes among ``n_raw`` raw draws.
+    """Fraction of real-eigenvalue outcomes among ``n_raw`` raw draws, always 1.0 for the non-rejecting kinds.
 
-    The draws are split into streams of BLOCK_QUOTA raw draws, each seeded
-    from ``config.seed`` and its index as in :func:`sample_spacings`, so the
-    result is deterministic.  Only ``config.seed`` is read: ``config.workers``
-    is ignored, and every stream is read in turn on the calling thread.  The
-    streams are read in chunks, as the sampler reads them, through one draws
-    buffer and one D buffer allocated once, so the working memory does not
-    grow with ``n_raw``.  Always 1.0 for the non-rejecting kinds.
+    The draws follow :func:`sample_spacings`'s stream plan and thread cap, BLOCK_QUOTA raw draws to
+    a stream (:func:`_run_streams`), so the rate is the same on any worker count.  A stream is read
+    in chunks, as the sampler reads it, through its own draws buffer and D buffer: one pair per
+    running stream, whatever ``n_raw``.
     """
     n_raw = _checks.count(n_raw, "n_raw", 1)
     stds = _param_stds(kind)
-    draws, disc = _buffers(kind, min(BLOCK_QUOTA, n_raw))  # stream 0 is the longest
-    accepted = 0
-    for start in range(0, n_raw, BLOCK_QUOTA):
-        quota = min(BLOCK_QUOTA, n_raw - start)
-        rng = _stream_rng(config.seed, start // BLOCK_QUOTA)
-        for done in range(0, quota, len(disc)):
-            rows = min(len(disc), quota - done)
-            chunk = _discriminants(kind, rng.standard_normal(out=draws[:rows]), stds,
-                                   out=disc[:rows])
+
+    def count(rng: np.random.Generator, lo: int, hi: int) -> int:
+        draws, disc = _buffers(kind, hi - lo)
+        accepted = 0
+        for done in range(lo, hi, len(disc)):
+            rows = min(len(disc), hi - done)
+            chunk = _discriminants(kind, rng.standard_normal(out=draws[:rows]), stds, out=disc[:rows])
             accepted += int(np.count_nonzero(chunk >= 0.0))
-    return accepted / n_raw
+        return accepted
+
+    return _run_streams(n_raw, config, count) / n_raw
 
 
 def _cosh_sinh(x: float) -> tuple[float, float]:

@@ -150,6 +150,8 @@ def _own(arr: np.ndarray) -> SpacingSample:
     mean = total / arr.size
     if mean <= 0.0:
         raise ValueError("cannot normalize: mean spacing is zero")
+    if mean < np.finfo(float).tiny:  # a subnormal quotient has lost bits: normalized would miss mean 1
+        raise ValueError("cannot normalize: the mean spacing is subnormal; rescale the spacings")
     arr.flags.writeable = False
     norm = arr / mean
     norm.flags.writeable = False

@@ -304,6 +304,15 @@ class TestCompare:
         assert len(err) == 1
         assert err[0].startswith("error: cannot normalize: the sum of the spacings overflows")
 
+    def test_subnormal_mean_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "tiny.csv"
+        path.write_text("raw_spacing\n5e-324\n5e-324\n1e-323\n")
+        assert run(["compare", "--spacings", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: cannot normalize: the mean spacing is subnormal; rescale the spacings"]
+
     def test_missing_file_is_runtime_error(self, capsys):
         assert run(["compare", "--spacings", "/nonexistent.csv"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -121,9 +121,11 @@ class TestPdf:
         vals = pdf("GPOE", np.array([0.0, 1e-300, 2.33e-162, 3e-162, 4.02e-162, 1e-12, 1e-6]))
         assert np.all(np.isfinite(vals)) and vals[0] == 0.0 and np.all(vals[1:] > 0.0)
 
-    def test_gpoe_density_at_minus_zero_is_plus_zero(self):
-        # -0.0 passes the x >= 0 check; the GPOE density there is the +0 it is at 0.0
-        assert np.signbit(pdf("GPOE", np.array([-0.0, 0.0, -0.0]))).tolist() == [False] * 3
+    @pytest.mark.parametrize("kind", curves.CURVE_ORDER)
+    def test_density_at_minus_zero_is_plus_zero(self, kind):
+        # -0.0 passes the x >= 0 check; each density there is the +0 it is at 0.0
+        assert np.signbit(pdf(kind, np.array([-0.0, 0.0, -0.0]))).tolist() == [False] * 3
+        assert not np.signbit(pdf(kind, -0.0))
 
     def test_gpoe_small_x_matches_mpmath(self):
         # on both sides of the threshold (beta x^2 = _TINY at x = 2.21e-154), and where

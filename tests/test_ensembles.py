@@ -431,11 +431,13 @@ class TestSampleSpacings:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(ensembles.os, "cpu_count", lambda: cpus)
-        n = 2 * ensembles.BLOCK_QUOTA + 5  # three streams
+        n = 2 * ensembles.BLOCK_QUOTA + 5  # three streams for either sampler
         sample, rate = sample_spacings(GPUE, n, SamplerConfig(seed=3, workers=10**6))
-        assert sizes == ([] if pool_size is None else [pool_size])
+        raw_rate = acceptance_rate(GPUE, n, SamplerConfig(seed=3, workers=10**6))
+        assert sizes == ([] if pool_size is None else [pool_size, pool_size])
         serial, serial_rate = sample_spacings(GPUE, n, SamplerConfig(seed=3))
         assert np.array_equal(sample.raw, serial.raw) and rate == serial_rate
+        assert raw_rate == acceptance_rate(GPUE, n, SamplerConfig(seed=3))
 
     def test_import_leaves_the_thread_pool_out(self):
         # only a run on two or more workers imports concurrent.futures
@@ -557,6 +559,14 @@ class TestFoldedScaling:
             assert acceptance_rate(kind, n_raw, SamplerConfig(seed=6)) == \
                 acceptance_reference(kind, n_raw, 6), n_raw
 
+    # one draw, one full stream, a full stream and a one-draw stream, and seven streams
+    @pytest.mark.parametrize("n_raw", [1, ensembles.BLOCK_QUOTA, ensembles.BLOCK_QUOTA + 1, 100_003])
+    @pytest.mark.parametrize("kind", [GPOE, GPUE], ids=str)
+    def test_acceptance_rate_on_any_worker_count_matches_reference_loop(self, kind, n_raw):
+        expected = acceptance_reference(kind, n_raw, 42)
+        for workers in (1, 2, 3):
+            assert acceptance_rate(kind, n_raw, SamplerConfig(seed=42, workers=workers)) == expected, workers
+
 
 def traced_peak(fn):
     """Peak bytes traced while ``fn()`` runs, above those held before it; after one warm-up call."""
@@ -588,6 +598,13 @@ class TestWorkingMemory:
     def test_acceptance_rate_peak(self, kind):
         peak = traced_peak(lambda: acceptance_rate(kind, 10**5, SamplerConfig(seed=1)))
         assert peak <= 256 * 1024
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+    def test_acceptance_rate_peak_on_two_workers(self, kind):
+        # one draws buffer and one D buffer per running stream: the allowance
+        # test_sample_spacings_peak gives two workers
+        peak = traced_peak(lambda: acceptance_rate(kind, 10**5, SamplerConfig(seed=1, workers=2)))
+        assert peak <= 512 * 1024
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)

@@ -78,6 +78,13 @@ class TestNormalize:
         with pytest.raises(ValueError, match="sum of the spacings overflows a float; rescale"):
             normalize(raw)
 
+    @pytest.mark.parametrize("raw", [[5e-324, 5e-324, 1e-323], [1e-310, 3e-310, 2.5e-310]])
+    def test_subnormal_mean_refused(self, raw):
+        # total / n below the smallest normal float is rounded to a multiple of 5e-324,
+        # and normalized would miss its unit mean ([1, 1, 2] for the first list)
+        with pytest.raises(ValueError, match="^cannot normalize: the mean spacing is subnormal; rescale"):
+            normalize(raw)
+
     def test_largest_spacings_with_finite_sum_accepted(self):
         s = normalize([1e308, 0.0, 5e307])
         assert s.mean == 1.5e308 / 3

@@ -10,7 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 AB_OPS = ROOT / "tools" / "ab_ops.py"
-KINDS = ("experiment", "spectrum", "verify", "classify-1e5", "curve")
+KINDS = ("experiment", "spectrum", "verify", "classify-1e5", "rate", "curve")
 
 
 def ab_ops(parent, change):
@@ -87,3 +87,16 @@ def test_ab_ops_fails_on_a_one_ulp_change_in_a_small_x_approximant(tmp_path):
     """, module="curves.py"))
     assert run.returncode == 1
     assert run.stderr.startswith("error: curve operation ")
+
+
+def test_ab_ops_fails_on_a_one_ulp_change_in_a_threaded_acceptance_rate(tmp_path):
+    # verify reads acceptance rates on one worker, so only the rate kind can see this
+    run = ab_ops(ROOT, nudged(tmp_path, """
+        _exact_acceptance_rate = acceptance_rate
+
+        def acceptance_rate(kind, n_raw, config):
+            rate = _exact_acceptance_rate(kind, n_raw, config)
+            return float(np.nextafter(rate, 2.0)) if config.workers > 1 else rate
+    """, module="ensembles.py"))
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: rate operation ")

@@ -7,7 +7,7 @@ loads ``PARENT/src/spacinglab`` and ``CHANGE/src/spacinglab`` as two
 packages under their own names, so both run in one interpreter on the same
 inputs.  One round of the mix is ``N`` small operations, three of four an
 experiment and every fourth a spectrum, then one ``verify``, one bulk
-classification and twenty curve evaluations:
+classification, four acceptance rates and twenty curve evaluations:
 
 - experiment: sample 50..2000 spacings (log-spaced) of one of the seven
   kinds, then KS-test them against the five curves;
@@ -17,6 +17,10 @@ classification and twenty curve evaluations:
   first on, is first classified against one curve alone;
 - verify: ``verify.run_verification()``;
 - classify-1e5: ``normalize`` and ``classify`` 1e5 GPUE spacings;
+- rate: ``acceptance_rate`` of GPOE and of GPUE at 1e5 raw draws (seven
+  streams), on one and on two workers, one operation each, with one seed per
+  kind; a tree that ignores ``workers`` reads its serial bits on both, so a
+  threaded stream runner that loses a bit shows as a difference;
 - curve: ``pdf`` and ``cdf`` of one curve alone, for each of the five, on
   one point (a scalar), on 129 points and on the 1e5-point grid that
   ``curve --xmax 8 --points 100000`` tabulates, one operation each;
@@ -45,8 +49,10 @@ two runs of one tree against itself give ratios within 1 % of 1 for
 tool sizes such a change before the slower benchmark runs.  ``verify`` and
 ``classify-1e5`` time one operation a round; against itself a tree read 0.98
 to 1.12 there, so only a change well beyond their quartiles shows in those
-two ratios.  ``curve`` times twenty operations of four sizes, so its median
-falls among the 129-point calls and its quartiles span the sizes.
+two ratios.  ``rate`` times four, two of them threaded, so its median falls
+between the one- and two-worker calls.  ``curve`` times twenty operations of
+four sizes, so its median falls among the 129-point calls and its quartiles
+span the sizes.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ from pathlib import Path
 
 import numpy as np
 
-KINDS = ("experiment", "spectrum", "verify", "classify-1e5", "curve")
+KINDS = ("experiment", "spectrum", "verify", "classify-1e5", "rate", "curve")
 UNFOLDINGS = ("global", "local:21", "poly:3")
 BULK_N = 100_000
 KAPPA = 0.25  # qh3 and qh4
@@ -117,10 +123,12 @@ def operations(lib, n_ops: int, rng: np.random.Generator) -> list[tuple[str, obj
             j = i - (i + 1) // 4
             ops.append(("experiment", (j % n_kinds, int(sizes[j]), int(rng.integers(2**63)), i % 5)))
     bulk = ens.sample_spacings(ens.GPUE, BULK_N, ens.SamplerConfig(seed=int(rng.integers(2**63))))[0]
+    rate_seeds = {tag: int(rng.integers(2**63)) for tag in ("GPOE", "GPUE")}
+    rate_ops = [("rate", (tag, workers, seed)) for tag, seed in rate_seeds.items() for workers in (1, 2)]
     curve_ops = [("curve", (("pdf", "cdf"), curve, x)) for x in CURVE_POINTS for curve in CURVES]
     curve_ops += [("curve", (("small_x_approx",), curve, x)) for x in SMALL_X_POINTS for curve in CURVES[3:]]
     curve_ops.append(("curve", (("pdf", "cdf"), "GPOE", GPOE_THRESHOLD_POINTS)))
-    return ops + [("verify", None), ("classify-1e5", np.array(bulk.raw))] + curve_ops
+    return ops + [("verify", None), ("classify-1e5", np.array(bulk.raw))] + rate_ops + curve_ops
 
 
 def runner(lib):
@@ -144,6 +152,10 @@ def runner(lib):
             return [fit.best_fit, r.d.hex(), r.p_value.hex(), *ks_bits(stats, sample, first)]
         if kind == "verify":
             return [(r.name, r.observed, r.passed) for r in lib.verify.run_verification()]
+        if kind == "rate":
+            tag, workers, seed = arg
+            config = ens.SamplerConfig(seed=seed, workers=workers)
+            return [ens.acceptance_rate(getattr(ens, tag), BULK_N, config).hex()]
         if kind == "curve":
             functions, curve, x = arg
             values = [getattr(curves, f)(curve, x) for f in functions]
