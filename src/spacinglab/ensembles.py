@@ -44,10 +44,10 @@ A parameter vector is (a, b, c, ...) in the order of the table, with exactly
 and :func:`eigenvalues` exactly one; all three refuse any other length, any non-finite
 entry and what ``_checks.real_array`` refuses, with a ValueError naming the kind.
 
-``_FAMILIES`` describes each family: its generators (the identity first), the
-first parameter kappa shrinks, the exact probability of real eigenvalues (1/2
-for GPOE, 1 - 1/sqrt2 for GPUE's cone) and the reference curve; everything
-else about a family, the signs in D included, is derived from its row.
+``_FAMILIES`` holds each family's generators (the identity first), the first
+parameter kappa shrinks and its one hand-written number, the exact probability
+of real eigenvalues.  The rest is derived from the row: the signs in D,
+``has_rejection`` (a -1 among them) and ``reference_curve`` (see there).
 
 Reproducibility: :func:`sample_spacings` and :func:`acceptance_rate` share
 one stream plan: fixed-size logical blocks (streams) of accepted spacings or
@@ -78,7 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _checks, stats
+from . import _checks, curves, stats
 
 __all__ = [
     "ENSEMBLE_ORDER",
@@ -116,19 +116,17 @@ class _Family(NamedTuple):
     generators: np.ndarray  # stack of 1, G_b, G_c, ... in H = a 1 + b G_b + c G_c + ...
     shrink: int | None  # first parameter kappa shrinks, or None
     acceptance: float  # exact probability that a draw has real eigenvalues
-    curve: str  # analytic reference curve
 
 
 _FAMILIES = {
-    "GOE": _Family(np.array((_I2, _SZ, _SX)), None, 1.0, "GOE"),
-    "GUE": _Family(np.array((_I2, _SZ, _SX, _MINUS_SY)), None, 1.0, "GUE"),
+    "GOE": _Family(np.array((_I2, _SZ, _SX)), None, 1.0),
+    "GUE": _Family(np.array((_I2, _SZ, _SX, _MINUS_SY)), None, 1.0),
     "GSE": _Family(np.array((np.kron(_I2, _I2), np.kron(_SZ, _I2), np.kron(_SX, _I2),
-                             np.kron(_SY, _SZ), np.kron(_SY, _SY), np.kron(_SY, _SX))),
-                   None, 1.0, "GSE"),
-    "GPOE": _Family(np.array((_I2, _SZ, _I_SX)), None, 0.5, "GPOE"),
-    "GPUE": _Family(np.array((_I2, _SZ, _I_SX, _I_SY)), None, 1 - 1 / math.sqrt(2), "GPUE"),
-    "QH3": _Family(np.array((_I2, _SX, _MINUS_SY)), 1, 1.0, "GOE"),
-    "QH4": _Family(np.array((_I2, _SZ, _SX, _MINUS_SY)), 2, 1.0, "GUE"),
+                             np.kron(_SY, _SZ), np.kron(_SY, _SY), np.kron(_SY, _SX))), None, 1.0),
+    "GPOE": _Family(np.array((_I2, _SZ, _I_SX)), None, 0.5),
+    "GPUE": _Family(np.array((_I2, _SZ, _I_SX, _I_SY)), None, 1 - 1 / math.sqrt(2)),
+    "QH3": _Family(np.array((_I2, _SX, _MINUS_SY)), 1, 1.0),
+    "QH4": _Family(np.array((_I2, _SZ, _SX, _MINUS_SY)), 2, 1.0),
 }
 ENSEMBLE_ORDER = tuple(_FAMILIES)
 
@@ -175,12 +173,14 @@ class EnsembleKind:
 
     @property
     def has_rejection(self) -> bool:
-        return self.acceptance < 1.0
+        """Whether D has an anti-Hermitian term, so that some draws have complex eigenvalues."""
+        return -1 in _SIGNS[self.tag]
 
     @property
     def reference_curve(self) -> str:
-        """Analytic curve this family's spacings follow (QH4: approximately)."""
-        return _FAMILIES[self.tag].curve
+        """The first curve in ``curves.CURVE_ORDER`` whose family has this family's signs in D: the exact
+        law of the canonical five and of QH3, but of QH4 only at kappa = 0 (nearest up to kappa ~ 1.05)."""
+        return next(tag for tag in curves.CURVE_ORDER if _SIGNS[tag] == _SIGNS[self.tag])
 
     def __str__(self) -> str:
         if self.kappa is not None:

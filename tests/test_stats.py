@@ -203,6 +203,15 @@ class TestKsTest:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("kappa, best", [(0.5, "GUE"), (1.5, "GPUE"), (2.0, "GPOE")])
+    def test_a_quasi_hermitian_qh4_sample_can_fit_a_pseudo_hermitian_curve_best(self, kappa, best):
+        # every QH4 draw is real (its metric is a similarity), yet its best fit moves with kappa
+        # (README, the QH4 table beside criterion 12's zeros)
+        config = ensembles.SamplerConfig(seed=42)
+        sample, rate = ensembles.sample_spacings(ensembles.qh4(kappa), 100_000, config)
+        assert rate == 1.0
+        assert classify(sample).best_fit == best
+
     def test_all_tie_goes_to_the_first_curve_in_curve_order(self):
         # sorted normalized spacings [0, 0, 3]: every curve has F(0) = 0, so d = 2/3 for all
         sample = normalize([0.0, 0.0, 1.0])

@@ -10,7 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 AB_OPS = ROOT / "tools" / "ab_ops.py"
-KINDS = ("experiment", "spectrum", "verify", "classify-1e5", "rate", "curve")
+KINDS = ("experiment", "spectrum", "verify", "classify-1e5", "family", "rate", "curve")
 
 
 def ab_ops(parent, change):
@@ -100,3 +100,15 @@ def test_ab_ops_fails_on_a_one_ulp_change_in_a_threaded_acceptance_rate(tmp_path
     """, module="ensembles.py"))
     assert run.returncode == 1
     assert run.stderr.startswith("error: rate operation ")
+
+
+def test_ab_ops_fails_on_a_changed_family_fact(tmp_path):
+    # nothing else reads reference_curve, so only the family kind can see this
+    run = ab_ops(ROOT, nudged(tmp_path, """
+        _exact_reference_curve = EnsembleKind.reference_curve
+
+        EnsembleKind.reference_curve = property(
+            lambda kind: "GOE" if kind.kappa == 1.2 else _exact_reference_curve.fget(kind))
+    """, module="ensembles.py"))
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: family operation ")

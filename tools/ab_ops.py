@@ -7,7 +7,8 @@ loads ``PARENT/src/spacinglab`` and ``CHANGE/src/spacinglab`` as two
 packages under their own names, so both run in one interpreter on the same
 inputs.  One round of the mix is ``N`` small operations, three of four an
 experiment and every fourth a spectrum, then one ``verify``, one bulk
-classification, four acceptance rates and twenty curve evaluations:
+classification, one reading of the family facts, four acceptance rates and
+twenty curve evaluations:
 
 - experiment: sample 50..2000 spacings (log-spaced) of one of the seven
   kinds, then KS-test them against the five curves;
@@ -17,6 +18,10 @@ classification, four acceptance rates and twenty curve evaluations:
   first on, is first classified against one curve alone;
 - verify: ``verify.run_verification()``;
 - classify-1e5: ``normalize`` and ``classify`` 1e5 GPUE spacings;
+- family: each of the seven kinds' ``acceptance`` (hex), ``has_rejection``,
+  ``reference_curve`` and ``n_params``, with QH3 and QH4 at kappa 0, 0.25 and
+  1.2 (where GUE is no longer QH4's nearest curve); no other kind reads the
+  last two, so a tree that derives them otherwise than its parent shows here;
 - rate: ``acceptance_rate`` of GPOE and of GPUE at 1e5 raw draws (seven
   streams), on one and on two workers, one operation each, with one seed per
   kind; a tree that ignores ``workers`` reads its serial bits on both, so a
@@ -38,21 +43,21 @@ The mix runs once untimed, then ``R`` timed rounds.  Each operation runs on
 both trees back to back; which tree goes first alternates from one operation
 to the next and from one round to the next, so drift of the machine hits both
 alike.  If any d, p, acceptance rate, sample mean or sample length (or any
-line of the verify table, or any entry of a curve's value) differs in a
-bit between the trees, the first difference is printed and the exit code is
-1.  Otherwise each kind's median time on each tree, their ratio CHANGE/PARENT
-and the quartiles of the per-operation ratios are printed, one line per
-kind, and the exit code is 0.
+line of the verify table, any entry of a curve's value or any family fact)
+differs in a bit between the trees, the first difference is printed and the
+exit code is 1.  Otherwise each kind's median time on each tree, their ratio
+CHANGE/PARENT and the quartiles of the per-operation ratios are printed, one
+line per kind, and the exit code is 0.
 On a 2-core x86-64 machine, where separate processes drift by up to 30 %,
 two runs of one tree against itself give ratios within 1 % of 1 for
 ``experiment`` and ``spectrum``, which time thousands of operations, so the
-tool sizes such a change before the slower benchmark runs.  ``verify`` and
-``classify-1e5`` time one operation a round; against itself a tree read 0.98
-to 1.12 there, so only a change well beyond their quartiles shows in those
-two ratios.  ``rate`` times four, two of them threaded, so its median falls
-between the one- and two-worker calls.  ``curve`` times twenty operations of
-four sizes, so its median falls among the 129-point calls and its quartiles
-span the sizes.
+tool sizes such a change before the slower benchmark runs.  ``verify``,
+``classify-1e5`` and ``family`` time one operation a round; against itself a
+tree read 0.98 to 1.12 on the first two, so only a change well beyond their
+quartiles shows in those ratios.  ``rate`` times four, two of them threaded,
+so its median falls between the one- and two-worker calls.  ``curve`` times
+twenty operations of four sizes, so its median falls among the 129-point
+calls and its quartiles span the sizes.
 """
 
 from __future__ import annotations
@@ -67,10 +72,11 @@ from pathlib import Path
 
 import numpy as np
 
-KINDS = ("experiment", "spectrum", "verify", "classify-1e5", "rate", "curve")
+KINDS = ("experiment", "spectrum", "verify", "classify-1e5", "family", "rate", "curve")
 UNFOLDINGS = ("global", "local:21", "poly:3")
 BULK_N = 100_000
 KAPPA = 0.25  # qh3 and qh4
+FAMILY_KAPPAS = (0.0, KAPPA, 1.2)
 CURVES = ("GOE", "GUE", "GSE", "GPOE", "GPUE")
 CURVE_POINTS = (1.0, np.linspace(0.0, 8.0, 129), np.linspace(0.0, 8.0, BULK_N))
 SMALL_X_POINTS = (0.1, np.linspace(0.01, 0.49, 129))
@@ -89,8 +95,8 @@ def load(root: Path, name: str):
     return package
 
 
-def ensemble_kinds(ens) -> list:
-    return [ens.GOE, ens.GUE, ens.GSE, ens.GPOE, ens.GPUE, ens.qh3(KAPPA), ens.qh4(KAPPA)]
+def ensemble_kinds(ens, kappa: float = KAPPA) -> list:
+    return [ens.GOE, ens.GUE, ens.GSE, ens.GPOE, ens.GPUE, ens.qh3(kappa), ens.qh4(kappa)]
 
 
 def ks_bits(stats, sample, first: int) -> list:
@@ -128,7 +134,8 @@ def operations(lib, n_ops: int, rng: np.random.Generator) -> list[tuple[str, obj
     curve_ops = [("curve", (("pdf", "cdf"), curve, x)) for x in CURVE_POINTS for curve in CURVES]
     curve_ops += [("curve", (("small_x_approx",), curve, x)) for x in SMALL_X_POINTS for curve in CURVES[3:]]
     curve_ops.append(("curve", (("pdf", "cdf"), "GPOE", GPOE_THRESHOLD_POINTS)))
-    return ops + [("verify", None), ("classify-1e5", np.array(bulk.raw))] + rate_ops + curve_ops
+    singles = [("verify", None), ("classify-1e5", np.array(bulk.raw)), ("family", None)]
+    return ops + singles + rate_ops + curve_ops
 
 
 def runner(lib):
@@ -152,6 +159,9 @@ def runner(lib):
             return [fit.best_fit, r.d.hex(), r.p_value.hex(), *ks_bits(stats, sample, first)]
         if kind == "verify":
             return [(r.name, r.observed, r.passed) for r in lib.verify.run_verification()]
+        if kind == "family":
+            return [(k.acceptance.hex(), k.has_rejection, k.reference_curve, k.n_params)
+                    for kappa in FAMILY_KAPPAS for k in ensemble_kinds(ens, kappa)]
         if kind == "rate":
             tag, workers, seed = arg
             config = ens.SamplerConfig(seed=seed, workers=workers)
