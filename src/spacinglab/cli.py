@@ -158,11 +158,10 @@ def _block_text(block: np.ndarray, ws: _Workspace) -> np.ndarray:
     ok &= np.less(m, 1e12, out=test)
     big = np.rint(m, out=f)
     ok &= np.less(np.abs(np.subtract(m, big, out=m), out=m), 0.499, out=test)
-    carry = np.flatnonzero(np.equal(big, 1e12, out=test))
-    if carry.size:  # 0.99999999999996 rounds to 1: 1e11 at e + 1
-        big[carry] = 1e11
-        e[carry] += 1
-        ok[carry] &= e[carry] <= 11
+    carry = np.flatnonzero(np.equal(big, 1e12, out=test))  # 0.99999999999996 rounds to 1: 1e11 at e + 1
+    big[carry] = 1e11
+    e[carry] += 1
+    ok[carry] &= e[carry] <= 11
     lo = k
     np.copyto(lo, big, casting="unsafe")
     np.floor_divide(lo, 100_000_000, out=hi)
@@ -174,9 +173,8 @@ def _block_text(block: np.ndarray, ws: _Workspace) -> np.ndarray:
         words[:, j] = np.take(digits, part, out=group, mode="clip")
     trailing = np.take(zeros, lo, out=m.view(np.intp), mode="clip")
     whole = np.flatnonzero(np.equal(lo, 0, out=test))
-    if whole.size:
-        midz = zeros.take(mid[whole])
-        trailing[whole] += midz + (midz == 4) * zeros.take(hi[whole], mode="clip")
+    midz = zeros.take(mid[whole])
+    trailing[whole] += midz + (midz == 4) * zeros.take(hi[whole], mode="clip")
     cls = e  # (e + 33) * 12 + 11 - trailing
     cls *= 12
     cls += 33 * 12 + 11
@@ -188,8 +186,7 @@ def _block_text(block: np.ndarray, ws: _Workspace) -> np.ndarray:
     a |= b
     a |= np.take(text, cls, axis=0, out=g, mode="clip")
     exact = np.flatnonzero(np.logical_not(ok, out=test))
-    if exact.size:
-        a[exact] = _exact_text(x[exact])
+    a[exact] = _exact_text(x[exact])
     return a.view(np.uint8).reshape(*block.shape, _SLOT)
 
 

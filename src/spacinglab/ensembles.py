@@ -179,7 +179,7 @@ class EnsembleKind:
     @property
     def reference_curve(self) -> str:
         """The first curve in ``curves.CURVE_ORDER`` whose family has this family's signs in D: the exact
-        law of the canonical five and of QH3, but of QH4 only at kappa = 0 (nearest up to kappa ~ 1.05)."""
+        law of the canonical five and of QH3, but of QH4 only at kappa = 0 (nearest up to kappa ~ 1.043)."""
         return next(tag for tag in curves.CURVE_ORDER if _SIGNS[tag] == _SIGNS[self.tag])
 
     def __str__(self) -> str:

@@ -339,3 +339,40 @@ class TestSmallXApprox:
     def test_only_pseudo_kinds(self):
         with pytest.raises(ValueError):
             small_x_approx("GOE", 0.2)
+
+
+# sup |F_a - F_b| and KL(a || b), KL(b || a) in nats per spacing, from cdf and pdf on
+# DISTANCE_GRID (trapezoid); README's table of how far apart the five curves lie
+CURVE_DISTANCES = {
+    ("GOE", "GUE"): (0.06814, 0.06427, 0.04743),
+    ("GOE", "GSE"): (0.14439, 0.38630, 0.19599),
+    ("GOE", "GPOE"): (0.06138, 0.03326, 0.04164),
+    ("GOE", "GPUE"): (0.03689, 0.01263, 0.01467),
+    ("GUE", "GSE"): (0.07820, 0.09723, 0.06699),
+    ("GUE", "GPOE"): (0.12939, 0.14287, 0.24020),
+    ("GUE", "GPUE"): (0.10495, 0.09899, 0.15168),
+    ("GSE", "GPOE"): (0.20430, 0.33868, 0.83255),
+    ("GSE", "GPUE"): (0.18117, 0.27806, 0.62019),
+    ("GPOE", "GPUE"): (0.02585, 0.00671, 0.00610),
+}
+DISTANCE_GRID = np.linspace(0.0, 12.0, 240_001)
+
+
+class TestCurveDistances:
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return ({kind: cdf(kind, DISTANCE_GRID) for kind in curves.CURVE_ORDER},
+                {kind: pdf(kind, DISTANCE_GRID) for kind in curves.CURVE_ORDER})
+
+    @staticmethod
+    def kl(p, q):
+        # every pdf is 0 at x = 0 and p log(p / q) tends to 0 there
+        return np.trapezoid(np.r_[0.0, p[1:] * np.log(p[1:] / q[1:])], DISTANCE_GRID)
+
+    @pytest.mark.parametrize("a, b", CURVE_DISTANCES, ids=[f"{a}-{b}" for a, b in CURVE_DISTANCES])
+    def test_sup_distance_and_kl_both_ways(self, tables, a, b):
+        F, p = tables
+        sup, kl_ab, kl_ba = CURVE_DISTANCES[a, b]
+        assert np.abs(F[a] - F[b]).max() == pytest.approx(sup, abs=1e-4)
+        assert self.kl(p[a], p[b]) == pytest.approx(kl_ab, abs=1e-4)
+        assert self.kl(p[b], p[a]) == pytest.approx(kl_ba, abs=1e-4)

@@ -13,8 +13,16 @@ P(D >= 0) = int_0^inf f_Y(y) P(X >= y) dy.  The spacing is r = 2 sqrt(D) given
 D >= 0; it is rescaled to unit mean by the mean the same quadrature gives.
 No curve constant enters, so agreement to 1e-11 ties the sampler's generators,
 signs and widths to the paper's closed forms far more finely than the 0.005 or
-so in KS d that a Monte Carlo sample resolves.  QH4 at kappa > 0 has two
-variances in X and would need one more convolution; it is not covered here.
+so in KS d that a Monte Carlo sample resolves.
+
+QH4's X = v1 z1^2 + v2 (z2^2 + z3^2) has two variances, b's v1 and the shared
+v2 of c and d, and no Y.  Integrating z2^2 + z3^2 (an exponential law) out
+leaves, with c = v1 / (2 v2) - 1/2 = sinh^2 kappa and h = sqrt(u / v1),
+
+    F_X(u) = erf(h / sqrt 2) - (2 / sqrt pi) dawsn(sqrt(c) h) exp(-u / (2 v1)) / sqrt(2 c),
+
+the chi-square law of 3 degrees of freedom at c = 0.  Its sup-distances to
+the curves say where QH4's law lies among them as kappa grows.
 """
 
 import math
@@ -25,7 +33,7 @@ import pytest
 from scipy import integrate, special
 
 from spacinglab import curves, ensembles
-from spacinglab.ensembles import GOE, GPOE, GPUE, GSE, GUE, qh3
+from spacinglab.ensembles import GOE, GPOE, GPUE, GSE, GUE, qh3, qh4
 
 QUAD = dict(epsabs=0.0, epsrel=1e-13, limit=200)
 X_POINTS = np.linspace(0.02, 4.0, 60)
@@ -94,7 +102,7 @@ def test_derived_reality_probability_is_the_acceptance(kind):
     assert abs(accept - kind.acceptance) <= 1e-12
 
 
-@pytest.mark.parametrize("kind", [GOE, GUE, GSE, qh3(0.7), ensembles.qh4(0.7)], ids=str)
+@pytest.mark.parametrize("kind", [GOE, GUE, GSE, qh3(0.7), qh4(0.7)], ids=str)
 def test_no_anti_hermitian_term_means_every_draw_is_real(kind):
     assert gamma_law(kind, -1) is None
     assert kind.acceptance == 1.0 and not kind.has_rejection
@@ -106,3 +114,55 @@ def test_quadrature_mean_is_the_gamma_laws_own(kind):
     k, scale = gamma_law(kind, 1)
     _, _, mean = spacing_law(kind)
     assert mean == pytest.approx(2.0 * math.sqrt(scale) * math.gamma(k + 0.5) / math.gamma(k), rel=1e-13)
+
+
+def qh4_law(kappa):
+    """(cdf of QH4's unit-mean spacing, c) derived from its row, with c = v1 / (2 v2) - 1/2."""
+    kind = qh4(kappa)
+    stds = ensembles._param_stds(kind)
+    assert ensembles._SIGNS[kind.tag][1:] == (1, 1, 1) and stds[2] == stds[3]
+    v1, v2 = stds[1] ** 2, stds[2] ** 2
+    c = v1 / (2.0 * v2) - 0.5
+
+    def sf(u):  # P(X > u)
+        h = np.sqrt(u / v1)
+        if c == 0.0:
+            tail = math.sqrt(2.0 / math.pi) * h * np.exp(-u / (2.0 * v1))
+        else:
+            tail = (2.0 / math.sqrt(math.pi) * special.dawsn(math.sqrt(c) * h) * np.exp(-u / (2.0 * v1))
+                    / math.sqrt(2.0 * c))
+        return special.erfc(h / math.sqrt(2.0)) + tail
+
+    mean = integrate.quad(lambda t: sf(t * t / 4.0), 0.0, np.inf, **QUAD)[0]  # E[2 sqrt(X)]
+    return (lambda x: 1.0 - sf((mean * x) ** 2 / 4.0)), c
+
+
+SUP_POINTS = np.linspace(0.0, 6.0, 60_001)
+QH4_CURVES = ("GOE", "GUE", "GPOE", "GPUE")
+# sup |F_QH4 - F_curve| to QH4_CURVES, from a 1201-point trapezoid CDF on [0, 6]
+QH4_SUP = {0.5: (0.0654, 0.0039, 0.1268, 0.1022), 1.0: (0.0444, 0.0371, 0.1048, 0.0792),
+           1.5: (0.0483, 0.0998, 0.0642, 0.0396), 3.0: (0.1276, 0.1938, 0.0685, 0.0942)}
+
+
+def qh4_sup(kappa, curve):
+    F, _ = qh4_law(kappa)
+    return np.abs(F(SUP_POINTS) - curves.cdf(curve, SUP_POINTS)).max()
+
+
+@pytest.mark.parametrize("kappa", QH4_SUP)
+def test_qh4_sup_distances(kappa):
+    assert qh4_law(kappa)[1] == pytest.approx(math.sinh(kappa) ** 2, rel=1e-12)
+    sups = [qh4_sup(kappa, curve) for curve in QH4_CURVES]
+    np.testing.assert_allclose(sups, QH4_SUP[kappa], rtol=0.0, atol=2e-3)
+
+
+def test_qh4_at_kappa_0_is_gue():
+    F, c = qh4_law(0.0)
+    assert c == 0.0
+    np.testing.assert_allclose(F(SUP_POINTS), curves.cdf("GUE", SUP_POINTS), rtol=0.0, atol=1e-12)
+
+
+def test_qh4_is_nearer_goe_than_gue_from_a_kappa_between_1_04_and_1_05():
+    # about 1.0434, the crossover README and EnsembleKind.reference_curve give
+    assert qh4_sup(1.04, "GOE") > qh4_sup(1.04, "GUE")
+    assert qh4_sup(1.05, "GOE") < qh4_sup(1.05, "GUE")

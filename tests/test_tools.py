@@ -10,7 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 AB_OPS = ROOT / "tools" / "ab_ops.py"
-KINDS = ("experiment", "spectrum", "verify", "classify-1e5", "family", "rate", "curve")
+KINDS = ("experiment", "spectrum", "verify", "classify-1e5", "family", "rate", "curve", "csv")
 
 
 def ab_ops(parent, change):
@@ -112,3 +112,18 @@ def test_ab_ops_fails_on_a_changed_family_fact(tmp_path):
     """, module="ensembles.py"))
     assert run.returncode == 1
     assert run.stderr.startswith("error: family operation ")
+
+
+def test_ab_ops_fails_on_one_changed_byte_of_a_csv_table(tmp_path):
+    # only the csv kind writes a table, and only its special values reach this inf
+    run = ab_ops(ROOT, nudged(tmp_path, """
+        _exact_exact_text = _exact_text
+
+        def _exact_text(values):
+            words = _exact_exact_text(values).copy()
+            words.view(np.uint8).reshape(-1, _SLOT)[np.isposinf(values), 0] = ord("I")
+            return words
+    """, module="cli.py"))
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: csv operation ")
+    assert "b'inf,-inf'] != CHANGE [b'Inf,-inf']" in run.stderr

@@ -7,8 +7,8 @@ loads ``PARENT/src/spacinglab`` and ``CHANGE/src/spacinglab`` as two
 packages under their own names, so both run in one interpreter on the same
 inputs.  One round of the mix is ``N`` small operations, three of four an
 experiment and every fourth a spectrum, then one ``verify``, one bulk
-classification, one reading of the family facts, four acceptance rates and
-twenty curve evaluations:
+classification, one reading of the family facts, four acceptance rates,
+twenty curve evaluations and three CSV tables:
 
 - experiment: sample 50..2000 spacings (log-spaced) of one of the seven
   kinds, then KS-test them against the five curves;
@@ -32,7 +32,15 @@ twenty curve evaluations:
   ``small_x_approx`` of GPOE and of GPUE at 0.1 and on 129 points in
   (0, 0.5); and GPOE's ``pdf`` and ``cdf`` on 15 points from 5e-324 to
   1e-150, on both sides of the threshold below which its pdf takes K0's
-  small-z limit.
+  small-z limit;
+- csv: ``cli._write_csv`` of three tables to a file, read back as bytes:
+  the round's 1e5 GPUE spacings (raw and normalized, as ``sample`` writes
+  them), GSE's pdf and cdf on that 1e5-point grid (whose tail rounds across
+  a power of ten, as 0.99999999999996 does to 1) and a short table of
+  special values (0, -0.0, nan, +-inf, 5e-324, 999999999999.5 and the
+  predecessors of the powers of ten), each also negated; no other kind
+  writes a table, so a tree whose text differs from its parent's in one
+  byte shows here.
 
 Operation i asks for the five curves starting at the (i mod 5)-th of GOE,
 GUE, GSE, GPOE, GPUE and going round, and a classified spectrum's one curve
@@ -43,9 +51,9 @@ The mix runs once untimed, then ``R`` timed rounds.  Each operation runs on
 both trees back to back; which tree goes first alternates from one operation
 to the next and from one round to the next, so drift of the machine hits both
 alike.  If any d, p, acceptance rate, sample mean or sample length (or any
-line of the verify table, any entry of a curve's value or any family fact)
-differs in a bit between the trees, the first difference is printed and the
-exit code is 1.  Otherwise each kind's median time on each tree, their ratio
+line of the verify table, any entry of a curve's value, any family fact or
+any byte of a table) differs in a bit between the trees, the first
+difference is printed and the exit code is 1.  Otherwise each kind's median time on each tree, their ratio
 CHANGE/PARENT and the quartiles of the per-operation ratios are printed, one
 line per kind, and the exit code is 0.
 On a 2-core x86-64 machine, where separate processes drift by up to 30 %,
@@ -57,7 +65,8 @@ tree read 0.98 to 1.12 on the first two, so only a change well beyond their
 quartiles shows in those ratios.  ``rate`` times four, two of them threaded,
 so its median falls between the one- and two-worker calls.  ``curve`` times
 twenty operations of four sizes, so its median falls among the 129-point
-calls and its quartiles span the sizes.
+calls and its quartiles span the sizes.  ``csv`` times three writes a
+round, so its median is the GPUE table's.
 """
 
 from __future__ import annotations
@@ -67,12 +76,13 @@ import importlib
 import importlib.util
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-KINDS = ("experiment", "spectrum", "verify", "classify-1e5", "family", "rate", "curve")
+KINDS = ("experiment", "spectrum", "verify", "classify-1e5", "family", "rate", "curve", "csv")
 UNFOLDINGS = ("global", "local:21", "poly:3")
 BULK_N = 100_000
 KAPPA = 0.25  # qh3 and qh4
@@ -82,6 +92,8 @@ CURVE_POINTS = (1.0, np.linspace(0.0, 8.0, 129), np.linspace(0.0, 8.0, BULK_N))
 SMALL_X_POINTS = (0.1, np.linspace(0.01, 0.49, 129))
 GPOE_THRESHOLD_POINTS = np.array([5e-324, 1e-323, 1e-321, 1e-318, 1e-310, 1e-200, 2.33e-162, 3e-162,
                                   4.02e-162, 5.2e-162, 1e-160, 1e-158, 2e-154, 3e-154, 1e-150])
+SPECIAL_VALUES = np.r_[0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 999999999999.5,
+                       np.nextafter(10.0 ** np.arange(-35, 16), 0.0)]
 
 
 def load(root: Path, name: str):
@@ -92,6 +104,7 @@ def load(root: Path, name: str):
     sys.modules[name] = package
     spec.loader.exec_module(package)
     importlib.import_module(f"{name}.verify")
+    importlib.import_module(f"{name}.cli")
     return package
 
 
@@ -134,12 +147,17 @@ def operations(lib, n_ops: int, rng: np.random.Generator) -> list[tuple[str, obj
     curve_ops = [("curve", (("pdf", "cdf"), curve, x)) for x in CURVE_POINTS for curve in CURVES]
     curve_ops += [("curve", (("small_x_approx",), curve, x)) for x in SMALL_X_POINTS for curve in CURVES[3:]]
     curve_ops.append(("curve", (("pdf", "cdf"), "GPOE", GPOE_THRESHOLD_POINTS)))
+    x = CURVE_POINTS[-1]
+    csv_ops = [("csv", ("raw_spacing,normalized_spacing", np.array(bulk.raw), np.array(bulk.normalized))),
+               ("csv", ("x,pdf,cdf", x, lib.curves.pdf("GSE", x), lib.curves.cdf("GSE", x))),
+               ("csv", ("value,negated", SPECIAL_VALUES, -SPECIAL_VALUES))]
     singles = [("verify", None), ("classify-1e5", np.array(bulk.raw)), ("family", None)]
-    return ops + singles + rate_ops + curve_ops
+    return ops + singles + rate_ops + curve_ops + csv_ops
 
 
-def runner(lib):
-    """``run(kind, arg)``: one operation on ``lib``, returning what must match bit for bit."""
+def runner(lib, table: Path):
+    """``run(kind, arg)``: one operation on ``lib``, returning what must match bit for bit; a csv
+    operation writes its table to the file ``table``."""
     curves, ens, ingest, stats = lib.curves, lib.ensembles, lib.ingest, lib.stats
     kinds = ensemble_kinds(ens)
     methods = {m: ingest.parse_unfold_method(m) for m in UNFOLDINGS}
@@ -170,6 +188,9 @@ def runner(lib):
             functions, curve, x = arg
             values = [getattr(curves, f)(curve, x) for f in functions]
             return [v.hex() if isinstance(v, float) else v for v in values]
+        if kind == "csv":
+            lib.cli._write_csv(table, *arg)
+            return [table.read_bytes()]
         sample = stats.normalize(arg)
         fit = stats.classify(sample)
         return [fit.best_fit, *(x.hex() for r in fit.ks.values() for x in (r.d, r.p_value)),
@@ -180,8 +201,12 @@ def runner(lib):
 
 def mismatch(parent: list, change: list) -> str | None:
     """Where two trees' results of one operation first differ, or None; a float array is read
-    entry by entry, bit for bit."""
+    entry by entry, bit for bit, and a table's bytes line by line."""
     for j, (a, b) in enumerate(zip(parent, change)):
+        if isinstance(a, bytes) and a != b:
+            lines = a.split(b"\n"), b.split(b"\n")
+            row = next((i for i, (u, v) in enumerate(zip(*lines)) if u != v), min(map(len, lines)))
+            return f"value {j}, line {row + 1}: PARENT {lines[0][row:row + 1]} != CHANGE {lines[1][row:row + 1]}"
         if not isinstance(a, np.ndarray):
             if a != b:
                 return f"value {j}: PARENT {[a]} != CHANGE {[b]}"
@@ -203,21 +228,22 @@ def main(argv=None) -> int:
     if args.reps < 1 or args.ops < 4:
         parser.error("--reps must be at least 1 and --ops at least 4")
     libs = [load(args.parent, "spacinglab_parent"), load(args.change, "spacinglab_change")]
-    runs = [runner(lib) for lib in libs]
     ops = operations(libs[0], args.ops, np.random.default_rng(39))
-    times = {kind: ([], []) for kind in KINDS}
-    for rep in range(args.reps + 1):  # round 0 warms both trees up and is not timed
-        for i, (kind, arg) in enumerate(ops):
-            out = [None, None]
-            for t in ((i + rep) % 2, 1 - (i + rep) % 2):  # each operation swaps order every round
-                start = time.perf_counter()
-                out[t] = runs[t](kind, arg)
-                if rep:
-                    times[kind][t].append(time.perf_counter() - start)
-            where = mismatch(*out)
-            if where:
-                print(f"error: {kind} operation {i}, {where}", file=sys.stderr)
-                return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [runner(lib, Path(tmp) / "table.csv") for lib in libs]
+        times = {kind: ([], []) for kind in KINDS}
+        for rep in range(args.reps + 1):  # round 0 warms both trees up and is not timed
+            for i, (kind, arg) in enumerate(ops):
+                out = [None, None]
+                for t in ((i + rep) % 2, 1 - (i + rep) % 2):  # each operation swaps order every round
+                    start = time.perf_counter()
+                    out[t] = runs[t](kind, arg)
+                    if rep:
+                        times[kind][t].append(time.perf_counter() - start)
+                where = mismatch(*out)
+                if where:
+                    print(f"error: {kind} operation {i}, {where}", file=sys.stderr)
+                    return 1
     print(f"{'kind':<14}{'ops':>7}{'PARENT ms':>12}{'CHANGE ms':>12}{'CHANGE/PARENT':>15}{'ratio Q1':>10}{'ratio Q3':>10}")
     for kind in KINDS:
         parent_s, change_s = times[kind]
