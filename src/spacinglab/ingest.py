@@ -246,6 +246,8 @@ def _staircase_fit(levels: np.ndarray, degree: int) -> np.ndarray:
     costs some step more than 1e-8 of the mean step.
     """
     n = levels.size
+    if degree >= n:
+        raise ValueError("polynomial degree must be below the number of levels")
     rank_error = ValueError("degenerate staircase fit: the levels fix fewer "
                             f"than {degree + 1} coefficients; lower the degree")
     lo, hi = levels[0], levels[-1]
@@ -302,9 +304,10 @@ def _staircase_fit(levels: np.ndarray, degree: int) -> np.ndarray:
 def unfold(spectrum: SpectrumFile, method: UnfoldMethod) -> stats.SpacingSample:
     """Rescale a spectrum's spacings to unit local mean.
 
-    GlobalMean divides every spacing by the global mean spacing.
-    LocalWindow(w) divides each spacing by the mean of the w nearest
-    spacings (centered window, truncated at the spectrum edges).
+    GlobalMean and LocalWindow(w) divide the spacings, in place, by one
+    scale: the global mean spacing, or at each spacing the mean of the w
+    spacings centred on it, a window truncated at the spectrum's ends (the
+    first and last w // 2 spacings' windows hold fewer).
     PolynomialStaircase(p) least-squares fits the counting staircase
     N(E_i) = i with a degree-p polynomial and takes differences of the
     fitted values.  The output is renormalized to exact unit mean as a
@@ -322,30 +325,22 @@ def unfold(spectrum: SpectrumFile, method: UnfoldMethod) -> stats.SpacingSample:
     """
     if not math.isfinite(float(spectrum.levels[-1]) - float(spectrum.levels[0])):
         raise ValueError("the spectrum's span overflows a float; rescale the levels")
+    if isinstance(method, PolynomialStaircase):
+        return stats._own(_staircase_fit(spectrum.levels, method.degree))
+    spacings = np.diff(spectrum.levels)
     if isinstance(method, GlobalMean):
-        spacings = np.diff(spectrum.levels)
-        out = spacings / spacings.mean()
+        scale = spacings.mean()
     elif isinstance(method, LocalWindow):
-        spacings = np.diff(spectrum.levels)
-        m = spacings.size
+        m, h = spacings.size, method.window // 2
         if method.window >= m:
-            raise ValueError(
-                f"window {method.window} must be smaller than the number of spacings {m}"
-            )
-        half = method.window // 2
+            raise ValueError(f"window {method.window} must be smaller than the number of spacings {m}")
         csum = np.concatenate(([0.0], np.cumsum(spacings)))
-        lo = np.clip(np.arange(m) - half, 0, None)
-        hi = np.clip(np.arange(m) + half + 1, None, m)
-        local_mean = (csum[hi] - csum[lo]) / (hi - lo)
-        if not np.all(local_mean > 0):
+        lo = np.maximum(np.arange(-h, m - h), 0)
+        hi = np.minimum(np.arange(h + 1, m + h + 1), m)
+        scale = (csum[hi] - csum[lo]) / (hi - lo)
+        if not np.all(scale > 0):
             raise ValueError("a local mean spacing rounds to zero; the spacings span "
                              "too many scales for local unfolding")
-        out = spacings / local_mean
-    elif isinstance(method, PolynomialStaircase):
-        n = spectrum.levels.size
-        if method.degree >= n:
-            raise ValueError("polynomial degree must be below the number of levels")
-        out = _staircase_fit(spectrum.levels, method.degree)
     else:
         raise TypeError(f"unknown unfolding method {method!r}")
-    return stats._own(out)
+    return stats._own(np.divide(spacings, scale, out=spacings))

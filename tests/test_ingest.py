@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spacinglab import cli, curves, ingest, stats
@@ -528,12 +528,22 @@ class TestMethodParsing:
 
 class TestUnfold:
     def test_global_mean_keeps_its_spacings(self):
-        # the spacings, their unfolded copy and the normalized sample: normalize copies none
+        # the spacings, divided in place, and the normalized sample: normalize copies none
         n = 10**5
         levels = np.cumsum(np.random.default_rng(6).exponential(size=n))
         levels.flags.writeable = False
         spectrum = SpectrumFile(levels=levels)
         assert traced_peak(lambda: unfold(spectrum, GlobalMean())) <= 28 * n
+
+    def test_local_window_keeps_its_spacings(self):
+        # the spacings, divided in place, the window sums, their bounds and their means, and
+        # the normalized sample: 49 bytes a level, where an np.arange(m) kept beside the bounds
+        # took 56.7 and a divided copy of the spacings 56.01
+        n = 10**5
+        levels = np.cumsum(np.random.default_rng(6).exponential(size=n))
+        levels.flags.writeable = False
+        spectrum = SpectrumFile(levels=levels)
+        assert traced_peak(lambda: unfold(spectrum, LocalWindow(51))) <= 56 * n
 
     def test_poly_fit_forms_no_vandermonde_matrix(self):
         # seven arrays of n floats, where an n x 8 matrix took 112 bytes a level and the
@@ -656,6 +666,50 @@ class TestUnfoldProperties:
         assert np.all(np.isfinite(out))
         assert np.all(out >= 0.0)
         assert abs(out.mean() - 1.0) <= 1e-12
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.lists(_FLOATS, min_size=3, max_size=60, unique=True),
+           _UNFOLD_METHODS.filter(lambda method: not isinstance(method, PolynomialStaircase)))
+    @example(values=[0.0, 1.0, 3.0], method=LocalWindow(1))  # the one window 2 spacings allow
+    @example(values=[i * i / 7.0 for i in range(60)], method=GlobalMean())
+    @example(values=[i * i / 7.0 for i in range(60)], method=LocalWindow(1))
+    @example(values=[i * i / 7.0 for i in range(60)], method=LocalWindow(21))
+    @example(values=[i * i / 7.0 for i in range(60)], method=LocalWindow(57))  # the widest for 59
+    def test_scale_methods_match_the_formulas_bit_for_bit(self, values, method):
+        levels = np.sort(np.asarray(values))
+        spectrum = SpectrumFile(levels=levels)
+        if not math.isfinite(float(levels[-1]) - float(levels[0])) or (
+                isinstance(method, LocalWindow) and method.window >= levels.size - 1):
+            with pytest.raises(ValueError, match="^the spectrum's span overflows a float|^window "):
+                unfold(spectrum, method)
+            return
+        want = _scale_reference(levels, method)
+        if want is None:
+            with pytest.raises(ValueError):
+                unfold(spectrum, method)
+            return
+        got = unfold(spectrum, method)
+        assert got.raw.tobytes() == want.raw.tobytes()
+        assert got.normalized.tobytes() == want.normalized.tobytes()
+
+
+def _scale_reference(levels, method):
+    """The global or local:w sample by the plain formulas, ``spacings / spacings.mean()`` or the
+    window sums between ``np.clip``-ed bounds, through ``stats._own``; None where ``_own`` refuses."""
+    spacings = np.diff(levels)
+    if isinstance(method, GlobalMean):
+        scale = spacings.mean()
+    else:
+        m, half = spacings.size, method.window // 2
+        csum = np.concatenate(([0.0], np.cumsum(spacings)))
+        lo = np.clip(np.arange(m) - half, 0, None)
+        hi = np.clip(np.arange(m) + half + 1, None, m)
+        scale = (csum[hi] - csum[lo]) / (hi - lo)
+    try:
+        with np.errstate(all="ignore"):
+            return stats._own(spacings / scale)
+    except ValueError:
+        return None
 
 
 def _lstsq_spacings(levels, degree):

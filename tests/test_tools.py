@@ -64,6 +64,21 @@ def test_ab_ops_fails_on_a_one_ulp_change_in_the_mean(tmp_path, normalized):
     assert run.stderr.startswith("error: experiment operation 0, value ")
 
 
+def test_ab_ops_fails_on_a_one_ulp_change_in_local_unfolding(tmp_path):
+    # of the two spectra an 8-operation round parses, the second is unfolded by local:21
+    run = ab_ops(ROOT, nudged(tmp_path, """
+        _exact_unfold = unfold
+
+        def unfold(spectrum, method):
+            s = _exact_unfold(spectrum, method)
+            if not isinstance(method, LocalWindow):
+                return s
+            return stats.SpacingSample(raw=s.raw, mean=s.mean, normalized=np.nextafter(s.normalized, 2.0))
+    """, module="ingest.py"))
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: spectrum operation 7, value ")
+
+
 def test_ab_ops_fails_on_a_one_ulp_change_in_one_curves_cdf(tmp_path):
     # the KS passes call curves._cdf, not cdf, so only the curve kind can see this
     run = ab_ops(ROOT, nudged(tmp_path, """
