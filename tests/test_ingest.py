@@ -2,10 +2,12 @@
 
 import math
 import os
+import random
 import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -359,7 +361,8 @@ class TestFileFastPath:
 
 
 class TestReaderMemory:
-    """A regular file is held once, as the values ``np.loadtxt`` reads, never as its text."""
+    """A regular file is held once, as the values ``np.loadtxt`` or the plain-decimal route reads,
+    never as its text."""
 
     N = 10**5
 
@@ -374,6 +377,212 @@ class TestReaderMemory:
         path = tmp_path / "levels.txt"
         path.write_text("".join(f"{float(v)!r}\n" for v in levels))
         assert traced_peak(lambda: load_spectrum(path)) <= 12 * self.N + 256 * 1024
+
+    def test_load_spectrum_peak_at_1e4_levels(self, tmp_path):
+        # the plain-decimal route's per-chunk buffers weigh most against the bound at small N
+        n = 10**4
+        levels = np.cumsum(np.random.default_rng(3).exponential(size=n))
+        path = tmp_path / "levels.txt"
+        path.write_text("".join(f"{float(v)!r}\n" for v in levels))
+        assert traced_peak(lambda: load_spectrum(path)) <= 12 * n + 256 * 1024
+
+
+def _round_to_64_bits(x):
+    """(k, e): the positive Fraction ``x`` rounded to k * 2**e, 2**63 <= k <= 2**64, ties to even."""
+    e = x.numerator.bit_length() - x.denominator.bit_length() - 63
+    scaled = x / Fraction(2) ** e
+    if scaled < 2**63:
+        scaled, e = scaled * 2, e - 1
+    return round(scaled), e
+
+
+def _midpoint_decimals(count, seed=11):
+    """17- and 18-digit decimals in [1, 1e4) whose rounding to 64 bits lies halfway between two
+    doubles, and which ``float()`` rounds the other way than that 64-bit value's round-half-even."""
+    rng, found = random.Random(seed), []
+    while len(found) < count:
+        d = rng.uniform(1.0, 1e4)
+        mid = Fraction(d) + Fraction(math.ulp(d)) / 2
+        for digits in (17, 18):
+            places = digits - len(str(int(d)))
+            c = round(mid * 10**places)
+            text = f"{c // 10**places}.{c % 10**places:0{places}d}"
+            k, e = _round_to_64_bits(Fraction(text))
+            if k & 0x7FF == 0x400 and float(text) != float(Fraction(k) * Fraction(2) ** e):
+                found.append(text)
+    return found
+
+
+def _neighbours(text):
+    """``text`` and the two decimals one unit in its last digit away."""
+    whole, frac = text.split(".")
+    c = int(whole + frac)
+    return [f"{x // 10**len(frac)}.{x % 10**len(frac):0{len(frac)}d}" for x in (c - 1, c, c + 1)]
+
+
+def _plain_read(path):
+    """``_read_plain``'s values of the file ``path`` (no header), which must take the route."""
+    values = ingest._read_plain(path, 0)
+    assert values is not None, "the plain-decimal route declined the file"
+    return values
+
+
+def _float_bits(rows):
+    return np.array([float(row) for row in rows]).tobytes()
+
+
+@st.composite
+def _plain_rows(draw, min_digits=1):
+    """A plain decimal: optional '-', 0..19 digits (leading zeros too) either side of one '.'."""
+    if draw(st.integers(0, 20)) == 0:
+        return "-0.0"
+    size = draw(st.integers(min_digits, 38))
+    whole = draw(st.integers(max(size - 19, 0), min(size, 19)))
+    digits = draw(st.text("0123456789", min_size=size, max_size=size))
+    return draw(st.sampled_from(["", "-"])) + digits[:whole] + "." + digits[whole:]
+
+
+class TestPlainDecimalRoute:
+    """A spectrum file whose first data row holds 16 or more digits, all plain decimals ended by \\n,
+    is read by ``_read_plain`` with ``float()``'s bits; any other file as if the route were not there."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(_plain_rows(min_digits=16), st.lists(_plain_rows(), max_size=40))
+    def test_reads_float_bits(self, tmp_path_factory, first, rest):
+        rows = [first, *rest]
+        path = tmp_path_factory.mktemp("plain") / "levels.txt"
+        path.write_bytes("".join(f"{row}\n" for row in rows).encode())
+        assert _plain_read(path).tobytes() == _float_bits(rows)
+        # in file order: _spectrum's sort would hide a row written to the wrong place
+        assert ingest._read_column(None, str(path), csv=False, path=path).tobytes() == _float_bits(rows)
+
+    def test_midpoints_and_their_neighbours(self, tmp_path):
+        rows = [row for text in _midpoint_decimals(20) for row in _neighbours(text)]
+        rows += ["-" + row for row in rows]
+        path = tmp_path / "levels.txt"
+        path.write_text("".join(f"{row}\n" for row in rows))
+        assert _plain_read(path).tobytes() == _float_bits(rows)
+
+    @pytest.mark.parametrize("rows", [
+        ["123456789012345678.", "-0.12345678901234567", "0.000000000000000001"],  # 18 digits
+        ["1234567890123456789.", "922337203685477580.8", "-0.1234567890123456789"],  # 19
+        ["1234567890123456789012.", "99999999999999999999.99", "-1.000000000000000000001"],  # 22
+        ["14.134725141734695", "0.00012345678901234567", "-0.0", "0.0", "-000000012.5000"],
+    ], ids=["18-digits", "19-digits", "22-digits", "mixed"])
+    def test_long_rows(self, tmp_path, rows):
+        path = tmp_path / "levels.txt"
+        path.write_text("".join(f"{row}\n" for row in rows))
+        assert _plain_read(path).tobytes() == _float_bits(rows)
+
+    @pytest.mark.parametrize("block", [
+        b"14.134725141734695\n\n21.022039638771556\n",  # np.fromstring skips a blank line
+        b"14.134725141734695\n1 2.5\n",  # and reads "1 2" as two values
+        b"14.134725141734695\n-.\n", b"14.134725141734695\n.\n",
+        b"14.134725141734695\n1-2.5\n", b"14.134725141734695\n--2.5\n",
+    ], ids=["blank", "blank-inside", "no-digit-signed", "no-digit", "inner-minus", "two-minus"])
+    def test_fromstring_leniency_is_shut_out(self, block):
+        assert ingest._plain_block(block, np.empty(8)) is None
+
+    def test_more_rows_than_counted_are_refused(self):
+        # as where the file grew between the count and the read
+        assert ingest._plain_block(b"14.134725141734695\n21.022039638771556\n", np.empty(1)) is None
+
+    def test_overflowing_row_reads_as_float(self):
+        # np.fromstring reads this token as 2**63 - 1, without a warning
+        rows = ["14.134725141734695", "12345678901234567890.5", "-99999999999999999999.0"]
+        out = np.empty(3)
+        assert ingest._plain_block("".join(f"{row}\n" for row in rows).encode(), out) == 3
+        assert out.tobytes() == _float_bits(rows)
+
+    def test_self_check_passes_here(self):
+        # the check of np.longdouble that guards the route; x86-64 Linux passes it
+        assert ingest._exact_long_double()
+
+
+_FIRST = "14.134725141734695\n"
+_DECLINED = {
+    "exponent": _FIRST + "1e-05\n30.424876125859512\n",
+    "plus": _FIRST + "+21.022039638771556\n30.424876125859512\n",
+    "space": _FIRST + " 21.022039638771556\n30.424876125859512\n",
+    "tab": _FIRST + "21.022039638771556\t\n30.424876125859512\n",
+    "crlf": _FIRST.replace("\n", "\r\n") + "21.022039638771556\r\n30.424876125859512\r\n",
+    "cr": _FIRST.replace("\n", "\r") + "21.022039638771556\r30.424876125859512\r",
+    "bom": "\ufeff" + _FIRST + "21.022039638771556\n30.424876125859512\n",
+    "blank": _FIRST + "\n21.022039638771556\n30.424876125859512\n",
+    "comment": _FIRST + "21.022039638771556 # note\n30.424876125859512#\n",
+    "underscore": _FIRST + "2_1.022039638771556\n30.424876125859512\n",
+    "two-points": _FIRST + "21.022.039638771556\n30.424876125859512\n",
+    "minus-point": _FIRST + "-.\n30.424876125859512\n",
+    "no-point": _FIRST + "21\n30.424876125859512\n",
+    "two-points-then-none": _FIRST + "21.022.039638771556\n30\n",
+    "no-final-newline": _FIRST + "21.022039638771556\n30.424876125859512",
+    "cr-in-header": "# made by hand\r" + _FIRST + "21.022039638771556\n30.424876125859512\n",
+    "too-big": _FIRST + "1" * 400 + ".0\n30.424876125859512\n",
+}
+_TAKEN = {  # read by the route, and warned about after it
+    "unsorted-and-duplicates": "30.424876125859512\n" + _FIRST + "21.022039638771556\n21.022039638771556\n",
+    "signs": "-30.424876125859512\n-0.0\n0.0\n" + _FIRST,
+}
+
+
+def _read_with_warnings(path):
+    """What ``load_spectrum(path)`` gives, its values as bytes or its error text, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = load_spectrum(path).levels.tobytes()
+        except SpectrumParseError as exc:
+            got = f"error: {exc}"
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+class TestPlainDecimalRouteDeclines:
+    """A file the route declines, or a machine it cannot trust, reads exactly as by ``np.loadtxt``."""
+
+    @pytest.fixture()
+    def route_calls(self, monkeypatch):
+        """The values ``_read_plain`` returned, None where it declined, one a call."""
+        calls, read = [], ingest._read_plain
+        monkeypatch.setattr(ingest, "_read_plain", lambda *args: calls.append(read(*args)) or calls[-1])
+        return calls
+
+    @staticmethod
+    def _guard_off(monkeypatch):
+        monkeypatch.setattr(ingest, "_exact_long_double", lambda: False)
+
+    @pytest.mark.parametrize("name", [*_DECLINED, *_TAKEN])
+    def test_reads_as_without_the_route(self, tmp_path, monkeypatch, route_calls, name):
+        path = tmp_path / "levels.txt"
+        path.write_bytes({**_DECLINED, **_TAKEN}[name].encode())
+        with_route = _read_with_warnings(path)
+        assert len(route_calls) == 1 and (route_calls[0] is None) == (name in _DECLINED)
+        self._guard_off(monkeypatch)
+        assert with_route == _read_with_warnings(path)
+
+    @pytest.mark.parametrize("first, tried", [("1234567890123.456", True), ("123456789012.345", False),
+                                              ("-0.000000000000001", True), ("12345678901234.5e0", True)])
+    def test_first_row_of_16_digits_takes_the_route(self, tmp_path, route_calls, first, tried):
+        path = tmp_path / "levels.txt"
+        path.write_text(f"# levels\n{first}\n99999999999999.7\n99999999999999.8\n")
+        load_spectrum(path)
+        assert len(route_calls) == int(tried)
+        if tried and "e" not in first:
+            assert route_calls[0] is not None
+
+    @pytest.mark.parametrize("source", ["riemann_zeros.txt", "riemann_zeros_t1e6.txt", "signed"])
+    def test_guard_off_reads_the_same_array_by_loadtxt(self, tmp_path, monkeypatch, route_calls, source):
+        if source == "signed":
+            levels = np.cumsum(np.random.default_rng(4).exponential(size=10**4)) - 5e3
+            path = tmp_path / "levels.txt"
+            path.write_text("# signed levels\n" + "".join(f"{v!r}\n" for v in levels.tolist()))
+        else:
+            path = Path(__file__).resolve().parent.parent / "data" / source
+        with_route = load_spectrum(path).levels
+        assert route_calls[0] is not None
+        loaded, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: loaded.append(1) or loadtxt(*a, **k))
+        self._guard_off(monkeypatch)
+        assert with_route.tobytes() == load_spectrum(path).levels.tobytes() and loaded == [1]
 
 
 class TestErrorOrder:

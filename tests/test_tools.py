@@ -10,7 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 AB_OPS = ROOT / "tools" / "ab_ops.py"
-KINDS = ("experiment", "spectrum", "verify", "classify-1e5", "family", "rate", "curve", "csv")
+KINDS = ("experiment", "spectrum", "verify", "classify-1e5", "family", "rate", "curve", "csv", "spectrum-file")
 
 
 def ab_ops(parent, change):
@@ -142,3 +142,19 @@ def test_ab_ops_fails_on_one_changed_byte_of_a_csv_table(tmp_path):
     assert run.returncode == 1
     assert run.stderr.startswith("error: csv operation ")
     assert "b'inf,-inf'] != CHANGE [b'Inf,-inf']" in run.stderr
+
+
+def test_ab_ops_fails_on_a_one_ulp_change_in_the_plain_decimal_route(tmp_path):
+    # only the spectrum-file kind reads a file, and only its repr file takes the route
+    run = ab_ops(ROOT, nudged(tmp_path, """
+        _exact_read_plain = _read_plain
+
+        def _read_plain(path, start):
+            values = _exact_read_plain(path, start)
+            if values is None:
+                return None
+            return np.nextafter(values, np.inf)
+    """, module="ingest.py"))
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: spectrum-file operation ")
+    assert ", value 0, entry 0: " in run.stderr

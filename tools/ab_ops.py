@@ -8,7 +8,7 @@ packages under their own names, so both run in one interpreter on the same
 inputs.  One round of the mix is ``N`` small operations, three of four an
 experiment and every fourth a spectrum, then one ``verify``, one bulk
 classification, one reading of the family facts, four acceptance rates,
-twenty curve evaluations and three CSV tables:
+twenty curve evaluations, three CSV tables and three spectrum files:
 
 - experiment: sample 50..2000 spacings (log-spaced) of one of the seven
   kinds, then KS-test them against the five curves;
@@ -40,7 +40,14 @@ twenty curve evaluations and three CSV tables:
   special values (0, -0.0, nan, +-inf, 5e-324, 999999999999.5 and the
   predecessors of the powers of ten), each also negated; no other kind
   writes a table, so a tree whose text differs from its parent's in one
-  byte shows here.
+  byte shows here;
+- spectrum-file: ``ingest.load_spectrum`` of one file of 1e4 levels (1e3 on,
+  built from the round's GPUE spacings) written three ways: as ``repr`` (16
+  or 17 digits a row, which the plain-decimal route reads), as ``%.12g``
+  (``np.loadtxt``), and as ``repr`` under a header comment with one row in
+  exponent form and one of 20 digits (which the route declines); the levels
+  and any warnings are compared, so a tree that reads one row in another bit
+  shows here.
 
 Operation i asks for the five curves starting at the (i mod 5)-th of GOE,
 GUE, GSE, GPOE, GPUE and going round, and a classified spectrum's one curve
@@ -66,7 +73,8 @@ quartiles shows in those ratios.  ``rate`` times four, two of them threaded,
 so its median falls between the one- and two-worker calls.  ``curve`` times
 twenty operations of four sizes, so its median falls among the 129-point
 calls and its quartiles span the sizes.  ``csv`` times three writes a
-round, so its median is the GPUE table's.
+round, so its median is the GPUE table's, and ``spectrum-file`` three
+reads, so its median is the middle one's.
 """
 
 from __future__ import annotations
@@ -78,13 +86,15 @@ import statistics
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-KINDS = ("experiment", "spectrum", "verify", "classify-1e5", "family", "rate", "curve", "csv")
+KINDS = ("experiment", "spectrum", "verify", "classify-1e5", "family", "rate", "curve", "csv", "spectrum-file")
 UNFOLDINGS = ("global", "local:21", "poly:3")
 BULK_N = 100_000
+FILE_LEVELS = 10_000
 KAPPA = 0.25  # qh3 and qh4
 FAMILY_KAPPAS = (0.0, KAPPA, 1.2)
 CURVES = ("GOE", "GUE", "GSE", "GPOE", "GPUE")
@@ -151,13 +161,22 @@ def operations(lib, n_ops: int, rng: np.random.Generator) -> list[tuple[str, obj
     csv_ops = [("csv", ("raw_spacing,normalized_spacing", np.array(bulk.raw), np.array(bulk.normalized))),
                ("csv", ("x,pdf,cdf", x, lib.curves.pdf("GSE", x), lib.curves.cdf("GSE", x))),
                ("csv", ("value,negated", SPECIAL_VALUES, -SPECIAL_VALUES))]
+    t = np.cumsum(bulk.raw[:FILE_LEVELS])
+    rows = list(map(repr, (1e3 + t + t * t / (4.0 * t[-1])).tolist()))
+    odd = rows.copy()
+    odd[FILE_LEVELS // 2] = format(float(odd[FILE_LEVELS // 2]), ".16e")
+    odd[FILE_LEVELS // 2 + 1] = format(float(odd[FILE_LEVELS // 2 + 1]), ".20g")
+    file_ops = [("spectrum-file", (name, "".join(f"{row}\n" for row in lines))) for name, lines in (
+        ("repr", rows), ("12g", [format(float(row), ".12g") for row in rows]),
+        ("declined", ["# levels, two rows in other forms", *odd]))]
     singles = [("verify", None), ("classify-1e5", np.array(bulk.raw)), ("family", None)]
-    return ops + singles + rate_ops + curve_ops + csv_ops
+    return ops + singles + rate_ops + curve_ops + csv_ops + file_ops
 
 
 def runner(lib, table: Path):
     """``run(kind, arg)``: one operation on ``lib``, returning what must match bit for bit; a csv
-    operation writes its table to the file ``table``."""
+    operation writes its table to the file ``table``, and a spectrum-file operation reads its
+    text from a file beside it, written on first use."""
     curves, ens, ingest, stats = lib.curves, lib.ensembles, lib.ingest, lib.stats
     kinds = ensemble_kinds(ens)
     methods = {m: ingest.parse_unfold_method(m) for m in UNFOLDINGS}
@@ -191,6 +210,15 @@ def runner(lib, table: Path):
         if kind == "csv":
             lib.cli._write_csv(table, *arg)
             return [table.read_bytes()]
+        if kind == "spectrum-file":
+            name, text = arg
+            path = table.with_name(f"spectrum-{name}.txt")
+            if not path.exists():
+                path.write_text(text)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                levels = ingest.load_spectrum(path).levels
+            return [levels, [str(w.message) for w in caught]]
         sample = stats.normalize(arg)
         fit = stats.classify(sample)
         return [fit.best_fit, *(x.hex() for r in fit.ks.values() for x in (r.d, r.p_value)),
